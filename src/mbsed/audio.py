@@ -21,6 +21,16 @@ FRAME_OVERLAP = 0.5
 LOG_FLOOR = 1e-10
 
 
+def hop_samples(rate: int) -> int:
+    """Frontend hop in samples: the frame length times one minus the overlap."""
+    return int(round(FRAME_MS / 1000.0 * (1.0 - FRAME_OVERLAP) * rate))
+
+
+def frame_hop_seconds(rate: int) -> float:
+    """Seconds between consecutive feature frames, 441/22050 at 22050 Hz."""
+    return hop_samples(rate) / rate
+
+
 class AudioIOError(RuntimeError):
     """WAV file could not be read or has an unsupported encoding."""
 
@@ -132,13 +142,7 @@ def mel_filterbank(sample_rate: int, n_fft: int, n_bands: int = N_BANDS) -> np.n
     return fb
 
 
-def logmel(
-    clip: AudioClip,
-    bands: int = N_BANDS,
-    frame_ms: float = FRAME_MS,
-    overlap: float = FRAME_OVERLAP,
-    clip_id: str = "",
-) -> LogMelClip:
+def logmel(clip: AudioClip, clip_id: str = "") -> LogMelClip:
     """Log-power mel features: T = ceil(n_samples / hop) frames, one row each.
 
     Frames are centered by reflect padding of half a frame, Hann windowed,
@@ -147,8 +151,8 @@ def logmel(
     the exact +ln(4) shift under waveform doubling for above-floor cells.
     """
     sr = clip.sample_rate
-    frame = int(round(frame_ms / 1000.0 * sr))
-    hop = int(round(frame_ms / 1000.0 * (1.0 - overlap) * sr))
+    frame = int(round(FRAME_MS / 1000.0 * sr))
+    hop = hop_samples(sr)
     samples = np.asarray(clip.samples, dtype=np.float64)
     n = len(samples)
     if n < hop:
@@ -160,7 +164,7 @@ def logmel(
     hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(frame) / frame)
     spectrum = np.fft.rfft(windows * hann, n=n_fft, axis=1)
     power = spectrum.real**2 + spectrum.imag**2
-    mel_power = power @ mel_filterbank(sr, n_fft, bands).T
+    mel_power = power @ mel_filterbank(sr, n_fft).T
     features = np.log(np.maximum(mel_power, LOG_FLOOR))
     return LogMelClip(features, frame_hop_seconds=hop / sr, clip_id=clip_id)
 
@@ -184,7 +188,8 @@ def read_features(path) -> np.ndarray:
         if len(head) != 8:
             raise AudioIOError(f"{path}: truncated feature cache header")
         t, f = struct.unpack("<II", head)
-        raw = fh.read(t * f * 8)
-    if len(raw) != t * f * 8:
+        raw = fh.read()
+    # compare before allocating: a corrupt header can claim ~2**64 values
+    if len(raw) < t * f * 8:
         raise AudioIOError(f"{path}: feature cache shorter than header claims")
-    return np.frombuffer(raw, dtype="<f8").reshape(t, f).copy()
+    return np.frombuffer(raw, dtype="<f8", count=t * f).reshape(t, f).copy()

@@ -9,7 +9,6 @@ consumers, and the tape is freed once backward finishes.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -22,8 +21,6 @@ class ShapeError(ValueError):
 class DomainError(ValueError):
     """Operand values lie outside the mathematical domain of the op."""
 
-
-_node_ids = itertools.count()
 
 # Gradient recording can be suspended (finite-difference probes, inference).
 _grad_enabled = True
@@ -43,19 +40,8 @@ class no_grad:
         return False
 
 
-class _Entry:
-    """One recorded operation: input/output node ids plus a backward rule."""
-
-    __slots__ = ("input_ids", "output_id", "backward")
-
-    def __init__(self, input_ids: tuple, output_id: int, backward: Callable[[], None]):
-        self.input_ids = input_ids
-        self.output_id = output_id
-        self.backward = backward
-
-
 class Tape:
-    """Ordered list of recorded operations for one forward pass.
+    """The backward rules of one forward pass, in recording order.
 
     A tape is confined to a single thread. Two disjoint subgraphs merge
     the moment an op consumes tensors from both; entry order stays
@@ -65,7 +51,7 @@ class Tape:
     __slots__ = ("entries", "_merged_into")
 
     def __init__(self):
-        self.entries: list[_Entry] = []
+        self.entries: list[Callable[[], None]] = []
         self._merged_into: Tape | None = None
 
     def _resolve(self) -> "Tape":
@@ -78,14 +64,13 @@ class Tape:
 class Tensor:
     """N-dimensional float64 array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad", "tape", "node_id")
+    __slots__ = ("data", "requires_grad", "grad", "tape")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self.tape: Tape | None = None
-        self.node_id: int | None = None
 
     @property
     def shape(self) -> tuple:
@@ -116,8 +101,8 @@ class Tensor:
         if tape is None or not tape.entries:
             raise RuntimeError("backward called with an empty tape")
         self.grad = np.ones_like(self.data)
-        for entry in reversed(tape.entries):
-            entry.backward()
+        for backward in reversed(tape.entries):
+            backward()
         tape.entries.clear()
 
     def __repr__(self) -> str:
@@ -178,14 +163,8 @@ def _record(inputs: Sequence[Tensor], out: Tensor, backward: Callable[[], None])
     tape = _find_tape(inputs)
     if tape is None:
         tape = Tape()
-    ids = []
-    for t in inputs:
-        if t.node_id is None:
-            t.node_id = next(_node_ids)
-        ids.append(t.node_id)
-    out.node_id = next(_node_ids)
     out.tape = tape
-    tape.entries.append(_Entry(tuple(ids), out.node_id, backward))
+    tape.entries.append(backward)
     return out
 
 
@@ -321,23 +300,6 @@ def broadcast_to(x: Tensor, shape) -> Tensor:
     def backward():
         if out.grad is not None and _tracked(x):
             _accumulate(x, _unbroadcast(out.grad, x.shape))
-
-    return _record((x,), out, backward)
-
-
-def index_select(x: Tensor, axis: int, index: int) -> Tensor:
-    """Take one slice along ``axis``; backward scatters into that slot."""
-    x = as_tensor(x)
-    out = Tensor(np.take(x.data, index, axis=axis))
-
-    def backward():
-        if out.grad is None or not _tracked(x):
-            return
-        g = np.zeros_like(x.data)
-        sel = [slice(None)] * x.ndim
-        sel[axis] = index
-        g[tuple(sel)] = out.grad
-        _accumulate(x, g)
 
     return _record((x,), out, backward)
 
@@ -537,18 +499,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return add(matmul(x, weight), bias)
 
 
-def conv2d(
-    x: Tensor,
-    kernel: Tensor,
-    bias: Tensor | None = None,
-    stride: tuple[int, int] = (1, 1),
-    padding: tuple[int, int] = (0, 0),
-) -> Tensor:
+def conv2d(x: Tensor, kernel: Tensor, padding: tuple[int, int] = (0, 0)) -> Tensor:
     """2-D cross-correlation of NCHW input with a KCkhkw kernel.
 
-    Zero padding, integer strides. Implemented as a sum over kernel
-    offsets of strided-view matrix products so no im2col buffer is kept.
-    Bias is optional; layers feeding batch norm should leave it out.
+    Zero padding, unit stride, no bias (the model feeds every conv into
+    batch norm, whose beta is the shift). Implemented as a sum over kernel
+    offsets of view matrix products so no im2col buffer is kept.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
@@ -557,35 +513,25 @@ def conv2d(
     k, ck, kh, kw = kernel.shape
     if ck != c:
         raise ShapeError(f"kernel channels {ck} do not match input channels {c}")
-    if bias is not None:
-        bias = as_tensor(bias)
-        if bias.shape != (k,):
-            raise ShapeError(f"bias shape {bias.shape} does not match {k} output channels")
-    sh, sw = stride
     ph, pw = padding
     if kh > h + 2 * ph or kw > w + 2 * pw:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h + 2 * ph}x{w + 2 * pw}")
-    h2 = (h + 2 * ph - kh) // sh + 1
-    w2 = (w + 2 * pw - kw) // sw + 1
+    h2 = h + 2 * ph - kh + 1
+    w2 = w + 2 * pw - kw + 1
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
     acc = np.zeros((n, h2, w2, k))
     for i in range(kh):
         for j in range(kw):
-            view = xp[:, :, i : i + sh * h2 : sh, j : j + sw * w2 : sw]
+            view = xp[:, :, i : i + h2, j : j + w2]
             acc += np.tensordot(view, kernel.data[:, :, i, j], axes=([1], [1]))
-    out_data = acc.transpose(0, 3, 1, 2)
-    if bias is not None:
-        out_data = out_data + bias.data.reshape(1, k, 1, 1)
-    out = Tensor(out_data)
+    out = Tensor(acc.transpose(0, 3, 1, 2))
 
     def backward():
         g = out.grad
         if g is None:
             return
         gn = g.transpose(0, 2, 3, 1)  # N,H2,W2,K
-        if bias is not None and _tracked(bias):
-            _accumulate(bias, g.sum(axis=(0, 2, 3)))
         need_x = _tracked(x)
         need_k = _tracked(kernel)
         gxp = np.zeros_like(xp) if need_x else None
@@ -593,21 +539,18 @@ def conv2d(
         for i in range(kh):
             for j in range(kw):
                 if need_k:
-                    view = xp[:, :, i : i + sh * h2 : sh, j : j + sw * w2 : sw]
+                    view = xp[:, :, i : i + h2, j : j + w2]
                     gk[:, :, i, j] = np.tensordot(gn, view, axes=([0, 1, 2], [0, 2, 3]))
                 if need_x:
                     contrib = np.tensordot(gn, kernel.data[:, :, i, j], axes=([3], [0]))
-                    gxp[:, :, i : i + sh * h2 : sh, j : j + sw * w2 : sw] += contrib.transpose(
-                        0, 3, 1, 2
-                    )
+                    gxp[:, :, i : i + h2, j : j + w2] += contrib.transpose(0, 3, 1, 2)
         if need_k:
             _accumulate(kernel, gk)
         if need_x:
             gx = gxp[:, :, ph : ph + h, pw : pw + w] if (ph or pw) else gxp
             _accumulate(x, gx)
 
-    inputs = (x, kernel) if bias is None else (x, kernel, bias)
-    return _record(inputs, out, backward)
+    return _record((x, kernel), out, backward)
 
 
 def batch_norm(

@@ -114,15 +114,12 @@ def cmd_evaluate(args) -> int:
 
 def cmd_ablate(args) -> int:
     run = _load_config(args)
-    if run.training.repeats < 2:
-        raise PipelineError("ablation needs repeats >= 2; pass --repeats")
 
     def progress(done, total, branches, score):
         print(f"[{done}/{total}] {' + '.join(branches)}: {score:.3f}", file=sys.stderr)
 
     rows = run_ablation(run, log_fn=progress)
-    protocol = "segment" if run.eval.protocol == "both" else run.eval.protocol
-    table = format_ablation_table(rows, protocol)
+    table = format_ablation_table(rows, run.eval.protocol)
     print(table, end="")
     if args.out:
         out_dir = Path(args.out)

@@ -160,8 +160,3 @@ def format_report(report: EvalReport) -> str:
         )
     lines.append(f"macro_f1\t{report.macro_f1:.6f}")
     return "\n".join(lines) + "\n"
-
-
-def write_report(path, report: EvalReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_report(report))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import struct
 from dataclasses import dataclass, field
 
@@ -127,6 +128,11 @@ class ModelConfig:
     @property
     def feature_dim(self) -> int:
         return self.encoder[-1].out_channels * self.freq_bins_out
+
+    @property
+    def label_names(self) -> tuple[str, ...]:
+        """Class labels for predictions: class_labels, else class_0, class_1, ..."""
+        return self.class_labels or tuple(f"class_{i}" for i in range(self.num_classes))
 
     @property
     def time_pool_total(self) -> int:
@@ -298,10 +304,6 @@ class Model:
                 return branch
         raise RuntimeError("model has no embedding-level main branch")
 
-    @property
-    def auxiliary_branches(self) -> list[Branch]:
-        return [b for b in self.branches if b.spec.strategy is MilStrategy.INSTANCE]
-
     def parameters(self) -> list[tuple[str, Tensor]]:
         """Trainable tensors with stable checkpoint names."""
         params = []
@@ -462,8 +464,6 @@ def train_model(
     model: Model,
     features: list[np.ndarray],
     labels: np.ndarray,
-    alpha: float = 1.0,
-    beta: float = 0.5,
     log_fn=None,
 ) -> list[float]:
     """Mini-batch training on weak labels; returns per-epoch mean loss.
@@ -497,7 +497,7 @@ def train_model(
                 for b in model.branches
             ]
             aux = [l for i, l in enumerate(branch_losses) if i != main_idx]
-            loss = total_loss(branch_losses[main_idx], aux, alpha=alpha, beta=beta)
+            loss = total_loss(branch_losses[main_idx], aux)
             value = loss.item()
             if not np.isfinite(value):
                 raise DivergenceError(
@@ -560,25 +560,33 @@ def load_checkpoint(path) -> Model:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a model checkpoint (bad magic)")
+    if len(blob) < 8:
+        raise CheckpointError(f"{path}: truncated checkpoint header")
     (header_len,) = struct.unpack("<I", blob[4:8])
     try:
         header = json.loads(blob[8 : 8 + header_len])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: corrupt header: not a JSON object")
     if header.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path}: checkpoint version {header.get('version')} not supported "
             f"by this code (expected {CHECKPOINT_VERSION})"
         )
-    config = ModelConfig.from_dict(header["config"])
-    if config_digest(config) != header["digest"]:
+    try:
+        config = ModelConfig.from_dict(header["config"])
+        digest = header["digest"]
+        lookup = {entry["name"]: entry for entry in header["params"]}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: corrupt header: {exc!r}") from None
+    if config_digest(config) != digest:
         raise CheckpointError(
             f"{path}: config digest mismatch; the checkpoint was written by a "
             "different model code version or has been altered"
         )
     model = Model(config)
     data = blob[8 + header_len :]
-    lookup = {entry["name"]: entry for entry in header["params"]}
     for name, tensor in model.parameters():
         _fill(lookup, data, name, tensor.data, path)
     for name, buf in model.buffers():
@@ -590,14 +598,17 @@ def _fill(lookup: dict, data: bytes, name: str, target: np.ndarray, path) -> Non
     entry = lookup.get(name)
     if entry is None:
         raise CheckpointError(f"{path}: parameter {name} missing from checkpoint")
-    if tuple(entry["shape"]) != target.shape:
-        raise CheckpointError(
-            f"{path}: parameter {name} has shape {entry['shape']}, expected {target.shape}"
-        )
-    start = entry["offset"]
-    count = target.size
     try:
-        raw = np.frombuffer(data, dtype="<f8", count=count, offset=start)
+        shape = tuple(entry["shape"])
+        start = operator.index(entry["offset"])
+    except (KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path}: corrupt manifest entry for {name}: {exc!r}") from None
+    if shape != target.shape:
+        raise CheckpointError(
+            f"{path}: parameter {name} has shape {list(shape)}, expected {target.shape}"
+        )
+    try:
+        raw = np.frombuffer(data, dtype="<f8", count=target.size, offset=start)
     except ValueError:
         raise CheckpointError(f"{path}: truncated checkpoint while reading {name}") from None
     target[...] = raw.reshape(target.shape)

@@ -1,6 +1,11 @@
 """End-to-end pipelines: features, training runs, prediction, evaluation,
 and the branch-combination ablation table.
 
+Training and ablation build each model config with ``build_model_config``,
+and evaluation and ablation score events with ``score_events``, so a row of
+the ablation table is the model ``train`` would write, scored as
+``evaluate`` would score its predictions.
+
 Every artifact-producing step is deterministic given its config and seed;
 repeated runs rewrite byte-identical files.
 """
@@ -14,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import load_audio, logmel, read_features, write_features
+from .audio import frame_hop_seconds, load_audio, logmel, read_features, write_features
 from .config import RunConfig, parse_branches, resolved_text
 from .events import (
     EventAnnotation,
@@ -124,22 +129,32 @@ def load_dataset(
                 )
             labels[row, index[label]] = 1.0
     features = [clip_features(dataset_dir, cid, cache, rate) for cid in clip_ids]
-    hop = round(0.020 * rate) / rate  # frontend hop in seconds
-    return Dataset(clip_ids, features, labels, list(class_labels), hop)
+    return Dataset(clip_ids, features, labels, list(class_labels), frame_hop_seconds(rate))
 
 
 def build_model_config(
-    run: RunConfig, num_classes: int, branches: tuple[BranchSpec, ...], seed: int,
-    class_labels: tuple[str, ...] = (),
+    run: RunConfig,
+    class_labels: list[str],
+    branches: tuple[BranchSpec, ...],
+    seed: int,
+    model_config: ModelConfig | None = None,
 ) -> ModelConfig:
-    factory = small_config if run.model.preset == "small" else large_config
-    base = factory(num_classes, branches, seed=seed)
+    """The config one training run uses.
+
+    Without ``model_config`` it is the run's preset with the run's training
+    settings; with it, that config as given. Either way the branches, seed
+    and class labels are the ones passed here.
+    """
+    if model_config is None:
+        factory = small_config if run.model.preset == "small" else large_config
+        model_config = dataclasses.replace(
+            factory(len(class_labels), branches),
+            learning_rate=run.training.learning_rate,
+            batch_size=run.training.batch_size,
+            epochs=run.training.epochs,
+        )
     return dataclasses.replace(
-        base,
-        learning_rate=run.training.learning_rate,
-        batch_size=run.training.batch_size,
-        epochs=run.training.epochs,
-        class_labels=class_labels,
+        model_config, branches=branches, seed=seed, class_labels=tuple(class_labels)
     )
 
 
@@ -152,16 +167,14 @@ class TrainArtifacts:
 
 
 def run_training(
-    run: RunConfig,
-    out_dir,
-    model_config: ModelConfig | None = None,
-    log_fn=None,
+    run: RunConfig, out_dir, model_config: ModelConfig | None = None
 ) -> list[TrainArtifacts]:
     """Train `repeats` models with seeds seed+0..; write checkpoints and logs.
 
     A fully resolved copy of the run config lands beside the checkpoints.
-    When an explicit model_config is given its seed field is overridden per
-    repeat and the run config's model/training sections are ignored.
+    An explicit model_config replaces the run's preset and training
+    settings; the branches still come from the run and the seed from the
+    repeat.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -170,16 +183,8 @@ def run_training(
     artifacts = []
     for r in range(run.training.repeats):
         seed = run.training.seed + r
-        if model_config is None:
-            cfg = build_model_config(
-                run, len(dataset.class_labels), branches, seed, tuple(dataset.class_labels)
-            )
-        else:
-            cfg = dataclasses.replace(
-                model_config, seed=seed, class_labels=tuple(dataset.class_labels)
-            )
-        model = Model(cfg)
-        curve = train_model(model, dataset.features, dataset.labels, log_fn=log_fn)
+        model = Model(build_model_config(run, dataset.class_labels, branches, seed, model_config))
+        curve = train_model(model, dataset.features, dataset.labels)
         ckpt = out_dir / f"model_seed{seed}.ckpt"
         save_checkpoint(model, ckpt)
         loss_path = out_dir / f"loss_seed{seed}.csv"
@@ -207,10 +212,9 @@ def predict_events(
     clip_probs, frame_probs = model.predict(features)
     frame_probs = frame_probs * (clip_probs > post.tag_threshold)[None, :]
     hop_out = hop_seconds * model.config.time_pool_total
-    labels = list(model.config.class_labels)
-    if not labels:
-        labels = [f"class_{i}" for i in range(model.config.num_classes)]
-    events = probs_to_events(frame_probs, hop_out, labels, post, clip_id=clip_id)
+    events = probs_to_events(
+        frame_probs, hop_out, model.config.label_names, post, clip_id=clip_id
+    )
     return clip_probs, events
 
 
@@ -229,10 +233,7 @@ def run_prediction(
     if not wavs:
         raise PipelineError(f"no .wav files found in {audio_dir}")
     post = post or PostConfig()
-    labels = list(model.config.class_labels) or [
-        f"class_{i}" for i in range(model.config.num_classes)
-    ]
-    hop = round(0.020 * rate) / rate
+    hop = frame_hop_seconds(rate)
     all_events = []
     tag_rows = []
     for wav in wavs:
@@ -240,7 +241,7 @@ def run_prediction(
         feats = clip_features(audio_dir, clip_id, cache, rate)
         clip_probs, events = predict_events(model, feats, clip_id, hop, post)
         all_events.extend(events)
-        for label, prob in zip(labels, clip_probs):
+        for label, prob in zip(model.config.label_names, clip_probs):
             tag_rows.append(f"{clip_id}\t{label}\t{prob:.6f}")
     out_tsv = Path(out_tsv)
     out_tsv.parent.mkdir(parents=True, exist_ok=True)
@@ -250,9 +251,13 @@ def run_prediction(
     return out_tsv, tags_path
 
 
-def run_evaluation(refs_tsv, preds_tsv, run: RunConfig) -> dict[str, EvalReport]:
-    refs = read_events_tsv(refs_tsv)
-    preds = read_events_tsv(preds_tsv)
+def score_events(
+    refs: list[EventAnnotation], preds: list[EventAnnotation], run: RunConfig
+) -> dict[str, EvalReport]:
+    """Reports for the run's protocol, or for both.
+
+    Segments cover the longest offset among refs and preds, at least 10 s.
+    """
     reports = {}
     protocols = ("event", "segment") if run.eval.protocol == "both" else (run.eval.protocol,)
     for protocol in protocols:
@@ -268,6 +273,10 @@ def run_evaluation(refs_tsv, preds_tsv, run: RunConfig) -> dict[str, EvalReport]
                 refs, preds, run.eval.segment_length, clip_duration
             )
     return reports
+
+
+def run_evaluation(refs_tsv, preds_tsv, run: RunConfig) -> dict[str, EvalReport]:
+    return score_events(read_events_tsv(refs_tsv), read_events_tsv(preds_tsv), run)
 
 
 def post_config_from_run(run: RunConfig, train_refs: list[EventAnnotation] | None, hop: float) -> PostConfig:
@@ -320,18 +329,9 @@ class AblationRow:
 def _ablation_run(args) -> float:
     """One train+evaluate pass; module-level so worker processes can import it."""
     (run, branches, seed, train_set, test_set, test_refs, train_refs, model_config) = args
-    specs = parse_branches(branches)
-    if model_config is None:
-        cfg = build_model_config(
-            run, len(train_set.class_labels), specs, seed, tuple(train_set.class_labels)
-        )
-    else:
-        cfg = dataclasses.replace(
-            model_config,
-            branches=specs,
-            seed=seed,
-            class_labels=tuple(train_set.class_labels),
-        )
+    cfg = build_model_config(
+        run, train_set.class_labels, parse_branches(branches), seed, model_config
+    )
     model = Model(cfg)
     train_model(model, train_set.features, train_set.labels)
     hop_out = train_set.hop_seconds * cfg.time_pool_total
@@ -340,13 +340,7 @@ def _ablation_run(args) -> float:
     for clip_id, feats in zip(test_set.clip_ids, test_set.features):
         _, events = predict_events(model, feats, clip_id, test_set.hop_seconds, post)
         predictions.extend(events)
-    if run.eval.protocol == "event":
-        report = event_based_f1(
-            test_refs, predictions, run.eval.onset_collar, run.eval.offset_tolerance
-        )
-    else:
-        report = segment_based_f1(test_refs, predictions, run.eval.segment_length, 10.0)
-    return report.macro_f1
+    return score_events(test_refs, predictions, run)[run.eval.protocol].macro_f1
 
 
 def run_ablation(
@@ -356,6 +350,8 @@ def run_ablation(
     log_fn=None,
 ) -> list[AblationRow]:
     """Train every branch combination `repeats` times and score the test set."""
+    if run.eval.protocol == "both":
+        raise PipelineError("ablation scores one protocol; set [eval] protocol to event or segment")
     if run.training.repeats < 2:
         raise PipelineError("ablation needs repeats >= 2 for a standard deviation")
     if not run.data.test_dir:

@@ -81,21 +81,14 @@ def attention_scores(features: Tensor, attn: AttentionParams) -> Tensor:
     return ad.matmul(features, ad.transpose(attn.weights))
 
 
-def attention_weights(
-    features: Tensor, attn: AttentionParams, class_index: int | None = None
-) -> Tensor:
-    """Per-class softmax over frames of the scaled attention scores.
+def attention_weights(features: Tensor, attn: AttentionParams) -> Tensor:
+    """Per-class softmax over frames of the scaled attention scores: (..., T, C).
 
-    Returns (..., T, C), or the single class column (..., T) when
-    ``class_index`` is given. Weights are nonnegative and sum to one over
-    the frame axis; they are differentiable in both the features and the
-    attention vectors.
+    Weights are nonnegative and sum to one over the frame axis; they are
+    differentiable in both the features and the attention vectors.
     """
     _check_frames(features)
-    a = ad.softmax(attention_scores(features, attn), scale=attn.scale, axis=-2)
-    if class_index is not None:
-        a = ad.index_select(a, -1, class_index)
-    return a
+    return ad.softmax(attention_scores(features, attn), scale=attn.scale, axis=-2)
 
 
 def instance_pool(

@@ -252,6 +252,10 @@ class TestFeatureCache:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(AudioIOError, match="shorter"):
             read_features(path)
+        # a header claiming (2**32 - 1) x (2**32 - 1) values over 8 bytes of data
+        path.write_bytes(b"\xff" * 8 + bytes(8))
+        with pytest.raises(AudioIOError, match="shorter"):
+            read_features(path)
 
     def test_rejects_non_2d(self, tmp_path):
         with pytest.raises(ValueError):

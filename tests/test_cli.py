@@ -139,6 +139,16 @@ class TestPredict:
         assert code == 2
         assert "digest mismatch" in capsys.readouterr().err
 
+    def test_truncated_checkpoint_refused(self, checkpoint, dataset, tmp_path, capsys):
+        short = tmp_path / "short.ckpt"
+        short.write_bytes(checkpoint.read_bytes()[:5])
+        code = run_cli([
+            "predict", "--checkpoint", short, "--audio", dataset, "--out", tmp_path / "e.tsv",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_missing_audio_dir(self, checkpoint, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()

@@ -12,7 +12,6 @@ from mbsed.metrics import (
     macro_average,
     match_events,
     segment_based_f1,
-    write_report,
 )
 
 
@@ -266,15 +265,12 @@ class TestSegmentBased:
 
 
 class TestReportFormat:
-    def test_layout_and_values(self, tmp_path):
+    def test_layout_and_values(self):
         report = segment_based_f1([ev("c", "A", 0.0, 5.0)], [ev("c", "A", 1.0, 6.0)])
         text = format_report(report)
         lines = text.strip().split("\n")
         assert lines[0] == "A\t0.800000\t0.800000\t0.800000\t4\t1\t1"
         assert lines[-1] == "macro_f1\t0.800000"
-        path = tmp_path / "report.tsv"
-        write_report(path, report)
-        assert path.read_text() == text
 
     def test_classes_sorted(self):
         refs = [ev("c", "B", 0.0, 1.0), ev("c", "A", 2.0, 3.0)]

