@@ -168,8 +168,18 @@ def _record(inputs: Sequence[Tensor], out: Tensor, backward: Callable[[], None])
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add g into t.grad, which starts from zeros laid out like t.data.
+
+    ``owned`` says no one else holds g, so a g laid out like t.data can
+    become t.grad itself; adding 0.0 turns its -0.0 into +0.0, as the sum
+    into zeros would.
+    """
     if t.grad is None:
+        if owned and g.strides == t.data.strides:
+            np.add(g, 0.0, out=g)
+            t.grad = g
+            return
         t.grad = np.zeros_like(t.data)
     t.grad += g
 
@@ -499,17 +509,34 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return add(matmul(x, weight), bias)
 
 
+def _channel_sum(rows: np.ndarray, c: int, other: np.ndarray | None = None) -> np.ndarray:
+    """Per-channel sum of ``rows`` (or of ``rows * other``) in np.sum's order.
+
+    ``rows`` holds channels-last data whose last axis ends in ``c``
+    channels. With two or more channels np.sum adds the pixels in sequence,
+    as einsum does without a temporary for the product; with one channel
+    np.sum adds pairwise, so that case stays with np.sum.
+    """
+    flat = rows.reshape(-1, c)
+    if c == 1:
+        return (flat if other is None else flat * other.reshape(-1, c)).sum(axis=0)
+    if other is None:
+        return np.einsum("ij->j", flat)
+    return np.einsum("ij,ij->j", flat, other.reshape(-1, c))
+
+
 def conv2d(x: Tensor, kernel: Tensor, padding: tuple[int, int] = (0, 0)) -> Tensor:
-    """2-D cross-correlation of NCHW input with a KCkhkw kernel.
+    """2-D cross-correlation of NHWC input with a KCkhkw kernel, NHWC out.
 
     Zero padding, unit stride, no bias (the model feeds every conv into
     batch norm, whose beta is the shift). Implemented as a sum over kernel
-    offsets of view matrix products so no im2col buffer is kept.
+    offsets of (N*H*W, C) matrix products, so no im2col buffer is kept and
+    no operand or result is transposed.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input and kernel, got {x.shape} and {kernel.shape}")
-    n, c, h, w = x.shape
+    n, h, w, c = x.shape
     k, ck, kh, kw = kernel.shape
     if ck != c:
         raise ShapeError(f"kernel channels {ck} do not match input channels {c}")
@@ -518,36 +545,45 @@ def conv2d(x: Tensor, kernel: Tensor, padding: tuple[int, int] = (0, 0)) -> Tens
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h + 2 * ph}x{w + 2 * pw}")
     h2 = h + 2 * ph - kh + 1
     w2 = w + 2 * pw - kw + 1
+    m = n * h2 * w2
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
+    xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw), (0, 0))) if (ph or pw) else x.data
+
+    def window(i: int, j: int) -> np.ndarray:
+        # the input rows kernel offset (i, j) meets, one row per output pixel
+        return xp[:, i : i + h2, j : j + w2, :].reshape(m, c)
+
     acc = np.zeros((n, h2, w2, k))
+    acc_rows = acc.reshape(m, k)
+    prod = np.empty((m, k))
     for i in range(kh):
         for j in range(kw):
-            view = xp[:, :, i : i + h2, j : j + w2]
-            acc += np.tensordot(view, kernel.data[:, :, i, j], axes=([1], [1]))
-    out = Tensor(acc.transpose(0, 3, 1, 2))
+            np.dot(window(i, j), kernel.data[:, :, i, j].T, out=prod)
+            acc_rows += prod
+    out = Tensor(acc)
 
     def backward():
-        g = out.grad
-        if g is None:
+        if out.grad is None:
             return
-        gn = g.transpose(0, 2, 3, 1)  # N,H2,W2,K
+        g = np.ascontiguousarray(out.grad).reshape(m, k)
         need_x = _tracked(x)
         need_k = _tracked(kernel)
         gxp = np.zeros_like(xp) if need_x else None
         gk = np.empty_like(kernel.data) if need_k else None
+        contrib = np.empty((m, c)) if need_x else None
         for i in range(kh):
             for j in range(kw):
                 if need_k:
-                    view = xp[:, :, i : i + h2, j : j + w2]
-                    gk[:, :, i, j] = np.tensordot(gn, view, axes=([0, 1, 2], [0, 2, 3]))
+                    # g.T is a transposed view on purpose: BLAS rounds a
+                    # contiguous copy of it differently in the last bits
+                    gk[:, :, i, j] = np.dot(g.T, window(i, j))
                 if need_x:
-                    contrib = np.tensordot(gn, kernel.data[:, :, i, j], axes=([3], [0]))
-                    gxp[:, :, i : i + h2, j : j + w2] += contrib.transpose(0, 3, 1, 2)
+                    np.dot(g, kernel.data[:, :, i, j], out=contrib)
+                    gxp[:, i : i + h2, j : j + w2, :] += contrib.reshape(n, h2, w2, c)
         if need_k:
             _accumulate(kernel, gk)
         if need_x:
-            gx = gxp[:, :, ph : ph + h, pw : pw + w] if (ph or pw) else gxp
+            gx = gxp[:, ph : ph + h, pw : pw + w, :] if (ph or pw) else gxp
             _accumulate(x, gx)
 
     return _record((x, kernel), out, backward)
@@ -563,7 +599,7 @@ def batch_norm(
     momentum: float = 0.1,
     train: bool = True,
 ) -> Tensor:
-    """Per-channel normalization of NCHW input over the (N, H, W) axes.
+    """Per-channel normalization of NHWC input over the (N, H, W) axes.
 
     Train mode normalizes with batch statistics and updates the running
     buffers in place (unbiased variance for the running estimate); eval
@@ -573,48 +609,102 @@ def batch_norm(
     if eps <= 0.0:
         raise ValueError(f"batch_norm eps must be positive, got {eps}")
     if x.ndim != 4:
-        raise ShapeError(f"batch_norm expects 4-D NCHW input, got {x.shape}")
-    n, c, h, w = x.shape
+        raise ShapeError(f"batch_norm expects 4-D NHWC input, got {x.shape}")
+    n, h, w, c = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"gamma/beta must have shape ({c},)")
-    shape = (1, c, 1, 1)
+    m = n * h * w
+    # Elementwise work runs on (N*H, W*C) rows against per-channel vectors
+    # tiled W times, so the inner loops stay long when C is small.
+    rows = x.data.reshape(n * h, w * c)
+
+    def tiled(v: np.ndarray) -> np.ndarray:
+        return np.tile(v, w)
 
     if train:
-        m = n * h * w
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+        mean = _channel_sum(rows, c) / m
+        x_hat = rows - tiled(mean)
+        var = _channel_sum(x_hat, c, x_hat) / m
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         unbiased = var * (m / (m - 1)) if m > 1 else var
         running_var *= 1.0 - momentum
         running_var += momentum * unbiased
     else:
-        mean = running_mean
         var = running_var
+        x_hat = rows - tiled(running_mean)
 
     inv_sigma = 1.0 / np.sqrt(var + eps)
-    x_hat = (x.data - mean.reshape(shape)) * inv_sigma.reshape(shape)
-    out = Tensor(gamma.data.reshape(shape) * x_hat + beta.data.reshape(shape))
+    x_hat *= tiled(inv_sigma)
+    out_rows = x_hat * tiled(gamma.data)
+    out_rows += tiled(beta.data)
+    out = Tensor(out_rows.reshape(x.shape))
 
     def backward():
-        g = out.grad
-        if g is None:
+        if out.grad is None:
             return
+        g = np.ascontiguousarray(out.grad).reshape(n * h, w * c)
+        sum_g = _channel_sum(g, c)
+        sum_gx_hat = _channel_sum(g, c, x_hat)
         if _tracked(gamma):
-            _accumulate(gamma, (g * x_hat).sum(axis=(0, 2, 3)))
+            _accumulate(gamma, sum_gx_hat)
         if _tracked(beta):
-            _accumulate(beta, g.sum(axis=(0, 2, 3)))
+            _accumulate(beta, sum_g)
         if not _tracked(x):
             return
-        coeff = (gamma.data * inv_sigma).reshape(shape)
+        coeff = tiled(gamma.data * inv_sigma)
         if train:
-            g_mean = g.mean(axis=(0, 2, 3)).reshape(shape)
-            gx_hat_mean = (g * x_hat).mean(axis=(0, 2, 3)).reshape(shape)
-            _accumulate(x, coeff * (g - g_mean - x_hat * gx_hat_mean))
+            dx = g - tiled(sum_g / m)
+            # the tape runs this rule once, so x_hat's buffer is free to reuse
+            dx -= np.multiply(x_hat, tiled(sum_gx_hat / m), out=x_hat)
+            dx *= coeff
         else:
-            _accumulate(x, coeff * g)
+            dx = g * coeff
+        _accumulate(x, dx.reshape(x.shape), owned=True)
 
     return _record((x, gamma, beta), out, backward)
+
+
+def max_pool(x: Tensor, time_pool: int, freq_pool: int) -> Tensor:
+    """Max over non-overlapping (time_pool, freq_pool) windows of NHWC input.
+
+    The gradient routes to the first maximal element of each window in
+    row-major (time, freq) order, the element that a max over freq and
+    then over time would pick.
+    """
+    x = as_tensor(x)
+    if x.ndim != 4:
+        raise ShapeError(f"max_pool expects 4-D NHWC input, got {x.shape}")
+    if time_pool < 1 or freq_pool < 1:
+        raise ValueError(f"pool factors must be >= 1, got {time_pool} and {freq_pool}")
+    n, h, w, c = x.shape
+    q, p = time_pool, freq_pool
+    if h % q or w % p:
+        raise ShapeError(f"pool {q}x{p} does not tile input {h}x{w}")
+    # axes (N, T', q, F', p, C): element (a, b) of every window is [:, :, a, :, b]
+    windows = x.data.reshape(n, h // q, q, w // p, p, c)
+    offsets = [(a, b) for a in range(q) for b in range(p)]
+
+    out_data = windows[:, :, 0, :, 0].copy()
+    for a, b in offsets[1:]:
+        np.maximum(out_data, windows[:, :, a, :, b], out=out_data)
+    out = Tensor(out_data)
+
+    def backward():
+        if out.grad is None or not _tracked(x):
+            return
+        first = np.empty(windows.shape, dtype=bool)
+        # windows whose maximum has not been claimed by an earlier element
+        unclaimed = np.ones(out_data.shape, dtype=bool)
+        for a, b in offsets:
+            hit = windows[:, :, a, :, b] == out_data
+            hit &= unclaimed
+            unclaimed ^= hit
+            first[:, :, a, :, b] = hit
+        g = out.grad[:, :, None, :, None]
+        _accumulate(x, np.where(first, g, 0.0).reshape(x.shape), owned=True)
+
+    return _record((x,), out, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class CnnBlockSpec:
-    """One encoder block: conv + batch norm + relu + max pooling."""
+    """One encoder block: conv + batch norm + max pooling + relu."""
 
     out_channels: int
     kernel: tuple[int, int] = (3, 3)
@@ -343,9 +343,10 @@ class Model:
             raise ValueError(
                 f"clip of {batch.shape[1]} frames shorter than cumulative time pooling"
             )
-        x = Tensor(batch[:, None, :, :])  # N,1,T,F
+        x = Tensor(batch[:, :, :, None])  # N,T,F,1
         for block in self.blocks:
-            kh, kw = block.spec.kernel
+            spec = block.spec
+            kh, kw = spec.kernel
             x = ad.conv2d(x, block.kernel, padding=(kh // 2, kw // 2))
             x = ad.batch_norm(
                 x,
@@ -357,22 +358,20 @@ class Model:
                 momentum=BN_MOMENTUM,
                 train=train,
             )
+            # relu commutes with max, so it runs on the pooled (smaller) map
+            if spec.time_pool > 1 or spec.freq_pool > 1:
+                x = ad.max_pool(x, spec.time_pool, spec.freq_pool)
             x = ad.relu(x)
-            n, c, h, w = x.shape
-            if block.spec.freq_pool > 1:
-                p = block.spec.freq_pool
-                x = ad.reduce_max(ad.reshape(x, (n, c, h, w // p, p)), axis=-1)
-                w //= p
-            if block.spec.time_pool > 1:
-                q = block.spec.time_pool
-                x = ad.reduce_max(ad.reshape(x, (n, c, h // q, q, w)), axis=3)
-                h //= q
-            if train and block.spec.dropout > 0.0:
+            if train and spec.dropout > 0.0:
                 if self._dropout_rng is None:
                     raise RuntimeError("training pass requires a seeded dropout stream")
-                x = ad.dropout(x, block.spec.dropout, rng=self._dropout_rng, train=True)
-        n, c, h, w = x.shape
-        return ad.reshape(ad.transpose(x, (0, 2, 1, 3)), (n, h, c * w))
+                # masks are drawn in (N, C, T, F) order; a seed's masks, and so
+                # the weights it trains to, depend on that order
+                x = ad.transpose(x, (0, 3, 1, 2))
+                x = ad.dropout(x, spec.dropout, rng=self._dropout_rng, train=True)
+                x = ad.transpose(x, (0, 2, 3, 1))
+        n, h, w, c = x.shape
+        return ad.reshape(ad.transpose(x, (0, 1, 3, 2)), (n, h, c * w))
 
     def branch_clip_probs(self, features: Tensor, branch: Branch) -> Tensor:
         return clip_probabilities(

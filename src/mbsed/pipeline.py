@@ -326,9 +326,27 @@ class AblationRow:
         return float(np.max(self.scores))
 
 
-def _ablation_run(args) -> float:
-    """One train+evaluate pass; module-level so worker processes can import it."""
-    (run, branches, seed, train_set, test_set, test_refs, train_refs, model_config) = args
+# What every ablation job of a run shares, in a pool worker: (run, train
+# set, test set, test refs, train refs, model config). The pool initializer
+# sets it, so a worker receives the datasets once and each job only
+# (branches, seed).
+_worker_shared: tuple | None = None
+
+
+def _init_ablation_worker(shared: tuple) -> None:
+    global _worker_shared
+    _worker_shared = shared
+
+
+def _ablation_run(job: tuple[tuple[str, ...], int]) -> float:
+    """One job in a pool worker; module-level so worker processes can import it."""
+    return _ablation_job(_worker_shared, job)
+
+
+def _ablation_job(shared: tuple, job: tuple[tuple[str, ...], int]) -> float:
+    """One train+evaluate pass for (branches, seed)."""
+    branches, seed = job
+    run, train_set, test_set, test_refs, train_refs, model_config = shared
     cfg = build_model_config(
         run, train_set.class_labels, parse_branches(branches), seed, model_config
     )
@@ -372,25 +390,26 @@ def run_ablation(
         if train_strong.exists():
             train_refs = read_events_tsv(train_strong)
 
-    jobs = []
-    for branches in rows:
-        for r in range(run.training.repeats):
-            jobs.append(
-                (run, branches, run.training.seed + r, train_set, test_set,
-                 test_refs, train_refs, model_config)
-            )
+    shared = (run, train_set, test_set, test_refs, train_refs, model_config)
+    jobs = [
+        (branches, run.training.seed + r)
+        for branches in rows
+        for r in range(run.training.repeats)
+    ]
     workers = worker_count()
     if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(workers) as pool:
+        with multiprocessing.Pool(
+            workers, initializer=_init_ablation_worker, initargs=(shared,)
+        ) as pool:
             scores = pool.map(_ablation_run, jobs)
     else:
         scores = []
         for i, job in enumerate(jobs):
-            scores.append(_ablation_run(job))
+            scores.append(_ablation_job(shared, job))
             if log_fn is not None:
-                log_fn(i + 1, len(jobs), job[1], scores[-1])
+                log_fn(i + 1, len(jobs), job[0], scores[-1])
     results = []
     for i, branches in enumerate(rows):
         chunk = scores[i * run.training.repeats : (i + 1) * run.training.repeats]

@@ -76,10 +76,12 @@ def op_checks(rng):
     x_lin = t(3, 4)
     lw, lb = t(4, 6), t(6)
 
+    # the encoder ops take channels-last arrays: NCHW draws, transposed
+    nhwc = lambda a: np.ascontiguousarray(a.transpose(0, 2, 3, 1))
     bn_shape = (2, 3, 4, 5)
-    x_bn = ad.Tensor(w(*bn_shape), requires_grad=True)
+    x_bn = ad.Tensor(nhwc(w(*bn_shape)), requires_grad=True)
     gamma, beta = pos(3), t(3)
-    w_bn = w(*bn_shape)
+    w_bn = nhwc(w(*bn_shape))
     rm_eval, rv_eval = w(3) * 0.2, np.full(3, 0.8)
 
     def bn_train(x):
@@ -89,9 +91,9 @@ def op_checks(rng):
     def bn_eval(x):
         return proj(ad.batch_norm(x, gamma, beta, rm_eval.copy(), rv_eval.copy(), train=False), w_bn)
 
-    img = ad.Tensor(w(2, 2, 5, 6), requires_grad=True)
+    img = ad.Tensor(nhwc(w(2, 2, 5, 6)), requires_grad=True)
     kern = ad.Tensor(rng.uniform(-0.7, 0.7, (3, 2, 3, 3)), requires_grad=True)
-    w_conv = w(2, 3, 5, 6)
+    w_conv = nhwc(w(2, 3, 5, 6))
 
     return [
         ("add", lambda x: proj(ad.add(x, c34), w34), t(3, 4)),

@@ -21,6 +21,7 @@ from mbsed.autodiff import (
     linear,
     log,
     matmul,
+    max_pool,
     reduce_max,
     reduce_mean,
     reduce_sum,
@@ -36,15 +37,20 @@ from mbsed.autodiff import (
 # oracles
 
 
+def nhwc(a):
+    """An NCHW draw as the channels-last array the encoder ops take."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
+
+
 def conv2d_loops(x, k, padding):
-    """Direct six-nested-loop convolution, the forward reference."""
-    n, c, h, w = x.shape
+    """Direct six-nested-loop convolution of NHWC input, the forward reference."""
+    n, h, w, c = x.shape
     kk, _, kh, kw = k.shape
     ph, pw = padding
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
     h2 = h + 2 * ph - kh + 1
     w2 = w + 2 * pw - kw + 1
-    out = np.zeros((n, kk, h2, w2))
+    out = np.zeros((n, h2, w2, kk))
     for ni in range(n):
         for ki in range(kk):
             for oi in range(h2):
@@ -53,20 +59,45 @@ def conv2d_loops(x, k, padding):
                     for ci in range(c):
                         for i in range(kh):
                             for j in range(kw):
-                                acc += xp[ni, ci, oi + i, oj + j] * k[ki, ci, i, j]
-                    out[ni, ki, oi, oj] = acc
+                                acc += xp[ni, oi + i, oj + j, ci] * k[ki, ci, i, j]
+                    out[ni, oi, oj, ki] = acc
     return out
 
 
 def batch_norm_loops(x, gamma, beta, eps):
-    """Two-pass per-channel mean/variance normalization."""
+    """Two-pass per-channel mean/variance normalization of NHWC input."""
     out = np.empty_like(x)
-    for c in range(x.shape[1]):
-        vals = x[:, c, :, :]
+    for c in range(x.shape[3]):
+        vals = x[:, :, :, c]
         mean = vals.sum() / vals.size
         var = ((vals - mean) ** 2).sum() / vals.size
-        out[:, c, :, :] = gamma[c] * (vals - mean) / np.sqrt(var + eps) + beta[c]
+        out[:, :, :, c] = gamma[c] * (vals - mean) / np.sqrt(var + eps) + beta[c]
     return out
+
+
+def batch_norm_textbook(x, gamma, beta, running_mean, running_var, g, eps, momentum):
+    """np.mean/np.var batch norm in train mode: output, running stats and
+    the gradients of sum(out * g) with respect to x, gamma and beta."""
+    axes = (0, 1, 2)
+    m = x.shape[0] * x.shape[1] * x.shape[2]
+    mean = np.mean(x, axis=axes)
+    var = np.var(x, axis=axes)
+    running_mean = running_mean * (1.0 - momentum) + momentum * mean
+    running_var = running_var * (1.0 - momentum) + momentum * (var * (m / (m - 1)))
+    inv_sigma = 1.0 / np.sqrt(var + eps)
+    x_hat = (x - mean) * inv_sigma
+    out = gamma * x_hat + beta
+    grad_gamma = (g * x_hat).sum(axis=axes)
+    grad_beta = g.sum(axis=axes)
+    grad_x = (gamma * inv_sigma) * (
+        g - np.mean(g, axis=axes) - x_hat * np.mean(g * x_hat, axis=axes)
+    )
+    return out, running_mean, running_var, grad_x, grad_gamma, grad_beta
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def linear_loops(x, w, b):
@@ -88,13 +119,13 @@ def linear_loops(x, w, b):
 
 class TestConv2d:
     def test_scalar_scaling(self):
-        x = Tensor([[[[1.0, 2.0], [3.0, 4.0]]]])
+        x = Tensor([[[[1.0], [2.0]], [[3.0], [4.0]]]])
         k = Tensor([[[[2.0]]]])
         out = conv2d(x, k)
-        np.testing.assert_array_equal(out.data, [[[[2.0, 4.0], [6.0, 8.0]]]])
+        np.testing.assert_array_equal(out.data, [[[[2.0], [4.0]], [[6.0], [8.0]]]])
 
     def test_sum_of_ones(self):
-        x = Tensor(np.ones((1, 1, 3, 3)))
+        x = Tensor(np.ones((1, 3, 3, 1)))
         k = Tensor(np.ones((1, 1, 3, 3)))
         out = conv2d(x, k)
         assert out.shape == (1, 1, 1, 1)
@@ -102,7 +133,7 @@ class TestConv2d:
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((2, 3, 8, 8))
+        x = nhwc(rng.standard_normal((2, 3, 8, 8)))
         k = rng.standard_normal((4, 3, 3, 3))
         got = conv2d(Tensor(x), Tensor(k), padding=(1, 1)).data
         want = conv2d_loops(x, k, (1, 1))
@@ -111,25 +142,25 @@ class TestConv2d:
     @pytest.mark.parametrize("padding", [(0, 0), (1, 1), (0, 2)])
     def test_padding_matches_oracle(self, padding):
         rng = np.random.default_rng(7)
-        x = rng.standard_normal((2, 2, 7, 6))
+        x = nhwc(rng.standard_normal((2, 2, 7, 6)))
         k = rng.standard_normal((3, 2, 3, 3))
         got = conv2d(Tensor(x), Tensor(k), padding).data
         np.testing.assert_allclose(got, conv2d_loops(x, k, padding), atol=1e-12)
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))))
+            conv2d(Tensor(np.zeros((1, 4, 4, 2))), Tensor(np.zeros((1, 3, 3, 3))))
 
     def test_omitted_bias_gradients(self):
         rng = np.random.default_rng(12)
-        x = Tensor(rng.standard_normal((1, 2, 5, 5)), requires_grad=True)
+        x = Tensor(nhwc(rng.standard_normal((1, 2, 5, 5))), requires_grad=True)
         k = Tensor(rng.standard_normal((2, 2, 3, 3)), requires_grad=True)
         reduce_sum(conv2d(x, k)).backward()
         assert x.grad is not None and k.grad is not None
 
     def test_gradients(self):
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((2, 2, 5, 5))
+        x = nhwc(rng.standard_normal((2, 2, 5, 5)))
         k = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
 
         err_k = grad_check(lambda t: reduce_sum(relu(conv2d(Tensor(x), t, padding=(1, 1)))), k)
@@ -137,6 +168,21 @@ class TestConv2d:
         xt = Tensor(x, requires_grad=True)
         err_x = grad_check(lambda t: reduce_sum(relu(conv2d(t, k, padding=(1, 1)))), xt)
         assert err_x <= 1e-6
+
+    def test_kernel_gradient_ignores_grad_memory_order(self):
+        rng = np.random.default_rng(13)
+        x = Tensor(nhwc(rng.standard_normal((2, 3, 9, 8))))
+        k_data = rng.standard_normal((4, 3, 3, 3))
+        g = rng.standard_normal((2, 9, 8, 4))
+        grads = []
+        for order in ("C", "F"):
+            k = Tensor(k_data, requires_grad=True)
+            out = conv2d(x, k, padding=(1, 1))
+            out.grad = np.array(g, order=order)
+            for rule in reversed(out.tape._resolve().entries):
+                rule()
+            grads.append(k.grad)
+        assert same_bits(grads[0], grads[1])
 
 
 # ---------------------------------------------------------------------------
@@ -146,28 +192,28 @@ class TestConv2d:
 class TestBatchNorm:
     def test_normalizes_each_channel(self):
         rng = np.random.default_rng(1)
-        x = rng.standard_normal((4, 3, 5, 6)) * 3.0 + 2.0
+        x = nhwc(rng.standard_normal((4, 3, 5, 6)) * 3.0 + 2.0)
         out = batch_norm(
             Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)),
             np.zeros(3), np.ones(3), eps=1e-5,
         ).data
         for c in range(3):
-            assert abs(out[:, c].mean()) < 1e-12
-            assert abs(out[:, c].var() - 1.0) < 1e-4  # eps shifts variance slightly
+            assert abs(out[..., c].mean()) < 1e-12
+            assert abs(out[..., c].var() - 1.0) < 1e-4  # eps shifts variance slightly
 
     def test_zero_gamma_gives_constant_beta(self):
         rng = np.random.default_rng(2)
-        x = rng.standard_normal((2, 2, 3, 3))
+        x = nhwc(rng.standard_normal((2, 2, 3, 3)))
         beta = np.array([0.5, -1.5])
         out = batch_norm(
             Tensor(x), Tensor(np.zeros(2)), Tensor(beta), np.zeros(2), np.ones(2)
         ).data
-        np.testing.assert_array_equal(out[:, 0], 0.5 * np.ones((2, 3, 3)))
-        np.testing.assert_array_equal(out[:, 1], -1.5 * np.ones((2, 3, 3)))
+        np.testing.assert_array_equal(out[..., 0], 0.5 * np.ones((2, 3, 3)))
+        np.testing.assert_array_equal(out[..., 1], -1.5 * np.ones((2, 3, 3)))
 
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((3, 4, 6, 5))
+        x = nhwc(rng.standard_normal((3, 4, 6, 5)))
         gamma = rng.standard_normal(4)
         beta = rng.standard_normal(4)
         got = batch_norm(
@@ -176,7 +222,7 @@ class TestBatchNorm:
         np.testing.assert_allclose(got, batch_norm_loops(x, gamma, beta, 1e-5), atol=1e-12)
 
     def test_eval_mode_uses_running_stats(self):
-        x = np.full((1, 1, 2, 2), 10.0)
+        x = np.full((1, 2, 2, 1), 10.0)
         rm, rv = np.array([4.0]), np.array([9.0])
         out = batch_norm(
             Tensor(x), Tensor([2.0]), Tensor([1.0]), rm, rv, eps=1e-5, train=False
@@ -187,19 +233,19 @@ class TestBatchNorm:
 
     def test_running_stats_updated_in_train(self):
         rng = np.random.default_rng(4)
-        x = rng.standard_normal((4, 2, 3, 3))
+        x = nhwc(rng.standard_normal((4, 2, 3, 3)))
         rm, rv = np.zeros(2), np.ones(2)
         batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), rm, rv, momentum=0.1)
         m = 4 * 3 * 3
-        want_m = 0.1 * x.mean(axis=(0, 2, 3))
-        want_v = 0.9 + 0.1 * x.var(axis=(0, 2, 3)) * m / (m - 1)
+        want_m = 0.1 * x.mean(axis=(0, 1, 2))
+        want_v = 0.9 + 0.1 * x.var(axis=(0, 1, 2)) * m / (m - 1)
         np.testing.assert_allclose(rm, want_m, atol=1e-12)
         np.testing.assert_allclose(rv, want_v, atol=1e-12)
 
     def test_nonpositive_eps_rejected(self):
         with pytest.raises(ValueError):
             batch_norm(
-                Tensor(np.zeros((1, 1, 2, 2))), Tensor([1.0]), Tensor([0.0]),
+                Tensor(np.zeros((1, 2, 2, 1))), Tensor([1.0]), Tensor([0.0]),
                 np.zeros(1), np.ones(1), eps=0.0,
             )
 
@@ -207,10 +253,10 @@ class TestBatchNorm:
         # probe with a fixed random linear functional; sum-of-squares of a
         # normalized output is nearly constant in x and starves the FD check
         rng = np.random.default_rng(5)
-        x = Tensor(rng.standard_normal((3, 2, 4, 4)), requires_grad=True)
+        x = Tensor(nhwc(rng.standard_normal((3, 2, 4, 4))), requires_grad=True)
         gamma = Tensor(rng.uniform(0.5, 1.5, 2), requires_grad=True)
         beta = Tensor(rng.standard_normal(2), requires_grad=True)
-        probe = rng.standard_normal((3, 2, 4, 4))
+        probe = nhwc(rng.standard_normal((3, 2, 4, 4)))
 
         def loss_wrt(t, which):
             args = {"x": x, "gamma": gamma, "beta": beta}
@@ -223,6 +269,23 @@ class TestBatchNorm:
         assert grad_check(lambda t: loss_wrt(t, "x"), x) <= 1e-6
         assert grad_check(lambda t: loss_wrt(t, "gamma"), gamma) <= 1e-6
         assert grad_check(lambda t: loss_wrt(t, "beta"), beta) <= 1e-6
+
+    @pytest.mark.parametrize("shape", [(4, 7, 6, 3), (2, 9, 5, 1), (3, 10, 8, 40)])
+    def test_train_mode_matches_textbook_bit_for_bit(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        c = shape[3]
+        x = Tensor(rng.standard_normal(shape) * 2.0 + 0.5, requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 1.5, c), requires_grad=True)
+        beta = Tensor(rng.standard_normal(c), requires_grad=True)
+        g = rng.standard_normal(shape)
+        rm0, rv0 = rng.standard_normal(c), rng.uniform(0.5, 2.0, c)
+        rm, rv = rm0.copy(), rv0.copy()
+        out = batch_norm(x, gamma, beta, rm, rv, eps=1e-5, momentum=0.1)
+        reduce_sum(ad.mul(out, g)).backward()
+        want = batch_norm_textbook(x.data, gamma.data, beta.data, rm0, rv0, g, 1e-5, 0.1)
+        got = (out.data, rm, rv, x.grad, gamma.grad, beta.grad)
+        for name, a, b in zip(("out", "mean", "var", "x", "gamma", "beta"), got, want):
+            assert same_bits(a, b), name
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +401,56 @@ class TestReduce:
 
 
 # ---------------------------------------------------------------------------
+# max_pool
+
+
+def max_pool_by_reduce_max(x, q, p):
+    """Pooling as reshape -> reduce_max over freq -> reshape -> reduce_max over time."""
+    n, h, w, c = x.shape
+    y = reduce_max(reshape(x, (n, h, w // p, p, c)), axis=3)
+    return reduce_max(reshape(y, (n, h // q, q, w // p, c)), axis=2)
+
+
+class TestMaxPool:
+    def test_window_maxima(self):
+        x = np.arange(16.0).reshape(1, 4, 4, 1)
+        out = max_pool(Tensor(x), 2, 2).data
+        np.testing.assert_array_equal(out[0, :, :, 0], [[5.0, 7.0], [13.0, 15.0]])
+
+    @pytest.mark.parametrize("pools", [(1, 4), (4, 2), (2, 3), (3, 1)])
+    def test_ties_match_reduce_max_composition_bit_for_bit(self, pools):
+        q, p = pools
+        rng = np.random.default_rng(q * 10 + p)
+        # few distinct values plant ties in most windows, zeros included
+        x_data = rng.integers(-2, 3, (2, 4 * q, 3 * p, 3)).astype(float)
+        probe = rng.standard_normal((2, 4, 3, 3))
+        results = []
+        for pool in (lambda t: max_pool(t, q, p), lambda t: max_pool_by_reduce_max(t, q, p)):
+            x = Tensor(x_data.copy(), requires_grad=True)
+            out = pool(x)
+            reduce_sum(ad.mul(out, probe)).backward()
+            results.append((out.data, x.grad))
+        assert same_bits(results[0][0], results[1][0])
+        assert same_bits(results[0][1], results[1][1])
+
+    @pytest.mark.parametrize("pools", [(1, 4), (4, 2)])
+    def test_gradients(self, pools):
+        q, p = pools
+        rng = np.random.default_rng(21)
+        shape = (2, 4 * q, 2 * p, 3)
+        # distinct values keep every window's maximum away from a tie
+        x = Tensor(rng.permutation(np.prod(shape)).reshape(shape) * 0.1, requires_grad=True)
+        probe = rng.standard_normal((2, 4, 2, 3))
+        assert grad_check(lambda t: reduce_sum(ad.mul(max_pool(t, q, p), probe)), x) <= 1e-6
+
+    def test_untiled_input_rejected(self):
+        with pytest.raises(ShapeError):
+            max_pool(Tensor(np.zeros((1, 5, 4, 2))), 2, 2)
+        with pytest.raises(ShapeError):
+            max_pool(Tensor(np.zeros((1, 4, 6, 2))), 1, 4)
+
+
+# ---------------------------------------------------------------------------
 # softmax
 
 
@@ -428,7 +541,7 @@ class TestBackward:
     def test_composite_conv_relu_mean_matches_fd(self):
         rng = np.random.default_rng(11)
         k = Tensor(rng.standard_normal((2, 1, 3, 3)), requires_grad=True)
-        x = rng.standard_normal((1, 1, 6, 6)) + 0.05  # jitter off relu kinks
+        x = nhwc(rng.standard_normal((1, 1, 6, 6)) + 0.05)  # jitter off relu kinks
 
         def f(t):
             return reduce_mean(relu(conv2d(Tensor(x), t)))
@@ -437,7 +550,7 @@ class TestBackward:
 
     def test_determinism_bit_identical(self):
         rng = np.random.default_rng(12)
-        x = rng.standard_normal((2, 1, 5, 5))
+        x = nhwc(rng.standard_normal((2, 1, 5, 5)))
         k = rng.standard_normal((2, 1, 3, 3))
 
         def run():
@@ -497,7 +610,7 @@ def test_every_op_grad_check(seed):
     rng = np.random.default_rng(seed)
     checks = []
 
-    x = Tensor(rng.standard_normal((2, 2, 5, 4)) + 0.1, requires_grad=True)
+    x = Tensor(nhwc(rng.standard_normal((2, 2, 5, 4)) + 0.1), requires_grad=True)
     k = Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.5, requires_grad=True)
     checks.append(
         grad_check(
@@ -506,7 +619,7 @@ def test_every_op_grad_check(seed):
     )
 
     g = Tensor(rng.uniform(0.5, 1.5, 2), requires_grad=True)
-    bn_probe = rng.standard_normal(x.shape)
+    bn_probe = nhwc(rng.standard_normal((2, 2, 5, 4)))
     checks.append(
         grad_check(
             lambda t: reduce_sum(
@@ -549,5 +662,11 @@ def test_every_op_grad_check(seed):
     bmat = Tensor(rng.standard_normal((2, 4, 2)), requires_grad=True)
     checks.append(grad_check(lambda t: reduce_sum(matmul(t, bmat)), a))
     checks.append(grad_check(lambda t: reduce_sum(matmul(a, t)), bmat))
+
+    pool_in = Tensor(rng.permutation(48).reshape(2, 4, 6, 1) * 0.3, requires_grad=True)
+    pool_probe = rng.standard_normal((2, 2, 2, 1))
+    checks.append(
+        grad_check(lambda t: reduce_sum(ad.mul(max_pool(t, 2, 3), pool_probe)), pool_in)
+    )
 
     assert max(checks) <= 1e-4

@@ -10,6 +10,8 @@ import pytest
 from mbsed import autodiff as ad
 from mbsed.autodiff import Tensor
 from mbsed.model import (
+    BN_EPS,
+    BN_MOMENTUM,
     Adam,
     BranchSpec,
     CheckpointError,
@@ -169,6 +171,76 @@ class TestModelShape:
         model = Model(tiny_config())
         assert model.branches[0].attention is not None
         assert model.branches[1].attention is None
+
+
+def relu_then_pool_encode(model, batch, rng):
+    """Model.encode rebuilt from generic ops in conv, BN, relu, pool, dropout
+    order, pooling by reshape -> reduce_max over freq, then over time, and
+    dropout masks drawn from ``rng`` over (N, C, T, F)."""
+    x = Tensor(batch[:, :, :, None])
+    for block in model.blocks:
+        spec = block.spec
+        kh, kw = spec.kernel
+        x = ad.conv2d(x, block.kernel, padding=(kh // 2, kw // 2))
+        x = ad.batch_norm(
+            x, block.gamma, block.beta, block.running_mean, block.running_var,
+            eps=BN_EPS, momentum=BN_MOMENTUM, train=True,
+        )
+        x = ad.relu(x)
+        n, h, w, c = x.shape
+        if spec.freq_pool > 1:
+            x = ad.reduce_max(ad.reshape(x, (n, h, w // spec.freq_pool, spec.freq_pool, c)), axis=3)
+            w //= spec.freq_pool
+        if spec.time_pool > 1:
+            x = ad.reduce_max(ad.reshape(x, (n, h // spec.time_pool, spec.time_pool, w, c)), axis=2)
+            h //= spec.time_pool
+        if spec.dropout > 0.0:
+            keep = (rng.random((n, c, h, w)) >= spec.dropout) / (1.0 - spec.dropout)
+            x = ad.mul(x, keep.transpose(0, 2, 3, 1))
+    n, h, w, c = x.shape
+    return ad.reshape(ad.transpose(x, (0, 1, 3, 2)), (n, h, c * w))
+
+
+class TestEncoderRegression:
+    @pytest.mark.parametrize("encoder", ["small", "gate_compact", "dropout"])
+    def test_encode_matches_relu_then_pool_bit_for_bit(self, encoder):
+        branches = tuple(
+            BranchSpec.parse(name, 1.0 if name.startswith("E") else 0.5)
+            for name in ("E-ATP", "I-GAP", "I-GMP")
+        )
+        if encoder == "small":
+            cfg = small_config(4, branches, seed=3)
+        elif encoder == "gate_compact":
+            # the acceptance gate's compact encoder
+            cfg = tiny_config(seed=3, encoder=(
+                CnnBlockSpec(2, (1, 1), freq_pool=2, time_pool=4),
+                CnnBlockSpec(8, (3, 3), freq_pool=4),
+                CnnBlockSpec(16, (3, 3), freq_pool=8),
+            ))
+        else:
+            cfg = tiny_config(seed=3, encoder=(
+                CnnBlockSpec(4, (3, 3), freq_pool=8, time_pool=2, dropout=0.3),
+                CnnBlockSpec(6, (3, 3), dropout=0.3),
+                CnnBlockSpec(8, (3, 3), freq_pool=8),
+            ))
+        rng = np.random.default_rng(8)
+        batch = rng.standard_normal((2, 500, 64))
+        models = [Model(cfg), Model(cfg)]
+        models[0]._dropout_rng = np.random.default_rng(5)
+        feats = [
+            models[0].encode(batch, train=True),
+            relu_then_pool_encode(models[1], batch, np.random.default_rng(5)),
+        ]
+        assert feats[0].data.tobytes() == feats[1].data.tobytes()
+        probe = rng.standard_normal(feats[0].shape)
+        for f in feats:
+            ad.reduce_sum(ad.mul(f, probe)).backward()
+        for i, (a, b) in enumerate(zip(models[0].blocks, models[1].blocks)):
+            for name in ("kernel", "gamma", "beta"):
+                grads = getattr(a, name).grad, getattr(b, name).grad
+                assert grads[0].tobytes() == grads[1].tobytes(), f"block {i} {name}"
+            assert a.running_mean.tobytes() == b.running_mean.tobytes(), f"block {i}"
+            assert a.running_var.tobytes() == b.running_var.tobytes(), f"block {i}"
 
 
 class TestLosses:

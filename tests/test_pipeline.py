@@ -322,6 +322,17 @@ class TestAblation:
 
         assert re.search(r"\| \d\.\d{3} \+- \d\.\d{3} \| \d\.\d{3} \|", lines[2])
 
+    def test_one_and_two_workers_score_alike(self, data_dirs, monkeypatch):
+        train, test = data_dirs
+        run = make_run(train, test, repeats=2)
+        rows = [("E-ATP",), ("E-GMP", "I-GAP")]
+        scores = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("MBSED_WORKERS", workers)
+            results = run_ablation(run, rows=rows, model_config=tiny_model_config(epochs=2))
+            scores[workers] = [row.scores for row in results]
+        assert scores["1"] == scores["2"]
+
     def test_scores_like_evaluation(self, long_clip_dirs):
         train, test = long_clip_dirs
         refs = read_events_tsv(test / "strong.tsv")
