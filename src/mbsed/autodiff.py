@@ -525,6 +525,26 @@ def _channel_sum(rows: np.ndarray, c: int, other: np.ndarray | None = None) -> n
     return np.einsum("ij,ij->j", flat, other.reshape(-1, c))
 
 
+def _single_channel_kernel_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """(K, kh, kw) kernel gradient of a one-channel conv2d, one gemm per clip.
+
+    ``xp`` is the padded (N, Hp, Wp, 1) input and ``g`` the (N, H', W', K)
+    output gradient; ``cols`` holds every kernel offset's window of one clip.
+    """
+    n, h2, w2, k = g.shape
+    cols = np.zeros((h2, w2, max(2, kh * kw)))
+    flat = cols.reshape(h2 * w2, -1)
+    total = np.zeros((k, flat.shape[1]))
+    prod = np.empty_like(total)
+    for b in range(n):
+        for i in range(kh):
+            for j in range(kw):
+                cols[:, :, i * kw + j] = xp[b, i : i + h2, j : j + w2, 0]
+        np.dot(g[b].reshape(h2 * w2, k).T, flat, out=prod)
+        total += prod
+    return total[:, : kh * kw].reshape(k, kh, kw)
+
+
 def conv2d(x: Tensor, kernel: Tensor, padding: tuple[int, int] = (0, 0)) -> Tensor:
     """2-D cross-correlation of NHWC input with a KCkhkw kernel, NHWC out.
 
@@ -532,6 +552,14 @@ def conv2d(x: Tensor, kernel: Tensor, padding: tuple[int, int] = (0, 0)) -> Tens
     batch norm, whose beta is the shift). Implemented as a sum over kernel
     offsets of (N*H*W, C) matrix products, so no im2col buffer is kept and
     no operand or result is transposed.
+
+    With one input channel the kernel gradient takes another path. There,
+    each offset's (K, N*H'*W') x (N*H'*W', 1) product would be a gemv, and
+    OpenBLAS splits a gemv's long sum between threads when its output is
+    short, so the gradient's last bits would depend on the BLAS thread
+    count. Instead each clip's gradient is one gemm of its output gradient
+    with an (H'*W', kh*kw) buffer of every offset's window (at least two
+    columns, so numpy calls gemm), and gemm never splits the sum.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
@@ -571,9 +599,11 @@ def conv2d(x: Tensor, kernel: Tensor, padding: tuple[int, int] = (0, 0)) -> Tens
         gxp = np.zeros_like(xp) if need_x else None
         gk = np.empty_like(kernel.data) if need_k else None
         contrib = np.empty((m, c)) if need_x else None
+        if need_k and c == 1:
+            gk[:, 0] = _single_channel_kernel_grad(xp, g.reshape(n, h2, w2, k), kh, kw)
         for i in range(kh):
             for j in range(kw):
-                if need_k:
+                if need_k and c > 1:
                     # g.T is a transposed view on purpose: BLAS rounds a
                     # contiguous copy of it differently in the last bits
                     gk[:, :, i, j] = np.dot(g.T, window(i, j))

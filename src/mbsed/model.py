@@ -339,11 +339,14 @@ class Model:
             raise ValueError(
                 f"encoder expects (N, T, {self.config.num_bands}) input, got {batch.shape}"
             )
-        if batch.shape[1] < self.config.time_pool_total:
+        pool_total = self.config.time_pool_total
+        if batch.shape[1] < pool_total:
             raise ValueError(
                 f"clip of {batch.shape[1]} frames shorter than cumulative time pooling"
             )
-        x = Tensor(batch[:, :, :, None])  # N,T,F,1
+        # trailing frames that time pooling cannot tile are dropped
+        frames = batch.shape[1] - batch.shape[1] % pool_total
+        x = Tensor(batch[:, :frames, :, None])  # N,T,F,1
         for block in self.blocks:
             spec = block.spec
             kh, kw = spec.kernel

@@ -12,7 +12,9 @@ repeated runs rewrite byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -65,6 +67,63 @@ ABLATION_ROWS = [
 
 class PipelineError(RuntimeError):
     """Missing dataset files or inconsistent pipeline inputs."""
+
+
+# OpenBLAS's thread-count setters, by the names scipy-openblas, 64-bit and
+# plain builds export
+_BLAS_THREAD_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _blas_thread_calls():
+    """(setter, getter) of the OpenBLAS numpy links against, or None.
+
+    A handle on numpy's compiled core finds the library by ``dlsym``, which
+    searches the handle's dependency tree.
+    """
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    try:
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except OSError:
+        return None
+    for name in _BLAS_THREAD_SETTERS:
+        setter = getattr(lib, name, None)
+        getter = getattr(lib, name.replace("_set_", "_get_"), None)
+        if setter is not None and getter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return setter, getter
+    return None
+
+
+def set_blas_threads(n: int) -> int | None:
+    """Give numpy's OpenBLAS n threads; return the previous count.
+
+    Returns None, and changes nothing, when numpy has no OpenBLAS.
+    """
+    calls = _blas_thread_calls()
+    if calls is None:
+        return None
+    setter, getter = calls
+    previous = getter()
+    setter(n)
+    return previous
+
+
+def cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def worker_count() -> int:
@@ -333,9 +392,12 @@ class AblationRow:
 _worker_shared: tuple | None = None
 
 
-def _init_ablation_worker(shared: tuple) -> None:
+def _init_ablation_worker(shared: tuple, blas_threads: int) -> None:
+    """Pool initializer: the shared job inputs, and this worker's share of
+    the CPUs as BLAS threads (results do not depend on the count)."""
     global _worker_shared
     _worker_shared = shared
+    set_blas_threads(blas_threads)
 
 
 def _ablation_run(job: tuple[tuple[str, ...], int]) -> float:
@@ -396,20 +458,24 @@ def run_ablation(
         for branches in rows
         for r in range(run.training.repeats)
     ]
-    workers = worker_count()
-    if workers > 1:
-        import multiprocessing
+    workers = min(worker_count(), len(jobs))
+    scores = []
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            import multiprocessing
 
-        with multiprocessing.Pool(
-            workers, initializer=_init_ablation_worker, initargs=(shared,)
-        ) as pool:
-            scores = pool.map(_ablation_run, jobs)
-    else:
-        scores = []
-        for i, job in enumerate(jobs):
-            scores.append(_ablation_job(shared, job))
+            pool = stack.enter_context(multiprocessing.Pool(
+                workers,
+                initializer=_init_ablation_worker,
+                initargs=(shared, max(1, cpu_count() // workers)),
+            ))
+            job_scores = pool.imap(_ablation_run, jobs)
+        else:
+            job_scores = (_ablation_job(shared, job) for job in jobs)
+        for i, (job, score) in enumerate(zip(jobs, job_scores)):
+            scores.append(score)
             if log_fn is not None:
-                log_fn(i + 1, len(jobs), job[0], scores[-1])
+                log_fn(i + 1, len(jobs), job[0], score)
     results = []
     for i, branches in enumerate(rows):
         chunk = scores[i * run.training.repeats : (i + 1) * run.training.repeats]

@@ -184,6 +184,30 @@ class TestConv2d:
             grads.append(k.grad)
         assert same_bits(grads[0], grads[1])
 
+    @pytest.mark.parametrize(
+        "shape, kernel, padding",
+        [((4, 1000, 64, 1), (2, 1, 1, 1), (0, 0)), ((8, 500, 64, 1), (40, 1, 3, 3), (1, 1))],
+        ids=["K2_1x1", "K40_3x3"],
+    )
+    def test_same_bits_at_any_blas_thread_count(self, blas_threads, shape, kernel, padding):
+        # one input channel and N*H*W = 256000 output rows, where OpenBLAS
+        # would split a gemv's sum between threads
+        rng = np.random.default_rng(17)
+        x_data = rng.standard_normal(shape)
+        k_data = rng.standard_normal(kernel)
+        probe = rng.standard_normal(shape[:3] + kernel[:1])
+        results = []
+        for threads in (1, 2, 4):
+            blas_threads(threads)
+            x = Tensor(x_data, requires_grad=True)
+            k = Tensor(k_data, requires_grad=True)
+            out = conv2d(x, k, padding=padding)
+            reduce_sum(ad.mul(out, probe)).backward()
+            results.append((out.data, k.grad, x.grad))
+        for other in results[1:]:
+            for name, a, b in zip(("output", "kernel grad", "input grad"), results[0], other):
+                assert same_bits(a, b), name
+
 
 # ---------------------------------------------------------------------------
 # batch_norm

@@ -1,5 +1,6 @@
 """Tests for the multi-branch model, its losses, training, and checkpoints."""
 
+import dataclasses
 import json
 import math
 import struct
@@ -53,6 +54,14 @@ def tiny_config(branches=("E-ATP", "I-GAP", "I-GMP"), seed=0, epochs=5, **kw):
     )
     defaults.update(kw)
     return ModelConfig(**defaults)
+
+
+# the acceptance gate's compact encoder
+GATE_COMPACT = (
+    CnnBlockSpec(2, (1, 1), freq_pool=2, time_pool=4),
+    CnnBlockSpec(8, (3, 3), freq_pool=4),
+    CnnBlockSpec(16, (3, 3), freq_pool=8),
+)
 
 
 def make_clips(n, t=20, f=64, classes=4, seed=0, amp=1.0):
@@ -157,6 +166,16 @@ class TestModelShape:
         assert frame_probs.shape == (20, 4)
         assert np.all((clip_probs >= 0) & (clip_probs <= 1))
 
+    def test_predict_drops_frames_pooling_cannot_tile(self):
+        # 365 frames is a 7.3 s clip; the gate's encoder pools time by 4
+        model = Model(tiny_config(seed=2, encoder=GATE_COMPACT))
+        clip = np.random.default_rng(6).standard_normal((365, 64))
+        clip_probs, frame_probs = model.predict(clip)
+        assert frame_probs.shape == (91, 4)
+        tiled = model.predict(clip[:364])
+        assert clip_probs.tobytes() == tiled[0].tobytes()
+        assert frame_probs.tobytes() == tiled[1].tobytes()
+
     def test_predict_records_nothing(self):
         model = Model(tiny_config())
         model.predict(np.zeros((20, 64)))
@@ -211,12 +230,7 @@ class TestEncoderRegression:
         if encoder == "small":
             cfg = small_config(4, branches, seed=3)
         elif encoder == "gate_compact":
-            # the acceptance gate's compact encoder
-            cfg = tiny_config(seed=3, encoder=(
-                CnnBlockSpec(2, (1, 1), freq_pool=2, time_pool=4),
-                CnnBlockSpec(8, (3, 3), freq_pool=4),
-                CnnBlockSpec(16, (3, 3), freq_pool=8),
-            ))
+            cfg = tiny_config(seed=3, encoder=GATE_COMPACT)
         else:
             cfg = tiny_config(seed=3, encoder=(
                 CnnBlockSpec(4, (3, 3), freq_pool=8, time_pool=2, dropout=0.3),
@@ -526,6 +540,27 @@ class TestCheckpoint:
             path.write_bytes(blob[:size])
             with pytest.raises(CheckpointError):
                 load_checkpoint(path)
+
+    @pytest.mark.parametrize("encoder", ["small", "gate_compact"])
+    def test_same_bytes_at_any_blas_thread_count(self, blas_threads, tmp_path, encoder):
+        if encoder == "small":
+            branches = tuple(
+                BranchSpec.parse(name, 1.0 if name.startswith("E") else 0.5)
+                for name in ("E-ATP", "I-GAP", "I-GMP")
+            )
+            cfg = dataclasses.replace(small_config(4, branches, seed=3), epochs=1, batch_size=8)
+        else:
+            cfg = tiny_config(seed=3, epochs=1, encoder=GATE_COMPACT)
+        clips, labels = make_clips(8, t=500, seed=4)
+        blobs = []
+        for threads in (1, 2, 4):
+            blas_threads(threads)
+            model = Model(cfg)
+            train_model(model, clips, labels)
+            path = tmp_path / f"threads{threads}.ckpt"
+            save_checkpoint(model, path)
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1] == blobs[2]
 
     def test_digest_tracks_config(self):
         a = config_digest(tiny_config(seed=0))

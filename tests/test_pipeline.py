@@ -10,10 +10,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mbsed import pipeline
 from mbsed.config import RunConfig, parse_branches, parse_run_config
 from mbsed.events import EventAnnotation, read_events_tsv
 from mbsed.metrics import segment_based_f1
-from mbsed.model import CnnBlockSpec, Model, ModelConfig, train_model
+from mbsed.model import CnnBlockSpec, Model, ModelConfig, save_checkpoint, train_model
 from mbsed.pipeline import (
     ABLATION_ROWS,
     PipelineError,
@@ -25,8 +26,10 @@ from mbsed.pipeline import (
     run_evaluation,
     run_prediction,
     run_training,
+    set_blas_threads,
     worker_count,
 )
+from mbsed.postprocess import PostConfig
 from mbsed.synth import SynthConfig, generate_dataset
 
 N_TRAIN = 6
@@ -183,6 +186,31 @@ class TestPrediction:
         keys = [(e.clip_id, e.onset) for e in events]
         assert keys == sorted(keys)
 
+    def test_clip_length_pooling_cannot_tile(self, tmp_path):
+        # 7.3 s clips have 365 frames; the gate's compact encoder pools time by 4
+        audio = tmp_path / "audio"
+        generate_dataset(SynthConfig(n_clips=2, clip_seconds=7.3, seed=5), audio)
+        assert load_dataset(audio, cache=False).features[0].shape == (365, 64)
+        cfg = dataclasses.replace(
+            tiny_model_config(),
+            encoder=(
+                CnnBlockSpec(2, (1, 1), freq_pool=2, time_pool=4),
+                CnnBlockSpec(8, (3, 3), freq_pool=4),
+                CnnBlockSpec(16, (3, 3), freq_pool=8),
+            ),
+            class_labels=("burst", "chirp", "tone", "warble"),
+        )
+        ckpt = tmp_path / "compact.ckpt"
+        save_checkpoint(Model(cfg), ckpt)
+        # a threshold below every probability and no clip gate: one event per class and clip
+        events_path, tags_path = run_prediction(
+            ckpt, audio, tmp_path / "events.tsv", PostConfig(threshold=1e-9, tag_threshold=0.0)
+        )
+        events = read_events_tsv(events_path)
+        assert len(events) == 2 * 4
+        assert all(e.onset == 0.0 and e.offset == pytest.approx(91 * 4 * 0.02) for e in events)
+        assert len(tags_path.read_text().splitlines()) == 2 * 4
+
     def test_empty_dir_rejected(self, trained, tmp_path):
         _, _, arts = trained
         with pytest.raises(PipelineError, match="no .wav files"):
@@ -299,6 +327,13 @@ class TestWorkerCount:
             worker_count()
 
 
+def report_blas_threads(job):
+    """Stands in for an ablation job in a pool worker: its BLAS thread count."""
+    threads = set_blas_threads(1)
+    set_blas_threads(threads)
+    return float(threads)
+
+
 class TestAblation:
     def test_rows_and_table(self, data_dirs, tmp_path):
         train, test = data_dirs
@@ -326,12 +361,36 @@ class TestAblation:
         train, test = data_dirs
         run = make_run(train, test, repeats=2)
         rows = [("E-ATP",), ("E-GMP", "I-GAP")]
-        scores = {}
+        scores, logs = {}, {}
         for workers in ("1", "2"):
             monkeypatch.setenv("MBSED_WORKERS", workers)
-            results = run_ablation(run, rows=rows, model_config=tiny_model_config(epochs=2))
+            logs[workers] = []
+            results = run_ablation(
+                run, rows=rows, model_config=tiny_model_config(epochs=2),
+                log_fn=lambda *call, log=logs[workers]: log.append(call),
+            )
             scores[workers] = [row.scores for row in results]
         assert scores["1"] == scores["2"]
+        assert logs["1"] == logs["2"]
+        assert [call[:3] for call in logs["1"]] == [
+            (1, 4, rows[0]), (2, 4, rows[0]), (3, 4, rows[1]), (4, 4, rows[1])
+        ]
+
+    @pytest.mark.parametrize("workers, cpus, threads", [("2", None, None), ("8", 8, 2)])
+    def test_workers_share_the_cpus_as_blas_threads(
+        self, data_dirs, monkeypatch, blas_threads, workers, cpus, threads
+    ):
+        # four jobs, so of 8 workers asked for on 8 CPUs, 4 start with 2 threads each
+        train, test = data_dirs
+        run = make_run(train, test, repeats=2)
+        rows = [("E-ATP",), ("E-GMP",)]
+        if cpus is not None:
+            monkeypatch.setattr(pipeline, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(pipeline, "_ablation_run", report_blas_threads)
+        monkeypatch.setenv("MBSED_WORKERS", workers)
+        results = run_ablation(run, rows=rows)
+        expected = threads or max(1, pipeline.cpu_count() // int(workers))
+        assert [row.scores for row in results] == [[expected] * 2] * 2
 
     def test_scores_like_evaluation(self, long_clip_dirs):
         train, test = long_clip_dirs
