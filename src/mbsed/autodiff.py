@@ -545,21 +545,80 @@ def _single_channel_kernel_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int)
     return total[:, : kh * kw].reshape(k, kh, kw)
 
 
+def _kernel_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """(K, C, kh, kw) gradient of conv2d's kernel, over the whole batch.
+
+    ``xp`` is the padded (N, Hp, Wp, C) input and ``g`` the contiguous
+    (N, H', W', K) output gradient.
+    """
+    n, h2, w2, k = g.shape
+    c = xp.shape[3]
+    if c == 1:
+        return _single_channel_kernel_grad(xp, g, kh, kw)[:, None]
+    m = n * h2 * w2
+    rows = g.reshape(m, k)
+    window = np.empty((n, h2, w2, c))  # one offset's input pixels, reused
+    gk = np.empty((k, c, kh, kw))
+    for i in range(kh):
+        for j in range(kw):
+            np.copyto(window, xp[:, i : i + h2, j : j + w2, :])
+            # rows.T is a transposed view on purpose: BLAS rounds a
+            # contiguous copy of it differently in the last bits
+            gk[:, :, i, j] = np.dot(rows.T, window.reshape(m, c))
+    return gk
+
+
+# Doubles in one conv2d slab buffer (1 MiB). conv2d fills and multiplies
+# one slab of output pixels at a time, so no temporary grows with the batch.
+SLAB_DOUBLES = 1 << 17
+
+
+def _slabs(n: int, h2: int, w2: int, width: int) -> list[tuple[slice, slice]]:
+    """(clips, rows) slices that tile an (n, h2, w2) output in slabs of at
+    most ``SLAB_DOUBLES // width`` pixels (and never less than one row).
+
+    A slab holds whole clips when one clip fits, and otherwise rows of one
+    clip; either way its pixels are contiguous in an NHWC array.
+    """
+    pixels = max(w2, SLAB_DOUBLES // width)
+    if h2 * w2 <= pixels:
+        step = pixels // (h2 * w2)
+        return [(slice(b, min(b + step, n)), slice(0, h2)) for b in range(0, n, step)]
+    step = pixels // w2
+    return [
+        (slice(b, b + 1), slice(r, min(r + step, h2)))
+        for b in range(n)
+        for r in range(0, h2, step)
+    ]
+
+
 def conv2d(x: Tensor, kernel: Tensor, padding: tuple[int, int] = (0, 0)) -> Tensor:
     """2-D cross-correlation of NHWC input with a KCkhkw kernel, NHWC out.
 
     Zero padding, unit stride, no bias (the model feeds every conv into
-    batch norm, whose beta is the shift). Implemented as a sum over kernel
-    offsets of (N*H*W, C) matrix products, so no im2col buffer is kept and
-    no operand or result is transposed.
+    batch norm, whose beta is the shift).
 
-    With one input channel the kernel gradient takes another path. There,
-    each offset's (K, N*H'*W') x (N*H'*W', 1) product would be a gemv, and
-    OpenBLAS splits a gemv's long sum between threads when its output is
-    short, so the gradient's last bits would depend on the BLAS thread
-    count. Instead each clip's gradient is one gemm of its output gradient
-    with an (H'*W', kh*kw) buffer of every offset's window (at least two
-    columns, so numpy calls gemm), and gemm never splits the sum.
+    The forward is im2col over slabs of output pixels (``_slabs``): whole
+    clips when one fits in ``SLAB_DOUBLES``, else rows of one clip. One
+    ``np.copyto`` from a sliding-window view fills a slab's
+    (pixels, kh*kw*C) columns, and one gemm with the (kh*kw*C, K) kernel
+    matrix writes the slab's output in place. The input gradient walks the
+    same slabs: per kernel offset, one (pixels, K) x (K, C) product into a
+    contiguous buffer, added into the padded input gradient. Slab buffers
+    live only inside one call, so memory does not grow with the batch
+    beyond the input, output and their gradients.
+
+    The kernel gradient stays one product over the whole batch. Per slab,
+    its inner dimension would be the slab's pixel count, and OpenBLAS
+    blocks some inner lengths differently with one thread than with
+    several: at the gate encoder's block 2 a per-slab (16, 1000) x
+    (1000, 72) product gave different bits at 1 and 2 threads. With C > 1
+    it is one (K, N*H'*W') x (N*H'*W', C) product per offset. With one
+    input channel each offset's product would be a gemv, which OpenBLAS
+    splits between threads when its output is short; instead each clip's
+    gradient is one gemm of its output gradient with an (H'*W', kh*kw)
+    buffer of every offset's window (at least two columns, so numpy calls
+    gemm).
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
@@ -573,48 +632,46 @@ def conv2d(x: Tensor, kernel: Tensor, padding: tuple[int, int] = (0, 0)) -> Tens
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h + 2 * ph}x{w + 2 * pw}")
     h2 = h + 2 * ph - kh + 1
     w2 = w + 2 * pw - kw + 1
-    m = n * h2 * w2
+    width = kh * kw * c
+    slabs = _slabs(n, h2, w2, width)  # the first slab is the largest
 
     xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw), (0, 0))) if (ph or pw) else x.data
+    # (N, H', W', kh, kw, C): the input pixels each output pixel meets, in
+    # the row order of the kernel matrix
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    windows = windows.transpose(0, 1, 2, 4, 5, 3)
+    kmat = kernel.data.transpose(2, 3, 1, 0).reshape(width, k)
 
-    def window(i: int, j: int) -> np.ndarray:
-        # the input rows kernel offset (i, j) meets, one row per output pixel
-        return xp[:, i : i + h2, j : j + w2, :].reshape(m, c)
-
-    acc = np.zeros((n, h2, w2, k))
-    acc_rows = acc.reshape(m, k)
-    prod = np.empty((m, k))
-    for i in range(kh):
-        for j in range(kw):
-            np.dot(window(i, j), kernel.data[:, :, i, j].T, out=prod)
-            acc_rows += prod
-    out = Tensor(acc)
+    out_data = np.empty((n, h2, w2, k))
+    cols = np.empty(windows[slabs[0]].size)
+    for slab in slabs:
+        src = windows[slab]
+        dst = cols[: src.size].reshape(src.shape)
+        np.copyto(dst, src)
+        np.dot(dst.reshape(-1, width), kmat, out=out_data[slab].reshape(-1, k))
+    out = Tensor(out_data)
 
     def backward():
         if out.grad is None:
             return
-        g = np.ascontiguousarray(out.grad).reshape(m, k)
-        need_x = _tracked(x)
-        need_k = _tracked(kernel)
-        gxp = np.zeros_like(xp) if need_x else None
-        gk = np.empty_like(kernel.data) if need_k else None
-        contrib = np.empty((m, c)) if need_x else None
-        if need_k and c == 1:
-            gk[:, 0] = _single_channel_kernel_grad(xp, g.reshape(n, h2, w2, k), kh, kw)
-        for i in range(kh):
-            for j in range(kw):
-                if need_k and c > 1:
-                    # g.T is a transposed view on purpose: BLAS rounds a
-                    # contiguous copy of it differently in the last bits
-                    gk[:, :, i, j] = np.dot(g.T, window(i, j))
-                if need_x:
-                    np.dot(g, kernel.data[:, :, i, j], out=contrib)
-                    gxp[:, i : i + h2, j : j + w2, :] += contrib.reshape(n, h2, w2, c)
-        if need_k:
-            _accumulate(kernel, gk)
-        if need_x:
-            gx = gxp[:, ph : ph + h, pw : pw + w, :] if (ph or pw) else gxp
-            _accumulate(x, gx)
+        g = np.ascontiguousarray(out.grad)
+        if _tracked(kernel):
+            _accumulate(kernel, _kernel_grad(xp, g, kh, kw))
+        if not _tracked(x):
+            return
+        gxp = np.zeros_like(xp)
+        kt = kernel.data.transpose(2, 3, 0, 1).copy()  # (kh, kw, K, C)
+        contrib = np.empty(g[slabs[0]].size // k * c)
+        for clips, rows in slabs:
+            g_rows = g[clips, rows].reshape(-1, k)
+            part = contrib[: len(g_rows) * c].reshape(-1, c)
+            for i in range(kh):
+                for j in range(kw):
+                    np.dot(g_rows, kt[i, j], out=part)
+                    target = gxp[clips, rows.start + i : rows.stop + i, j : j + w2]
+                    target += part.reshape(target.shape)
+        gx = gxp[:, ph : ph + h, pw : pw + w, :] if (ph or pw) else gxp
+        _accumulate(x, gx)
 
     return _record((x, kernel), out, backward)
 

@@ -1,7 +1,8 @@
 """Command line interface: synth, train, predict, evaluate, ablate.
 
-Every command is deterministic given its flags; parallelism is opt-in
-through the MBSED_WORKERS environment variable and never changes results.
+Every command is deterministic given its flags. ``ablate`` runs one worker
+process per CPU (MBSED_WORKERS overrides the count); parallelism never
+changes results.
 """
 
 from __future__ import annotations

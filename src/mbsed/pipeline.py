@@ -127,7 +127,13 @@ def cpu_count() -> int:
 
 
 def worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
+    """Ablation worker processes: ``MBSED_WORKERS``, else one per CPU.
+
+    ``run_ablation`` starts no more of them than it has jobs.
+    """
+    raw = os.environ.get(WORKERS_ENV)
+    if raw is None:
+        return cpu_count()
     try:
         workers = int(raw)
     except ValueError:

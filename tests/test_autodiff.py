@@ -5,6 +5,8 @@ independently of the library code; gradients against central finite
 differences via grad_check.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -186,12 +188,22 @@ class TestConv2d:
 
     @pytest.mark.parametrize(
         "shape, kernel, padding",
-        [((4, 1000, 64, 1), (2, 1, 1, 1), (0, 0)), ((8, 500, 64, 1), (40, 1, 3, 3), (1, 1))],
-        ids=["K2_1x1", "K40_3x3"],
+        [
+            ((4, 1000, 64, 1), (2, 1, 1, 1), (0, 0)),
+            ((8, 500, 64, 1), (40, 1, 3, 3), (1, 1)),
+            ((8, 125, 32, 2), (8, 2, 3, 3), (1, 1)),
+            ((8, 125, 8, 8), (16, 8, 3, 3), (1, 1)),
+            ((4, 125, 8, 64), (64, 64, 3, 3), (1, 1)),
+        ],
+        ids=["K2_1x1", "K40_3x3", "K8_C2_3x3", "K16_C8_3x3", "K64_C64_3x3"],
     )
     def test_same_bits_at_any_blas_thread_count(self, blas_threads, shape, kernel, padding):
         # one input channel and N*H*W = 256000 output rows, where OpenBLAS
-        # would split a gemv's sum between threads
+        # would split a gemv's sum between threads; then the gate's compact
+        # encoder's blocks 1 and 2 at batch 8, whose products are short
+        # enough that their blocking could depend on the thread count; and
+        # a large-preset block whose forward product has 576 = 9 * 64 inner
+        # terms, more than OpenBLAS takes in one block
         rng = np.random.default_rng(17)
         x_data = rng.standard_normal(shape)
         k_data = rng.standard_normal(kernel)
@@ -207,6 +219,71 @@ class TestConv2d:
         for other in results[1:]:
             for name, a, b in zip(("output", "kernel grad", "input grad"), results[0], other):
                 assert same_bits(a, b), name
+
+    @pytest.mark.parametrize("case", ["clips_per_slab", "slabs_per_clip"])
+    def test_slab_boundaries_match_oracle(self, case):
+        # a 7x9 kernel on 2 channels: slabs of SLAB_DOUBLES // 126 pixels
+        kh, kw, c = 7, 9, 2
+        pixels = ad.SLAB_DOUBLES // (kh * kw * c)
+        if case == "clips_per_slab":
+            # 4x12-pixel clips; two full slabs of whole clips, a ragged third
+            h, w = 4, 12
+            per_slab = pixels // (h * w)
+            n = 2 * per_slab + 5
+            assert per_slab > 1
+        else:
+            # 20-pixel rows; each clip two slabs of rows, the second ragged
+            n, w = 2, 20
+            h = pixels // w + 11
+            assert h * w > pixels
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal((n, h, w, c))
+        k = rng.standard_normal((2, c, kh, kw))
+        padding = (kh // 2, kw // 2)
+        probe = rng.standard_normal((n, h, w, 2))
+        got = conv2d(Tensor(x), Tensor(k), padding).data
+        np.testing.assert_allclose(got, conv2d_loops(x, k, padding), atol=1e-12)
+
+        def loss(xt, kt):
+            return reduce_sum(ad.mul(conv2d(xt, kt, padding), probe))
+
+        # the loss is linear in each argument, so a wide step adds no
+        # truncation error and keeps the rounding error of a large sum small
+        kt = Tensor(k, requires_grad=True)
+        assert grad_check(lambda t: loss(Tensor(x), t), kt, eps=1e-3) <= 1e-6
+        xt = Tensor(x, requires_grad=True)
+        assert grad_check(lambda t: loss(t, Tensor(k)), xt, eps=1e-3) <= 1e-6
+
+    def test_memory_stays_within_operands(self):
+        # the small preset's block 1 at batch 2: 40 -> 40 channels, 3x3
+        rng = np.random.default_rng(29)
+        x = Tensor(rng.standard_normal((2, 500, 16, 40)), requires_grad=True)
+        k = Tensor(rng.standard_normal((40, 40, 3, 3)) * 0.1, requires_grad=True)
+        probe = rng.standard_normal((2, 500, 16, 40))
+        in_bytes = x.data.nbytes
+        padded_bytes = 2 * 502 * 18 * 40 * 8
+        out_bytes = probe.nbytes
+        # slab buffers and bookkeeping; an (N*H*W, K) or (N*H*W, kh*kw*C)
+        # temporary is larger than this
+        slack = 3 * ad.SLAB_DOUBLES * 8
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = conv2d(x, k, padding=(1, 1))
+            current, peak = tracemalloc.get_traced_memory()
+            # the forward holds the padded input and the output
+            assert peak - start <= padded_bytes + out_bytes + slack
+            out.grad = probe
+            tracemalloc.reset_peak()
+            for rule in reversed(out.tape._resolve().entries):
+                rule()
+            peak = tracemalloc.get_traced_memory()[1]
+            # backward adds the padded input gradient and the input gradient
+            # (or, before them, one kernel offset's window of the input)
+            assert peak - current <= padded_bytes + in_bytes + slack
+        finally:
+            tracemalloc.stop()
+        assert x.grad is not None and k.grad is not None
 
 
 # ---------------------------------------------------------------------------

@@ -311,8 +311,10 @@ class TestPostConfigFromRun:
 
 class TestWorkerCount:
     def test_default(self, monkeypatch):
+        # one worker per CPU when MBSED_WORKERS is unset
         monkeypatch.delenv("MBSED_WORKERS", raising=False)
-        assert worker_count() == 1
+        monkeypatch.setattr(pipeline, "cpu_count", lambda: 3)
+        assert worker_count() == 3
 
     def test_explicit(self, monkeypatch):
         monkeypatch.setenv("MBSED_WORKERS", "3")
@@ -376,18 +378,24 @@ class TestAblation:
             (1, 4, rows[0]), (2, 4, rows[0]), (3, 4, rows[1]), (4, 4, rows[1])
         ]
 
-    @pytest.mark.parametrize("workers, cpus, threads", [("2", None, None), ("8", 8, 2)])
+    @pytest.mark.parametrize(
+        "workers, cpus, threads", [("2", None, None), ("8", 8, 2), (None, 8, 2)]
+    )
     def test_workers_share_the_cpus_as_blas_threads(
         self, data_dirs, monkeypatch, blas_threads, workers, cpus, threads
     ):
-        # four jobs, so of 8 workers asked for on 8 CPUs, 4 start with 2 threads each
+        # four jobs, so of 8 workers asked for (or, unset, one per CPU) on
+        # 8 CPUs, 4 start with 2 threads each
         train, test = data_dirs
         run = make_run(train, test, repeats=2)
         rows = [("E-ATP",), ("E-GMP",)]
         if cpus is not None:
             monkeypatch.setattr(pipeline, "cpu_count", lambda: cpus)
         monkeypatch.setattr(pipeline, "_ablation_run", report_blas_threads)
-        monkeypatch.setenv("MBSED_WORKERS", workers)
+        if workers is None:
+            monkeypatch.delenv("MBSED_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("MBSED_WORKERS", workers)
         results = run_ablation(run, rows=rows)
         expected = threads or max(1, pipeline.cpu_count() // int(workers))
         assert [row.scores for row in results] == [[expected] * 2] * 2
