@@ -4,7 +4,7 @@ Everything runs on numpy arrays in 64-bit floats. Operations record a
 backward rule onto a tape while they execute, so the recording order is
 already a topological order; ``Tensor.backward`` replays the tape in exact
 reverse. Gradients accumulate additively when a tensor feeds several
-consumers, and the tape is freed once backward finishes.
+consumers, and each rule leaves the tape as soon as it has run.
 """
 
 from __future__ import annotations
@@ -101,9 +101,10 @@ class Tensor:
         if tape is None or not tape.entries:
             raise RuntimeError("backward called with an empty tape")
         self.grad = np.ones_like(self.data)
-        for backward in reversed(tape.entries):
-            backward()
-        tape.entries.clear()
+        # each rule is dropped once it has run, and with it the arrays it
+        # held for backward
+        while tape.entries:
+            tape.entries.pop()()
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -395,21 +396,13 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | int, train: bool = T
 # reductions and softmax
 
 
-def _expand(g: np.ndarray, axis: int, keepdims: bool) -> np.ndarray:
-    return g if keepdims else np.expand_dims(g, axis)
+def _expand(g: np.ndarray, axis: int | None, keepdims: bool) -> np.ndarray:
+    return g if keepdims or axis is None else np.expand_dims(g, axis)
 
 
 def reduce_sum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+    """Sum along ``axis``, or over every axis when it is None."""
     x = as_tensor(x)
-    if axis is None:
-        out = Tensor(x.data.sum())
-
-        def backward():
-            if out.grad is not None and _tracked(x):
-                _accumulate(x, np.broadcast_to(out.grad, x.shape).copy())
-
-        return _record((x,), out, backward)
-
     _check_axis(x, axis)
     out = Tensor(x.data.sum(axis=axis, keepdims=keepdims))
 
@@ -421,19 +414,10 @@ def reduce_sum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Te
 
 
 def reduce_mean(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+    """Mean along ``axis``, or over every axis when it is None."""
     x = as_tensor(x)
-    if axis is None:
-        n = x.size
-        out = Tensor(x.data.mean())
-
-        def backward():
-            if out.grad is not None and _tracked(x):
-                _accumulate(x, np.broadcast_to(out.grad / n, x.shape).copy())
-
-        return _record((x,), out, backward)
-
     _check_axis(x, axis)
-    n = x.shape[axis]
+    n = x.size if axis is None else x.shape[axis]
     out = Tensor(x.data.mean(axis=axis, keepdims=keepdims))
 
     def backward():
@@ -462,7 +446,9 @@ def reduce_max(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     return _record((x,), out, backward)
 
 
-def _check_axis(x: Tensor, axis: int) -> None:
+def _check_axis(x: Tensor, axis: int | None) -> None:
+    if axis is None:
+        return
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"axis {axis} out of range for rank {x.ndim}")
     if x.shape[axis] == 0:
@@ -592,6 +578,79 @@ def _slabs(n: int, h2: int, w2: int, width: int) -> list[tuple[slice, slice]]:
     ]
 
 
+def _check_conv(x: Tensor, kernel: Tensor, padding: tuple[int, int]) -> None:
+    if x.ndim != 4 or kernel.ndim != 4:
+        raise ShapeError(f"conv2d expects 4-D input and kernel, got {x.shape} and {kernel.shape}")
+    _, h, w, c = x.shape
+    _, ck, kh, kw = kernel.shape
+    if ck != c:
+        raise ShapeError(f"kernel channels {ck} do not match input channels {c}")
+    ph, pw = padding
+    if kh > h + 2 * ph or kw > w + 2 * pw:
+        raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h + 2 * ph}x{w + 2 * pw}")
+
+
+def _pad(x: np.ndarray, padding: tuple[int, int]) -> np.ndarray:
+    ph, pw = padding
+    return np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0))) if (ph or pw) else x
+
+
+def _conv_forward(xp: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """(N, H', W', K) cross-correlation of the padded NHWC input ``xp`` with
+    a (K, C, kh, kw) kernel, one gemm per slab (see ``conv2d``)."""
+    n, hp, wp, c = xp.shape
+    k, _, kh, kw = kernel.shape
+    h2, w2 = hp - kh + 1, wp - kw + 1
+    width = kh * kw * c
+    slabs = _slabs(n, h2, w2, width)  # the first slab is the largest
+    # (N, H', W', kh, kw, C): the input pixels each output pixel meets, in
+    # the row order of the kernel matrix
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    windows = windows.transpose(0, 1, 2, 4, 5, 3)
+    kmat = kernel.transpose(2, 3, 1, 0).reshape(width, k)
+
+    out = np.empty((n, h2, w2, k))
+    cols = np.empty(windows[slabs[0]].size)
+    for slab in slabs:
+        src = windows[slab]
+        dst = cols[: src.size].reshape(src.shape)
+        np.copyto(dst, src)
+        np.dot(dst.reshape(-1, width), kmat, out=out[slab].reshape(-1, k))
+    return out
+
+
+def _conv_backward(
+    x: Tensor, kernel: Tensor, padding: tuple[int, int], xp: np.ndarray, g: np.ndarray
+) -> None:
+    """Accumulate the kernel and input gradients of a conv whose padded
+    input is ``xp`` and whose contiguous output gradient is ``g``."""
+    n, h2, w2, k = g.shape
+    kh, kw = kernel.shape[2:]
+    if _tracked(kernel):
+        _accumulate(kernel, _kernel_grad(xp, g, kh, kw))
+    if not _tracked(x):
+        return
+    c = xp.shape[3]
+    gxp = np.zeros_like(xp)
+    kt = kernel.data.transpose(2, 3, 0, 1).copy()  # (kh, kw, K, C)
+    slabs = _slabs(n, h2, w2, kh * kw * c)
+    contrib = np.empty(g[slabs[0]].size // k * c)
+    for clips, rows in slabs:
+        g_rows = g[clips, rows].reshape(-1, k)
+        part = contrib[: len(g_rows) * c].reshape(-1, c)
+        for i in range(kh):
+            for j in range(kw):
+                np.dot(g_rows, kt[i, j], out=part)
+                target = gxp[clips, rows.start + i : rows.stop + i, j : j + w2]
+                target += part.reshape(target.shape)
+    h, w = x.shape[1:3]
+    ph, pw = padding
+    # a contiguous copy of the unpadded part is owned, so it becomes x.grad
+    # without a zero-filled buffer to add it into
+    gx = gxp[:, ph : ph + h, pw : pw + w].copy() if (ph or pw) else gxp
+    _accumulate(x, gx, owned=True)
+
+
 def conv2d(x: Tensor, kernel: Tensor, padding: tuple[int, int] = (0, 0)) -> Tensor:
     """2-D cross-correlation of NHWC input with a KCkhkw kernel, NHWC out.
 
@@ -621,59 +680,70 @@ def conv2d(x: Tensor, kernel: Tensor, padding: tuple[int, int] = (0, 0)) -> Tens
     gemm).
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
-    if x.ndim != 4 or kernel.ndim != 4:
-        raise ShapeError(f"conv2d expects 4-D input and kernel, got {x.shape} and {kernel.shape}")
-    n, h, w, c = x.shape
-    k, ck, kh, kw = kernel.shape
-    if ck != c:
-        raise ShapeError(f"kernel channels {ck} do not match input channels {c}")
-    ph, pw = padding
-    if kh > h + 2 * ph or kw > w + 2 * pw:
-        raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h + 2 * ph}x{w + 2 * pw}")
-    h2 = h + 2 * ph - kh + 1
-    w2 = w + 2 * pw - kw + 1
-    width = kh * kw * c
-    slabs = _slabs(n, h2, w2, width)  # the first slab is the largest
-
-    xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw), (0, 0))) if (ph or pw) else x.data
-    # (N, H', W', kh, kw, C): the input pixels each output pixel meets, in
-    # the row order of the kernel matrix
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    windows = windows.transpose(0, 1, 2, 4, 5, 3)
-    kmat = kernel.data.transpose(2, 3, 1, 0).reshape(width, k)
-
-    out_data = np.empty((n, h2, w2, k))
-    cols = np.empty(windows[slabs[0]].size)
-    for slab in slabs:
-        src = windows[slab]
-        dst = cols[: src.size].reshape(src.shape)
-        np.copyto(dst, src)
-        np.dot(dst.reshape(-1, width), kmat, out=out_data[slab].reshape(-1, k))
-    out = Tensor(out_data)
+    _check_conv(x, kernel, padding)
+    xp = _pad(x.data, padding)
+    out = Tensor(_conv_forward(xp, kernel.data))
 
     def backward():
-        if out.grad is None:
-            return
-        g = np.ascontiguousarray(out.grad)
-        if _tracked(kernel):
-            _accumulate(kernel, _kernel_grad(xp, g, kh, kw))
-        if not _tracked(x):
-            return
-        gxp = np.zeros_like(xp)
-        kt = kernel.data.transpose(2, 3, 0, 1).copy()  # (kh, kw, K, C)
-        contrib = np.empty(g[slabs[0]].size // k * c)
-        for clips, rows in slabs:
-            g_rows = g[clips, rows].reshape(-1, k)
-            part = contrib[: len(g_rows) * c].reshape(-1, c)
-            for i in range(kh):
-                for j in range(kw):
-                    np.dot(g_rows, kt[i, j], out=part)
-                    target = gxp[clips, rows.start + i : rows.stop + i, j : j + w2]
-                    target += part.reshape(target.shape)
-        gx = gxp[:, ph : ph + h, pw : pw + w, :] if (ph or pw) else gxp
-        _accumulate(x, gx)
+        if out.grad is not None:
+            _conv_backward(x, kernel, padding, xp, np.ascontiguousarray(out.grad))
 
     return _record((x, kernel), out, backward)
+
+
+def _check_batch_norm(c: int, gamma: Tensor, beta: Tensor, eps: float) -> None:
+    if eps <= 0.0:
+        raise ValueError(f"batch_norm eps must be positive, got {eps}")
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise ShapeError(f"gamma/beta must have shape ({c},)")
+
+
+def _centered_square_sum(flat: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Per-channel sum of (flat - mean)**2 over the rows of (M, C) ``flat``,
+    in ``_channel_sum``'s order.
+
+    With two or more channels einsum adds the rows in sequence, so the sum
+    runs slab by slab without an (M, C) temporary: each slab's einsum
+    starts with a row that carries the sum so far, times 1.0.
+    """
+    m, c = flat.shape
+    if c == 1:
+        dev = flat - mean
+        return _channel_sum(dev, 1, dev)
+    step = max(1, SLAB_DOUBLES // c)
+    carried = np.empty((min(step, m) + 1, c))  # the sum so far, then deviations
+    ones = np.empty_like(carried)  # 1.0, then the same deviations
+    ones[0] = 1.0
+    total = np.zeros(c)
+    for start in range(0, m, step):
+        slab = flat[start : start + step]
+        dev = carried[1 : len(slab) + 1]
+        np.subtract(slab, mean, out=dev)
+        ones[1 : len(slab) + 1] = dev
+        carried[0] = total
+        total = np.einsum("ij,ij->j", carried[: len(slab) + 1], ones[: len(slab) + 1])
+    return total
+
+
+def _batch_statistics(
+    rows: np.ndarray,
+    c: int,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
+    momentum: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batch mean and biased variance of each of the ``c`` channels of
+    channels-last ``rows``, with the running buffers moved toward them in
+    place (unbiased variance for the running estimate)."""
+    m = rows.size // c
+    mean = _channel_sum(rows, c) / m
+    var = _centered_square_sum(rows.reshape(m, c), mean) / m
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mean
+    unbiased = var * (m / (m - 1)) if m > 1 else var
+    running_var *= 1.0 - momentum
+    running_var += momentum * unbiased
+    return mean, var
 
 
 def batch_norm(
@@ -693,13 +763,10 @@ def batch_norm(
     mode applies the running statistics as constants.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    if eps <= 0.0:
-        raise ValueError(f"batch_norm eps must be positive, got {eps}")
     if x.ndim != 4:
         raise ShapeError(f"batch_norm expects 4-D NHWC input, got {x.shape}")
     n, h, w, c = x.shape
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise ShapeError(f"gamma/beta must have shape ({c},)")
+    _check_batch_norm(c, gamma, beta, eps)
     m = n * h * w
     # Elementwise work runs on (N*H, W*C) rows against per-channel vectors
     # tiled W times, so the inner loops stay long when C is small.
@@ -709,18 +776,10 @@ def batch_norm(
         return np.tile(v, w)
 
     if train:
-        mean = _channel_sum(rows, c) / m
-        x_hat = rows - tiled(mean)
-        var = _channel_sum(x_hat, c, x_hat) / m
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        unbiased = var * (m / (m - 1)) if m > 1 else var
-        running_var *= 1.0 - momentum
-        running_var += momentum * unbiased
+        mean, var = _batch_statistics(rows, c, running_mean, running_var, momentum)
     else:
-        var = running_var
-        x_hat = rows - tiled(running_mean)
-
+        mean, var = running_mean, running_var
+    x_hat = rows - tiled(mean)
     inv_sigma = 1.0 / np.sqrt(var + eps)
     x_hat *= tiled(inv_sigma)
     out_rows = x_hat * tiled(gamma.data)
@@ -752,6 +811,52 @@ def batch_norm(
     return _record((x, gamma, beta), out, backward)
 
 
+def _pool_windows(x: np.ndarray, time_pool: int, freq_pool: int):
+    """(N, T', q, F', p, C) window view of NHWC ``x`` and the window offsets
+    (a, b) in row-major (time, freq) order: element (a, b) of every window
+    is ``windows[:, :, a, :, b]``."""
+    if time_pool < 1 or freq_pool < 1:
+        raise ValueError(f"pool factors must be >= 1, got {time_pool} and {freq_pool}")
+    n, h, w, c = x.shape
+    q, p = time_pool, freq_pool
+    if h % q or w % p:
+        raise ShapeError(f"pool {q}x{p} does not tile input {h}x{w}")
+    windows = x.reshape(n, h // q, q, w // p, p, c)
+    return windows, [(a, b) for a in range(q) for b in range(p)]
+
+
+def _window_max(windows: np.ndarray, offsets: list, flip: np.ndarray | None = None) -> np.ndarray:
+    """Each window's maximum, or its minimum in the channels where ``flip``
+    (as minus the maximum of the negated values, which is exact)."""
+    if flip is None or not flip.any():
+        out = windows[:, :, 0, :, 0].copy()
+        for a, b in offsets[1:]:
+            np.maximum(out, windows[:, :, a, :, b], out=out)
+        return out
+    sign = np.where(flip, -1.0, 1.0)
+    out = windows[:, :, 0, :, 0] * sign
+    flipped = np.empty_like(out)
+    for a, b in offsets[1:]:
+        np.maximum(out, np.multiply(windows[:, :, a, :, b], sign, out=flipped), out=out)
+    out *= sign
+    return out
+
+
+def _first_max(values: Callable[[int, int], np.ndarray], maxima: np.ndarray, offsets: list) -> list:
+    """One boolean mask per window offset marking each window's first
+    element, in ``offsets`` order, whose value equals the window maximum;
+    ``values(a, b)`` gives the values at offset (a, b) of every window."""
+    # windows whose maximum has not been claimed by an earlier element
+    unclaimed = np.ones(maxima.shape, dtype=bool)
+    hits = []
+    for a, b in offsets:
+        hit = values(a, b) == maxima
+        hit &= unclaimed
+        unclaimed ^= hit
+        hits.append(hit)
+    return hits
+
+
 def max_pool(x: Tensor, time_pool: int, freq_pool: int) -> Tensor:
     """Max over non-overlapping (time_pool, freq_pool) windows of NHWC input.
 
@@ -762,36 +867,149 @@ def max_pool(x: Tensor, time_pool: int, freq_pool: int) -> Tensor:
     x = as_tensor(x)
     if x.ndim != 4:
         raise ShapeError(f"max_pool expects 4-D NHWC input, got {x.shape}")
-    if time_pool < 1 or freq_pool < 1:
-        raise ValueError(f"pool factors must be >= 1, got {time_pool} and {freq_pool}")
-    n, h, w, c = x.shape
-    q, p = time_pool, freq_pool
-    if h % q or w % p:
-        raise ShapeError(f"pool {q}x{p} does not tile input {h}x{w}")
-    # axes (N, T', q, F', p, C): element (a, b) of every window is [:, :, a, :, b]
-    windows = x.data.reshape(n, h // q, q, w // p, p, c)
-    offsets = [(a, b) for a in range(q) for b in range(p)]
-
-    out_data = windows[:, :, 0, :, 0].copy()
-    for a, b in offsets[1:]:
-        np.maximum(out_data, windows[:, :, a, :, b], out=out_data)
+    windows, offsets = _pool_windows(x.data, time_pool, freq_pool)
+    out_data = _window_max(windows, offsets)
     out = Tensor(out_data)
 
     def backward():
         if out.grad is None or not _tracked(x):
             return
         first = np.empty(windows.shape, dtype=bool)
-        # windows whose maximum has not been claimed by an earlier element
-        unclaimed = np.ones(out_data.shape, dtype=bool)
-        for a, b in offsets:
-            hit = windows[:, :, a, :, b] == out_data
-            hit &= unclaimed
-            unclaimed ^= hit
+        hits = _first_max(lambda a, b: windows[:, :, a, :, b], out_data, offsets)
+        for (a, b), hit in zip(offsets, hits):
             first[:, :, a, :, b] = hit
         g = out.grad[:, :, None, :, None]
         _accumulate(x, np.where(first, g, 0.0).reshape(x.shape), owned=True)
 
     return _record((x,), out, backward)
+
+
+def conv_block(
+    x: Tensor,
+    kernel: Tensor,
+    gamma: Tensor,
+    beta: Tensor,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
+    padding: tuple[int, int] = (0, 0),
+    time_pool: int = 1,
+    freq_pool: int = 1,
+    eps: float = 1e-5,
+    momentum: float = 0.1,
+    train: bool = True,
+) -> Tensor:
+    """relu(max_pool(batch_norm(conv2d(x, kernel)))) as one op, with the
+    same bits as that chain in its output, gradients and running buffers.
+
+    Batch norm maps each channel through (((y - mean) * inv_sigma) * gamma)
+    + beta, and every step of that chain, rounding included, is monotone:
+    non-decreasing when gamma >= 0, non-increasing when gamma < 0. So the
+    maximum of a window's normalized values is the normalized value of
+    the window's largest conv output (its smallest where gamma < 0), and
+    the forward pools the conv output ``y`` first and normalizes only the
+    pooled values. The tape keeps ``y`` and the pooled output, nothing
+    else at full resolution.
+
+    The backward recomputes batch norm's x_hat in ``y``'s buffer with the
+    forward's ops. Each window's gradient goes to its first element, in
+    row-major (time, freq) order, whose recomputed normalized value equals
+    the window's output: the chain's tie rule. (Where relu cut a window
+    the gradient is zero and the choice does not matter, so the pooled
+    output stands in for the pre-relu maximum.) The batch-norm sums take
+    the winners in full-resolution pixel order: (N, T', q, F', C) rows,
+    which einsum adds in the sequence the chain's full-size sum does, the
+    other pixels' zeros changing nothing. (With one channel np.sum adds
+    pairwise, so the sums then run over a full-size gradient.) The input
+    gradient of batch norm is written into ``y``'s buffer, which then goes
+    to the conv backward.
+    """
+    x, kernel, gamma, beta = as_tensor(x), as_tensor(kernel), as_tensor(gamma), as_tensor(beta)
+    _check_conv(x, kernel, padding)
+    _check_batch_norm(kernel.shape[0], gamma, beta, eps)
+    y = _conv_forward(_pad(x.data, padding), kernel.data)
+    windows, offsets = _pool_windows(y, time_pool, freq_pool)
+    n, h, w, c = y.shape
+    q, p = time_pool, freq_pool
+    h2, w2 = h // q, w // p
+    m = n * h * w
+    rows = y.reshape(n * h, w * c)
+    if train:
+        mean, var = _batch_statistics(rows, c, running_mean, running_var, momentum)
+    else:
+        mean, var = running_mean.copy(), running_var
+    inv_sigma = 1.0 / np.sqrt(var + eps)
+
+    out_data = _window_max(windows, offsets, flip=gamma.data < 0.0)
+    pooled = out_data.reshape(n * h2, w2 * c)
+    pooled -= np.tile(mean, w2)
+    pooled *= np.tile(inv_sigma, w2)
+    pooled *= np.tile(gamma.data, w2)
+    pooled += np.tile(beta.data, w2)
+    np.maximum(out_data, 0.0, out=out_data)
+    out = Tensor(out_data)
+
+    def backward():
+        if out.grad is None:
+            return
+        # Zero signs: the chain's gradients are 0.0 where these can be -0.0,
+        # but every sum that reads them starts from 0.0 (einsum, BLAS and the
+        # zero-filled gradient buffers), so the sign changes no bit.
+        g_win = out.grad * (out_data > 0.0)  # relu's gradient
+        # x_hat, recomputed in y's buffer
+        np.subtract(rows, np.tile(mean, w), out=rows)
+        np.multiply(rows, np.tile(inv_sigma, w), out=rows)
+        x_hat = windows  # the (N, T', q, F', p, C) view of that buffer
+        tmp = np.empty_like(out_data)
+
+        def normalized(a: int, b: int) -> np.ndarray:
+            np.multiply(x_hat[:, :, a, :, b], gamma.data, out=tmp)
+            return np.add(tmp, beta.data, out=tmp)
+
+        hits = _first_max(normalized, out_data, offsets)
+        if c == 1:
+            # np.sum adds one channel pairwise: the sums run over every pixel
+            g_pix = np.zeros(windows.shape)
+            x_pix = x_hat
+            for (a, b), hit in zip(offsets, hits):
+                g_pix[:, :, a, :, b] += np.multiply(g_win, hit, out=tmp)
+        else:
+            # einsum adds rows in sequence, so the winners alone, in
+            # (N, T', q, F') rows, give the full-size sums' bits
+            x_pix = np.zeros((n, h2, q, w2, c))
+            # with q == 1 each window with a nonzero gradient has one winner
+            # and the windows are in pixel order already
+            g_pix = g_win[:, :, None] if q == 1 else np.zeros_like(x_pix)
+            for (a, b), hit in zip(offsets, hits):
+                x_pix[:, :, a] += np.multiply(x_hat[:, :, a, :, b], hit, out=tmp)
+                if q > 1:
+                    g_pix[:, :, a] += np.multiply(g_win, hit, out=tmp)
+        sum_g = _channel_sum(g_pix, c)
+        sum_gx_hat = _channel_sum(g_pix, c, x_pix)
+        del g_pix, x_pix
+        if _tracked(gamma):
+            _accumulate(gamma, sum_gx_hat)
+        if _tracked(beta):
+            _accumulate(beta, sum_g)
+        if not (_tracked(x) or _tracked(kernel)):
+            return
+        coeff = gamma.data * inv_sigma
+        if train:
+            np.multiply(rows, np.tile(sum_gx_hat / m, w), out=rows)
+        for (a, b), hit in zip(offsets, hits):
+            # the chain's full-size gradient at offset (a, b): the window's
+            # gradient at its winner, 0.0 elsewhere
+            g_ab = np.multiply(g_win, hit, out=tmp)
+            dx = x_hat[:, :, a, :, b]
+            if train:
+                g_ab -= sum_g / m
+                np.subtract(g_ab, dx, out=dx)
+            else:
+                np.multiply(g_ab, coeff, out=dx)
+        if train:
+            np.multiply(rows, np.tile(coeff, w), out=rows)
+        _conv_backward(x, kernel, padding, _pad(x.data, padding), y)
+
+    return _record((x, kernel, gamma, beta), out, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,16 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class CnnBlockSpec:
-    """One encoder block: conv + batch norm + max pooling + relu."""
+    """One encoder block: conv + batch norm + max pooling + relu.
+
+    ``Model.encode`` runs a block as one ``autodiff.conv_block`` op. Batch
+    norm is monotone in each channel, so the op max-pools the conv output
+    (min-pools it where gamma < 0), normalizes only the pooled values and
+    applies relu after pooling, with the same bits as the four ops in
+    sequence. A window's gradient goes to its first maximal element in
+    row-major (time, freq) order, as in ``autodiff.max_pool``. The op's
+    tape entry keeps the conv output and the pooled output only.
+    """
 
     out_channels: int
     kernel: tuple[int, int] = (3, 3)
@@ -350,21 +359,23 @@ class Model:
         for block in self.blocks:
             spec = block.spec
             kh, kw = spec.kernel
-            x = ad.conv2d(x, block.kernel, padding=(kh // 2, kw // 2))
-            x = ad.batch_norm(
+            # conv, batch norm, max pooling and relu in one op that pools the
+            # conv output before normalizing it and keeps only that output
+            # at full resolution (see ad.conv_block)
+            x = ad.conv_block(
                 x,
+                block.kernel,
                 block.gamma,
                 block.beta,
                 block.running_mean,
                 block.running_var,
+                padding=(kh // 2, kw // 2),
+                time_pool=spec.time_pool,
+                freq_pool=spec.freq_pool,
                 eps=BN_EPS,
                 momentum=BN_MOMENTUM,
                 train=train,
             )
-            # relu commutes with max, so it runs on the pooled (smaller) map
-            if spec.time_pool > 1 or spec.freq_pool > 1:
-                x = ad.max_pool(x, spec.time_pool, spec.freq_pool)
-            x = ad.relu(x)
             if train and spec.dropout > 0.0:
                 if self._dropout_rng is None:
                     raise RuntimeError("training pass requires a seeded dropout stream")

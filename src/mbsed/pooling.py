@@ -122,8 +122,9 @@ def embedding_pool(
     """Pool frame features (..., T, E) into per-class embeddings (..., C, E).
 
     GMP and GAP have no class dependence; their single pooled vector is
-    replicated across classes so every method exposes the same (C, E)
-    interface. ATP produces a genuinely class-specific embedding.
+    replicated across ``num_classes`` classes (required for them) so every
+    method exposes the same (C, E) interface. ATP produces a genuinely
+    class-specific embedding.
     """
     _check_frames(features)
     if method is PoolMethod.ATP:
@@ -131,8 +132,6 @@ def embedding_pool(
             raise ValueError("embedding-level ATP requires attention parameters")
         a = attention_weights(features, attn)  # (..., T, C)
         return ad.matmul(ad.swapaxes(a, -1, -2), features)
-    if num_classes is None:
-        num_classes = attn.num_classes if attn is not None else None
     if num_classes is None:
         raise ValueError("GMP/GAP embedding pooling needs num_classes for replication")
     if method is PoolMethod.GMP:

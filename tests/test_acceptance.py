@@ -95,7 +95,7 @@ def op_checks(rng):
     kern = ad.Tensor(rng.uniform(-0.7, 0.7, (3, 2, 3, 3)), requires_grad=True)
     w_conv = nhwc(w(2, 3, 5, 6))
 
-    return [
+    rows = [
         ("add", lambda x: proj(ad.add(x, c34), w34), t(3, 4)),
         ("sub", lambda x: proj(ad.sub(c34, x), w34), t(3, 4)),
         ("mul", lambda x: proj(ad.mul(x, c34), w34), t(3, 4)),
@@ -123,6 +123,29 @@ def op_checks(rng):
         ("batch_norm_beta", lambda b: proj(ad.batch_norm(x_bn, gamma, b, np.zeros(3), np.ones(3), train=True), w_bn), beta),
         ("batch_norm_eval", bn_eval, x_bn),
     ]
+
+    # conv_block's inputs are drawn after every other row's, so no earlier
+    # draw moves; a negative channel pools by its minimum, and a positive
+    # beta keeps pooled outputs off relu's kink
+    block = [
+        ad.Tensor(nhwc(w(2, 2, 4, 6)), requires_grad=True),
+        ad.Tensor(rng.uniform(-0.7, 0.7, (3, 2, 3, 3)), requires_grad=True),
+        ad.Tensor(rng.uniform(0.2, 2.0, 3) * [1.0, -1.0, 1.0], requires_grad=True),
+        ad.Tensor(rng.uniform(0.5, 1.0, 3), requires_grad=True),
+    ]
+    w_block = nhwc(w(2, 3, 2, 2))
+
+    def block_row(i):
+        def fn(t):
+            args = block[:i] + [t] + block[i + 1 :]
+            # fresh buffers per call, as for bn_train
+            out = ad.conv_block(*args, np.zeros(3), np.ones(3), (1, 1), time_pool=2, freq_pool=3)
+            return proj(out, w_block)
+
+        return fn
+
+    names = ("conv_block_x", "conv_block_kernel", "conv_block_gamma", "conv_block_beta")
+    return rows + [(name, block_row(i), block[i]) for i, name in enumerate(names)]
 
 
 def micro_config(seed):

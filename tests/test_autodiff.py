@@ -18,6 +18,7 @@ from mbsed.autodiff import (
     batch_norm,
     clamp,
     conv2d,
+    conv_block,
     dropout,
     grad_check,
     linear,
@@ -371,7 +372,10 @@ class TestBatchNorm:
         assert grad_check(lambda t: loss_wrt(t, "gamma"), gamma) <= 1e-6
         assert grad_check(lambda t: loss_wrt(t, "beta"), beta) <= 1e-6
 
-    @pytest.mark.parametrize("shape", [(4, 7, 6, 3), (2, 9, 5, 1), (3, 10, 8, 40)])
+    # the last two span several variance slabs (SLAB_DOUBLES // C rows each)
+    @pytest.mark.parametrize(
+        "shape", [(4, 7, 6, 3), (2, 9, 5, 1), (3, 10, 8, 40), (2, 300, 20, 40), (2, 200, 120, 3)]
+    )
     def test_train_mode_matches_textbook_bit_for_bit(self, shape):
         rng = np.random.default_rng(sum(shape))
         c = shape[3]
@@ -549,6 +553,109 @@ class TestMaxPool:
             max_pool(Tensor(np.zeros((1, 5, 4, 2))), 2, 2)
         with pytest.raises(ShapeError):
             max_pool(Tensor(np.zeros((1, 4, 6, 2))), 1, 4)
+
+
+# ---------------------------------------------------------------------------
+# conv_block
+
+
+def conv_block_chain(x, kernel, gamma, beta, running_mean, running_var, padding, q, p, train=True):
+    """conv_block as the four ops it fuses, in the encoder's order."""
+    y = conv2d(x, kernel, padding)
+    y = batch_norm(y, gamma, beta, running_mean, running_var, eps=1e-5, momentum=0.1, train=train)
+    return relu(max_pool(y, q, p))
+
+
+# per-channel gammas: a zero channel and two negative ones, or a single
+# negative channel (whose batch-norm sums np.sum adds pairwise)
+BLOCK_GAMMAS = {"mixed": [1.2, 0.0, -0.7, 0.6, -0.9], "one_channel": [-0.8]}
+
+
+class TestConvBlock:
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("gammas", list(BLOCK_GAMMAS))
+    @pytest.mark.parametrize("pools", [(1, 1), (1, 4), (4, 2), (2, 3), (3, 1)])
+    def test_matches_chain_bit_for_bit(self, pools, gammas, train):
+        q, p = pools
+        gamma_data = np.array(BLOCK_GAMMAS[gammas])
+        k = len(gamma_data)
+        rng = np.random.default_rng(q * 10 + p)
+        # relu'd input whose first 2q frames are zero: the conv output is
+        # exactly 0 there, so those windows' maxima tie
+        x_data = np.maximum(rng.standard_normal((2, 4 * q, 3 * p, 3)), 0.0)
+        x_data[:, : 2 * q] = 0.0
+        k_data = rng.standard_normal((k, 3, 3, 3)) * 0.5
+        beta_data = rng.standard_normal(k)
+        if k > 1:
+            beta_data[-1] = -10.0  # relu cuts the whole last channel
+        rm0, rv0 = rng.standard_normal(k) * 0.1, rng.uniform(0.5, 2.0, k)
+        probe = rng.standard_normal((2, 4, 3, k))
+        results = []
+        for op in (conv_block, conv_block_chain):
+            tensors = [
+                Tensor(a.copy(), requires_grad=True) for a in (x_data, k_data, gamma_data, beta_data)
+            ]
+            rm, rv = rm0.copy(), rv0.copy()
+            out = op(*tensors, rm, rv, (1, 1), q, p, train=train)
+            reduce_sum(ad.mul(out, probe)).backward()
+            results.append([out.data, rm, rv] + [t.grad for t in tensors])
+        names = ("out", "running_mean", "running_var", "x", "kernel", "gamma", "beta")
+        for name, a, b in zip(names, *results):
+            assert same_bits(a, b), name
+        assert np.any(results[0][0] == 0.0)  # relu cut some windows
+
+    def test_tape_keeps_conv_output_and_pooled_arrays(self):
+        # the small preset's block 1 at batch 2: 40 -> 40 channels, 3x3,
+        # freq pool 2; the four-op chain keeps about 5 conv outputs here
+        rng = np.random.default_rng(31)
+        x = Tensor(rng.standard_normal((2, 500, 16, 40)), requires_grad=True)
+        kernel = Tensor(rng.standard_normal((40, 40, 3, 3)) * 0.1, requires_grad=True)
+        gamma = Tensor(np.ones(40), requires_grad=True)
+        beta = Tensor(np.zeros(40), requires_grad=True)
+        y_bytes = x.data.nbytes  # the conv output has the input's shape
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = conv_block(x, kernel, gamma, beta, np.zeros(40), np.ones(40), (1, 1), 1, 2)
+            retained = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert retained <= y_bytes + 4 * out.data.nbytes
+        reduce_sum(ad.mul(out, 1.0)).backward()
+        assert x.grad is not None and kernel.grad is not None
+
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    def test_retains_nothing_without_grad(self, train):
+        rng = np.random.default_rng(32)
+        x = Tensor(rng.standard_normal((2, 100, 16, 8)), requires_grad=True)
+        kernel = Tensor(rng.standard_normal((8, 8, 3, 3)), requires_grad=True)
+        gamma, beta = Tensor(np.ones(8), requires_grad=True), Tensor(np.zeros(8), requires_grad=True)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            with ad.no_grad():
+                out = conv_block(
+                    x, kernel, gamma, beta, np.zeros(8), np.ones(8), (1, 1), 2, 4, train=train
+                )
+            retained = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert out.tape is None
+        # the output, its Tensor and array objects
+        assert retained <= out.data.nbytes + 4096
+
+    def test_untiled_output_rejected(self):
+        rng = np.random.default_rng(33)
+        args = (
+            Tensor(rng.standard_normal((1, 6, 8, 2))), Tensor(rng.standard_normal((3, 2, 3, 3))),
+            Tensor(np.ones(3)), Tensor(np.zeros(3)), np.zeros(3), np.ones(3), (1, 1),
+        )
+        with pytest.raises(ShapeError):
+            conv_block(*args, 4, 2)
+        with pytest.raises(ShapeError):
+            conv_block(*args, 1, 3)
+        with pytest.raises(ShapeError):
+            conv_block(*args[:2], Tensor(np.ones(2)), *args[3:], 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -769,5 +876,23 @@ def test_every_op_grad_check(seed):
     checks.append(
         grad_check(lambda t: reduce_sum(ad.mul(max_pool(t, 2, 3), pool_probe)), pool_in)
     )
+
+    block_args = [
+        Tensor(nhwc(rng.standard_normal((2, 2, 4, 6))), requires_grad=True),
+        Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.5, requires_grad=True),
+        # a negative channel pools by its minimum
+        Tensor(rng.uniform(0.5, 1.5, 3) * [1.0, -1.0, 1.0], requires_grad=True),
+        # a positive shift keeps pooled outputs off relu's kink
+        Tensor(rng.uniform(0.5, 1.0, 3), requires_grad=True),
+    ]
+    block_probe = rng.standard_normal((2, 2, 2, 3))
+
+    def block_loss(i, t):
+        args = block_args[:i] + [t] + block_args[i + 1 :]
+        out = conv_block(*args, np.zeros(3), np.ones(3), (1, 1), 2, 3)
+        return reduce_sum(ad.mul(out, block_probe))
+
+    for i, t in enumerate(block_args):
+        checks.append(grad_check(lambda u: block_loss(i, u), t))
 
     assert max(checks) <= 1e-4
