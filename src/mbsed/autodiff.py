@@ -9,6 +9,11 @@ consumers, and each rule leaves the tape as soon as it has run.
 
 from __future__ import annotations
 
+import functools
+import os
+import queue
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -511,6 +516,16 @@ def _channel_sum(rows: np.ndarray, c: int, other: np.ndarray | None = None) -> n
     return np.einsum("ij,ij->j", flat, other.reshape(-1, c))
 
 
+def _gemm_rows(rows: np.ndarray) -> np.ndarray:
+    """(M, K) ``rows``, with a zero column appended when K == 1.
+
+    numpy computes a product with a one-row operand as a gemv, and
+    OpenBLAS splits a long gemv's sum between threads, so its bits depend
+    on the thread count; with two rows it is a gemm, whose bits do not.
+    """
+    return rows if rows.shape[1] > 1 else np.concatenate([rows, np.zeros_like(rows)], axis=1)
+
+
 def _single_channel_kernel_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """(K, kh, kw) kernel gradient of a one-channel conv2d, one gemm per clip.
 
@@ -520,15 +535,15 @@ def _single_channel_kernel_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int)
     n, h2, w2, k = g.shape
     cols = np.zeros((h2, w2, max(2, kh * kw)))
     flat = cols.reshape(h2 * w2, -1)
-    total = np.zeros((k, flat.shape[1]))
+    total = np.zeros((max(2, k), flat.shape[1]))
     prod = np.empty_like(total)
     for b in range(n):
         for i in range(kh):
             for j in range(kw):
                 cols[:, :, i * kw + j] = xp[b, i : i + h2, j : j + w2, 0]
-        np.dot(g[b].reshape(h2 * w2, k).T, flat, out=prod)
+        np.dot(_gemm_rows(g[b].reshape(h2 * w2, k)).T, flat, out=prod)
         total += prod
-    return total[:, : kh * kw].reshape(k, kh, kw)
+    return total[:k, : kh * kw].reshape(k, kh, kw)
 
 
 def _kernel_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int) -> np.ndarray:
@@ -542,7 +557,7 @@ def _kernel_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int) -> np.ndarray:
     if c == 1:
         return _single_channel_kernel_grad(xp, g, kh, kw)[:, None]
     m = n * h2 * w2
-    rows = g.reshape(m, k)
+    rows = _gemm_rows(g.reshape(m, k))
     window = np.empty((n, h2, w2, c))  # one offset's input pixels, reused
     gk = np.empty((k, c, kh, kw))
     for i in range(kh):
@@ -550,7 +565,7 @@ def _kernel_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int) -> np.ndarray:
             np.copyto(window, xp[:, i : i + h2, j : j + w2, :])
             # rows.T is a transposed view on purpose: BLAS rounds a
             # contiguous copy of it differently in the last bits
-            gk[:, :, i, j] = np.dot(rows.T, window.reshape(m, c))
+            gk[:, :, i, j] = np.dot(rows.T, window.reshape(m, c))[:k]
     return gk
 
 
@@ -811,49 +826,169 @@ def batch_norm(
     return _record((x, gamma, beta), out, backward)
 
 
+# OpenBLAS's thread-count setters, by the names scipy-openblas, 64-bit and
+# plain builds export
+_BLAS_THREAD_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _blas_thread_calls():
+    """(setter, getter) of the OpenBLAS numpy links against, or None.
+
+    A handle on numpy's compiled core finds the library by ``dlsym``, which
+    searches the handle's dependency tree.
+    """
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    try:
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except OSError:
+        return None
+    for name in _BLAS_THREAD_SETTERS:
+        setter = getattr(lib, name, None)
+        getter = getattr(lib, name.replace("_set_", "_get_"), None)
+        if setter is not None and getter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return setter, getter
+    return None
+
+
+def _blas_threads() -> int:
+    """numpy's OpenBLAS thread count, read now; 1 without OpenBLAS."""
+    calls = _blas_thread_calls()
+    return max(1, calls[1]()) if calls is not None else 1
+
+
+# Doubles of conv output in one chunk of conv_block's per-pixel work (2 MiB),
+# so that a chunk's several passes find it in cache.
+CHUNK_DOUBLES = 1 << 18
+
+# ((pid, threads), pool) of the last _run_chunks call that needed threads. A
+# pool made before fork has no threads in the child, so a new pid gets its own.
+_chunk_pool: tuple[tuple[int, int], ThreadPoolExecutor] | None = None
+_chunk_pool_lock = threading.Lock()
+
+
+def _run_chunks(
+    fn: Callable[[slice, object], None],
+    rows: int,
+    row_doubles: int,
+    scratch: Callable[[int], object],
+) -> None:
+    """``fn(part, buffers)`` for slices ``part`` that tile ``range(rows)`` in
+    chunks of about ``CHUNK_DOUBLES`` (``row_doubles`` per row, at least
+    one row).
+
+    The chunks run on a pool of as many threads as numpy's OpenBLAS has
+    right now, inline when that is one or there is one chunk: a process
+    whose BLAS was given one thread (an ablation worker) starts none. ``fn``
+    must only write its own rows, so the result does not depend on the
+    thread count or on which chunks run together.
+
+    ``buffers`` is what ``scratch(rows_per_chunk)`` returned, made on the
+    calling thread once per thread, and ``fn`` keeps its temporaries there:
+    memory a worker thread allocates stays in that thread's malloc arena
+    once freed, so it would add to the process's resident size.
+    """
+    global _chunk_pool
+    step = min(rows, max(1, CHUNK_DOUBLES // row_doubles))
+    parts = [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
+    threads = _blas_threads() if len(parts) > 1 else 1
+    if threads == 1:
+        buffers = scratch(step)
+        for part in parts:
+            fn(part, buffers)
+        return
+    key = (os.getpid(), threads)
+    with _chunk_pool_lock:
+        if _chunk_pool is None or _chunk_pool[0] != key:
+            if _chunk_pool is not None and _chunk_pool[0][0] == key[0]:
+                _chunk_pool[1].shutdown(wait=False)
+            _chunk_pool = (key, ThreadPoolExecutor(threads, thread_name_prefix="mbsed-chunk"))
+        pool = _chunk_pool[1]
+    free = queue.SimpleQueue()  # one set of buffers per running chunk
+    for _ in range(min(threads, len(parts))):
+        free.put(scratch(step))
+
+    def run(part: slice) -> None:
+        buffers = free.get()
+        try:
+            fn(part, buffers)
+        finally:
+            free.put(buffers)
+
+    # reading every result re-raises the first exception of a chunk
+    for _ in pool.map(run, parts):
+        pass
+
+
 def _pool_windows(x: np.ndarray, time_pool: int, freq_pool: int):
-    """(N, T', q, F', p, C) window view of NHWC ``x`` and the window offsets
+    """(N*T', q, F', p, C) window view of NHWC ``x`` and the window offsets
     (a, b) in row-major (time, freq) order: element (a, b) of every window
-    is ``windows[:, :, a, :, b]``."""
+    is ``windows[:, a, :, b]``. A window row, ``windows[i]``, is q*W*C
+    contiguous doubles."""
     if time_pool < 1 or freq_pool < 1:
         raise ValueError(f"pool factors must be >= 1, got {time_pool} and {freq_pool}")
     n, h, w, c = x.shape
     q, p = time_pool, freq_pool
     if h % q or w % p:
         raise ShapeError(f"pool {q}x{p} does not tile input {h}x{w}")
-    windows = x.reshape(n, h // q, q, w // p, p, c)
+    windows = x.reshape(n * (h // q), q, w // p, p, c)
     return windows, [(a, b) for a in range(q) for b in range(p)]
 
 
-def _window_max(windows: np.ndarray, offsets: list, flip: np.ndarray | None = None) -> np.ndarray:
+def _window_max(
+    windows: np.ndarray,
+    offsets: list,
+    out: np.ndarray,
+    flip: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
     """Each window's maximum, or its minimum in the channels where ``flip``
-    (as minus the maximum of the negated values, which is exact)."""
+    (as minus the maximum of the negated values, which is exact), written
+    into and returned as ``out``. ``work``, shaped like ``out``, holds the
+    negated values when ``flip`` has a True."""
+    first = windows[:, 0, :, 0]
     if flip is None or not flip.any():
-        out = windows[:, :, 0, :, 0].copy()
+        np.copyto(out, first)
         for a, b in offsets[1:]:
-            np.maximum(out, windows[:, :, a, :, b], out=out)
+            np.maximum(out, windows[:, a, :, b], out=out)
         return out
     sign = np.where(flip, -1.0, 1.0)
-    out = windows[:, :, 0, :, 0] * sign
-    flipped = np.empty_like(out)
+    np.multiply(first, sign, out=out)
     for a, b in offsets[1:]:
-        np.maximum(out, np.multiply(windows[:, :, a, :, b], sign, out=flipped), out=out)
+        np.maximum(out, np.multiply(windows[:, a, :, b], sign, out=work), out=out)
     out *= sign
     return out
 
 
-def _first_max(values: Callable[[int, int], np.ndarray], maxima: np.ndarray, offsets: list) -> list:
-    """One boolean mask per window offset marking each window's first
-    element, in ``offsets`` order, whose value equals the window maximum;
-    ``values(a, b)`` gives the values at offset (a, b) of every window."""
+def _first_max(
+    values: Callable[[int, int], np.ndarray],
+    maxima: np.ndarray,
+    offsets: list,
+    hits: np.ndarray,
+    unclaimed: np.ndarray,
+) -> np.ndarray:
+    """Fill and return ``hits``: ``hits[k]`` marks, for ``(a, b) =
+    offsets[k]``, the windows whose first element, in ``offsets`` order,
+    equal to the window maximum sits at (a, b). ``values(a, b)`` gives the
+    values at offset (a, b) of every window; ``unclaimed`` is a boolean
+    buffer shaped like ``maxima``."""
     # windows whose maximum has not been claimed by an earlier element
-    unclaimed = np.ones(maxima.shape, dtype=bool)
-    hits = []
-    for a, b in offsets:
-        hit = values(a, b) == maxima
+    unclaimed.fill(True)
+    for k, (a, b) in enumerate(offsets):
+        hit = np.equal(values(a, b), maxima, out=hits[k])
         hit &= unclaimed
         unclaimed ^= hit
-        hits.append(hit)
     return hits
 
 
@@ -868,17 +1003,20 @@ def max_pool(x: Tensor, time_pool: int, freq_pool: int) -> Tensor:
     if x.ndim != 4:
         raise ShapeError(f"max_pool expects 4-D NHWC input, got {x.shape}")
     windows, offsets = _pool_windows(x.data, time_pool, freq_pool)
-    out_data = _window_max(windows, offsets)
-    out = Tensor(out_data)
+    pooled = _window_max(windows, offsets, np.empty(windows[:, 0, :, 0].shape))
+    n, h, w, c = x.shape
+    out = Tensor(pooled.reshape(n, h // time_pool, w // freq_pool, c))
 
     def backward():
         if out.grad is None or not _tracked(x):
             return
         first = np.empty(windows.shape, dtype=bool)
-        hits = _first_max(lambda a, b: windows[:, :, a, :, b], out_data, offsets)
+        hits = np.empty((len(offsets),) + pooled.shape, dtype=bool)
+        unclaimed = np.empty(pooled.shape, dtype=bool)
+        _first_max(lambda a, b: windows[:, a, :, b], pooled, offsets, hits, unclaimed)
         for (a, b), hit in zip(offsets, hits):
-            first[:, :, a, :, b] = hit
-        g = out.grad[:, :, None, :, None]
+            first[:, a, :, b] = hit
+        g = out.grad.reshape(pooled.shape)[:, None, :, None]
         _accumulate(x, np.where(first, g, 0.0).reshape(x.shape), owned=True)
 
     return _record((x,), out, backward)
@@ -922,6 +1060,16 @@ def conv_block(
     pairwise, so the sums then run over a full-size gradient.) The input
     gradient of batch norm is written into ``y``'s buffer, which then goes
     to the conv backward.
+
+    The per-pixel work runs in chunks of window rows (``_run_chunks``), on
+    as many threads as BLAS has: forward, the window max and the pooled
+    values' normalization and relu; backward, one sweep that recomputes
+    x_hat, marks the winners and gathers them, and after the batch-norm
+    sums a second that writes batch norm's input gradient. Every chunk op
+    is elementwise on its own rows. The order-dependent sums (the batch
+    statistics and the batch-norm sums over the gathered winners) and the
+    conv's products run on the calling thread, so no bit depends on the
+    thread count.
     """
     x, kernel, gamma, beta = as_tensor(x), as_tensor(kernel), as_tensor(gamma), as_tensor(beta)
     _check_conv(x, kernel, padding)
@@ -932,20 +1080,28 @@ def conv_block(
     q, p = time_pool, freq_pool
     h2, w2 = h // q, w // p
     m = n * h * w
-    rows = y.reshape(n * h, w * c)
+    rows = y.reshape(n * h, w * c)  # window row i is rows[i * q : (i + 1) * q]
     if train:
         mean, var = _batch_statistics(rows, c, running_mean, running_var, momentum)
     else:
         mean, var = running_mean.copy(), running_var
     inv_sigma = 1.0 / np.sqrt(var + eps)
+    flip = gamma.data < 0.0
+    pooled = np.empty((n * h2, w2, c))
 
-    out_data = _window_max(windows, offsets, flip=gamma.data < 0.0)
-    pooled = out_data.reshape(n * h2, w2 * c)
-    pooled -= np.tile(mean, w2)
-    pooled *= np.tile(inv_sigma, w2)
-    pooled *= np.tile(gamma.data, w2)
-    pooled += np.tile(beta.data, w2)
-    np.maximum(out_data, 0.0, out=out_data)
+    def pooled_rows(r: int) -> np.ndarray:
+        return np.empty((r, w2, c))
+
+    def pool(part: slice, work: np.ndarray) -> None:
+        v = _window_max(windows[part], offsets, pooled[part], flip, work[: part.stop - part.start])
+        v -= mean
+        v *= inv_sigma
+        v *= gamma.data
+        v += beta.data
+        np.maximum(v, 0.0, out=v)
+
+    _run_chunks(pool, n * h2, q * w * c, pooled_rows)
+    out_data = pooled.reshape(n, h2, w2, c)
     out = Tensor(out_data)
 
     def backward():
@@ -954,35 +1110,49 @@ def conv_block(
         # Zero signs: the chain's gradients are 0.0 where these can be -0.0,
         # but every sum that reads them starts from 0.0 (einsum, BLAS and the
         # zero-filled gradient buffers), so the sign changes no bit.
-        g_win = out.grad * (out_data > 0.0)  # relu's gradient
-        # x_hat, recomputed in y's buffer
-        np.subtract(rows, np.tile(mean, w), out=rows)
-        np.multiply(rows, np.tile(inv_sigma, w), out=rows)
-        x_hat = windows  # the (N, T', q, F', p, C) view of that buffer
-        tmp = np.empty_like(out_data)
-
-        def normalized(a: int, b: int) -> np.ndarray:
-            np.multiply(x_hat[:, :, a, :, b], gamma.data, out=tmp)
-            return np.add(tmp, beta.data, out=tmp)
-
-        hits = _first_max(normalized, out_data, offsets)
+        g_out = out.grad.reshape(pooled.shape)
+        g_win = np.empty_like(pooled)  # relu's gradient
+        hits = np.empty((len(offsets),) + pooled.shape, dtype=bool)
+        mean_w, inv_sigma_w = np.tile(mean, w), np.tile(inv_sigma, w)
         if c == 1:
             # np.sum adds one channel pairwise: the sums run over every pixel
             g_pix = np.zeros(windows.shape)
-            x_pix = x_hat
-            for (a, b), hit in zip(offsets, hits):
-                g_pix[:, :, a, :, b] += np.multiply(g_win, hit, out=tmp)
+            x_pix = windows
         else:
             # einsum adds rows in sequence, so the winners alone, in
-            # (N, T', q, F') rows, give the full-size sums' bits
-            x_pix = np.zeros((n, h2, q, w2, c))
+            # (N*T', q, F') rows, give the full-size sums' bits
+            x_pix = np.zeros((n * h2, q, w2, c))
             # with q == 1 each window with a nonzero gradient has one winner
             # and the windows are in pixel order already
-            g_pix = g_win[:, :, None] if q == 1 else np.zeros_like(x_pix)
-            for (a, b), hit in zip(offsets, hits):
-                x_pix[:, :, a] += np.multiply(x_hat[:, :, a, :, b], hit, out=tmp)
+            g_pix = g_win[:, None] if q == 1 else np.zeros_like(x_pix)
+
+        def gather_scratch(r: int) -> tuple:
+            return pooled_rows(r), np.empty((r, w2, c), dtype=bool), np.empty((r, w2, c), dtype=bool)
+
+        def gather(part: slice, buffers: tuple) -> None:
+            tmp, live, unclaimed = (b[: part.stop - part.start] for b in buffers)
+            # x_hat, recomputed in y's buffer
+            x_rows = rows[part.start * q : part.stop * q]
+            np.subtract(x_rows, mean_w, out=x_rows)
+            np.multiply(x_rows, inv_sigma_w, out=x_rows)
+            x_hat = windows[part]
+            live = np.greater(pooled[part], 0.0, out=live)
+            g = np.multiply(g_out[part], live, out=g_win[part])
+
+            def normalized(a: int, b: int) -> np.ndarray:
+                np.multiply(x_hat[:, a, :, b], gamma.data, out=tmp)
+                return np.add(tmp, beta.data, out=tmp)
+
+            part_hits = _first_max(normalized, pooled[part], offsets, hits[:, part], unclaimed)
+            for (a, b), hit in zip(offsets, part_hits):
+                if c == 1:
+                    g_pix[part, a, :, b] += np.multiply(g, hit, out=tmp)
+                    continue
+                x_pix[part, a] += np.multiply(x_hat[:, a, :, b], hit, out=tmp)
                 if q > 1:
-                    g_pix[:, :, a] += np.multiply(g_win, hit, out=tmp)
+                    g_pix[part, a] += np.multiply(g, hit, out=tmp)
+
+        _run_chunks(gather, n * h2, q * w * c, gather_scratch)
         sum_g = _channel_sum(g_pix, c)
         sum_gx_hat = _channel_sum(g_pix, c, x_pix)
         del g_pix, x_pix
@@ -993,20 +1163,31 @@ def conv_block(
         if not (_tracked(x) or _tracked(kernel)):
             return
         coeff = gamma.data * inv_sigma
-        if train:
-            np.multiply(rows, np.tile(sum_gx_hat / m, w), out=rows)
-        for (a, b), hit in zip(offsets, hits):
-            # the chain's full-size gradient at offset (a, b): the window's
-            # gradient at its winner, 0.0 elsewhere
-            g_ab = np.multiply(g_win, hit, out=tmp)
-            dx = x_hat[:, :, a, :, b]
+        shift = sum_g / m
+        scale_w, coeff_w = np.tile(sum_gx_hat / m, w), np.tile(coeff, w)
+
+        def scatter(part: slice, work: np.ndarray) -> None:
+            # batch norm's input gradient, written over x_hat in y's buffer
+            x_rows = rows[part.start * q : part.stop * q]
             if train:
-                g_ab -= sum_g / m
-                np.subtract(g_ab, dx, out=dx)
-            else:
-                np.multiply(g_ab, coeff, out=dx)
-        if train:
-            np.multiply(rows, np.tile(coeff, w), out=rows)
+                np.multiply(x_rows, scale_w, out=x_rows)
+            dx_windows = windows[part]
+            g = g_win[part]
+            tmp = work[: part.stop - part.start]
+            for k, (a, b) in enumerate(offsets):
+                # the chain's full-size gradient at offset (a, b): the
+                # window's gradient at its winner, 0.0 elsewhere
+                g_ab = np.multiply(g, hits[k, part], out=tmp)
+                dx = dx_windows[:, a, :, b]
+                if train:
+                    g_ab -= shift
+                    np.subtract(g_ab, dx, out=dx)
+                else:
+                    np.multiply(g_ab, coeff, out=dx)
+            if train:
+                np.multiply(x_rows, coeff_w, out=x_rows)
+
+        _run_chunks(scatter, n * h2, q * w * c, pooled_rows)
         _conv_backward(x, kernel, padding, _pad(x.data, padding), y)
 
     return _record((x, kernel, gamma, beta), out, backward)

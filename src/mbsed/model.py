@@ -578,7 +578,8 @@ def load_checkpoint(path) -> Model:
     (header_len,) = struct.unpack("<I", blob[4:8])
     try:
         header = json.loads(blob[8 : 8 + header_len])
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
+        # json.loads recurses once per nesting level of the header
         raise CheckpointError(f"{path}: corrupt header: {exc}") from None
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: corrupt header: not a JSON object")

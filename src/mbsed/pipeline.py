@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import functools
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import frame_hop_seconds, load_audio, logmel, read_features, write_features
+from .autodiff import _blas_thread_calls
 from .config import RunConfig, parse_branches, resolved_text
 from .events import (
     EventAnnotation,
@@ -67,42 +67,6 @@ ABLATION_ROWS = [
 
 class PipelineError(RuntimeError):
     """Missing dataset files or inconsistent pipeline inputs."""
-
-
-# OpenBLAS's thread-count setters, by the names scipy-openblas, 64-bit and
-# plain builds export
-_BLAS_THREAD_SETTERS = (
-    "scipy_openblas_set_num_threads64_",
-    "openblas_set_num_threads64_",
-    "openblas_set_num_threads",
-)
-
-
-@functools.lru_cache(maxsize=None)
-def _blas_thread_calls():
-    """(setter, getter) of the OpenBLAS numpy links against, or None.
-
-    A handle on numpy's compiled core finds the library by ``dlsym``, which
-    searches the handle's dependency tree.
-    """
-    import ctypes
-
-    try:
-        from numpy._core import _multiarray_umath
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath
-    try:
-        lib = ctypes.CDLL(_multiarray_umath.__file__)
-    except OSError:
-        return None
-    for name in _BLAS_THREAD_SETTERS:
-        setter = getattr(lib, name, None)
-        getter = getattr(lib, name.replace("_set_", "_get_"), None)
-        if setter is not None and getter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            return setter, getter
-    return None
 
 
 def set_blas_threads(n: int) -> int | None:

@@ -195,16 +195,19 @@ class TestConv2d:
             ((8, 125, 32, 2), (8, 2, 3, 3), (1, 1)),
             ((8, 125, 8, 8), (16, 8, 3, 3), (1, 1)),
             ((4, 125, 8, 64), (64, 64, 3, 3), (1, 1)),
+            ((1, 40000, 16, 1), (1, 1, 3, 3), (1, 1)),
+            ((1, 40000, 16, 2), (1, 2, 3, 3), (1, 1)),
         ],
-        ids=["K2_1x1", "K40_3x3", "K8_C2_3x3", "K16_C8_3x3", "K64_C64_3x3"],
+        ids=["K2_1x1", "K40_3x3", "K8_C2_3x3", "K16_C8_3x3", "K64_C64_3x3", "K1_3x3", "K1_C2_3x3"],
     )
     def test_same_bits_at_any_blas_thread_count(self, blas_threads, shape, kernel, padding):
         # one input channel and N*H*W = 256000 output rows, where OpenBLAS
         # would split a gemv's sum between threads; then the gate's compact
         # encoder's blocks 1 and 2 at batch 8, whose products are short
-        # enough that their blocking could depend on the thread count; and
-        # a large-preset block whose forward product has 576 = 9 * 64 inner
-        # terms, more than OpenBLAS takes in one block
+        # enough that their blocking could depend on the thread count; a
+        # large-preset block whose forward product has 576 = 9 * 64 inner
+        # terms, more than OpenBLAS takes in one block; and one output
+        # channel over 640000 pixels, whose kernel gradient would be a gemv
         rng = np.random.default_rng(17)
         x_data = rng.standard_normal(shape)
         k_data = rng.standard_normal(kernel)
@@ -602,6 +605,48 @@ class TestConvBlock:
         names = ("out", "running_mean", "running_var", "x", "kernel", "gamma", "beta")
         for name, a, b in zip(names, *results):
             assert same_bits(a, b), name
+        assert np.any(results[0][0] == 0.0)  # relu cut some windows
+
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("gammas", list(BLOCK_GAMMAS))
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("pools", [(1, 4), (4, 2)])
+    def test_same_bits_at_any_thread_count(self, blas_threads, pools, batch, gammas, train):
+        # conv_block's per-pixel work runs in chunks of CHUNK_DOUBLES // (q*W*C)
+        # window rows, one thread per BLAS thread: here two full chunks and
+        # a partial third, which cross clip boundaries at batch 3
+        q, p = pools
+        gamma_data = np.array(BLOCK_GAMMAS[gammas])
+        k = len(gamma_data)
+        w = 3 * p
+        step = ad.CHUNK_DOUBLES // (q * w * k)
+        h = q * -(-(2 * step + 3) // batch)  # ceil((2 * step + 3) / batch) windows
+        window_rows = batch * h // q
+        assert 2 * step < window_rows < 3 * step
+        rng = np.random.default_rng(q * 10 + p + batch)
+        x_data = np.maximum(rng.standard_normal((batch, h, w, 2)), 0.0)
+        x_data[:, : 2 * q] = 0.0  # ties: these windows' conv outputs are all 0
+        k_data = rng.standard_normal((k, 2, 3, 3)) * 0.5
+        beta_data = rng.standard_normal(k) * 0.1
+        if k > 1:
+            beta_data[-1] = -10.0  # relu cuts the whole last channel
+        rm0, rv0 = rng.standard_normal(k) * 0.1, rng.uniform(0.5, 2.0, k)
+        probe = rng.standard_normal((batch, h // q, w // p, k))
+        runs = [(conv_block_chain, 1)] + [(conv_block, threads) for threads in (1, 2, 4)]
+        results = []
+        for op, threads in runs:
+            blas_threads(threads)
+            tensors = [
+                Tensor(a.copy(), requires_grad=True) for a in (x_data, k_data, gamma_data, beta_data)
+            ]
+            rm, rv = rm0.copy(), rv0.copy()
+            out = op(*tensors, rm, rv, (1, 1), q, p, train=train)
+            reduce_sum(ad.mul(out, probe)).backward()
+            results.append([out.data, rm, rv] + [t.grad for t in tensors])
+        names = ("out", "running_mean", "running_var", "x", "kernel", "gamma", "beta")
+        for (op, threads), result in zip(runs[1:], results[1:]):
+            for name, a, b in zip(names, results[0], result):
+                assert same_bits(a, b), f"{name} at {threads} threads"
         assert np.any(results[0][0] == 0.0)  # relu cut some windows
 
     def test_tape_keeps_conv_output_and_pooled_arrays(self):

@@ -149,6 +149,19 @@ class TestPredict:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_deeply_nested_header_refused(self, dataset, tmp_path, capsys):
+        from mbsed.model import CHECKPOINT_MAGIC
+
+        text = b"[" * 200_000 + b"]" * 200_000
+        nested = tmp_path / "nested.ckpt"
+        nested.write_bytes(CHECKPOINT_MAGIC + len(text).to_bytes(4, "little") + text)
+        code = run_cli([
+            "predict", "--checkpoint", nested, "--audio", dataset, "--out", tmp_path / "e.tsv",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_missing_audio_dir(self, checkpoint, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()

@@ -541,6 +541,14 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError):
                 load_checkpoint(path)
 
+    def test_rejects_deeply_nested_header(self, tmp_path):
+        # json.loads recurses once per nesting level
+        path = tmp_path / "nested.ckpt"
+        text = b"[" * 200_000 + b"]" * 200_000
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(text)) + text)
+        with pytest.raises(CheckpointError, match="corrupt"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("encoder", ["small", "gate_compact"])
     def test_same_bytes_at_any_blas_thread_count(self, blas_threads, tmp_path, encoder):
         if encoder == "small":

@@ -6,10 +6,12 @@ predict, evaluate loop stays fast.
 
 import copy
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
 
+from mbsed import autodiff as ad
 from mbsed import pipeline
 from mbsed.config import RunConfig, parse_branches, parse_run_config
 from mbsed.events import EventAnnotation, read_events_tsv
@@ -399,6 +401,47 @@ class TestAblation:
         results = run_ablation(run, rows=rows)
         expected = threads or max(1, pipeline.cpu_count() // int(workers))
         assert [row.scores for row in results] == [[expected] * 2] * 2
+
+    def test_workers_forked_after_chunk_threads_score_alike(
+        self, data_dirs, monkeypatch, blas_threads
+    ):
+        # a conv_block backward on two BLAS threads starts its chunk threads
+        # in this process; fork copies none of them into the workers
+        blas_threads(2)
+        rng = np.random.default_rng(41)
+        x = ad.Tensor(rng.standard_normal((2, 500, 64, 1)), requires_grad=True)
+        kernel = ad.Tensor(rng.standard_normal((8, 1, 3, 3)), requires_grad=True)
+        gamma, beta = ad.Tensor(np.ones(8)), ad.Tensor(np.zeros(8))
+        out = ad.conv_block(x, kernel, gamma, beta, np.zeros(8), np.ones(8), (1, 1), 1, 4)
+        ad.reduce_sum(out).backward()
+        assert any(t.name.startswith("mbsed-chunk") for t in threading.enumerate())
+
+        train, test = data_dirs
+        run = make_run(train, test, repeats=2)
+        rows = [("E-ATP",), ("E-GMP", "I-GAP")]
+        cfg = tiny_model_config(epochs=2)
+        monkeypatch.setenv("MBSED_WORKERS", "1")
+        expected = [row.scores for row in run_ablation(run, rows=rows, model_config=cfg)]
+        # 4 CPUs between 2 workers give each 2 BLAS threads, so the workers'
+        # conv_block chunks (two per block 0 batch) run on threads as well
+        monkeypatch.setattr(pipeline, "cpu_count", lambda: 4)
+        monkeypatch.setenv("MBSED_WORKERS", "2")
+        outcome = []
+
+        def ablate():
+            try:
+                outcome.append(run_ablation(run, rows=rows, model_config=cfg))
+            except Exception as exc:  # re-raised below, in the test's thread
+                outcome.append(exc)
+
+        # a worker waiting on threads it does not have would hang the test
+        runner = threading.Thread(target=ablate, daemon=True)
+        runner.start()
+        runner.join(timeout=300)
+        assert not runner.is_alive(), "ablation with 2 workers did not finish in 300 s"
+        if isinstance(outcome[0], Exception):
+            raise outcome[0]
+        assert [row.scores for row in outcome[0]] == expected
 
     def test_scores_like_evaluation(self, long_clip_dirs):
         train, test = long_clip_dirs
