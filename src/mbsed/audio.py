@@ -8,6 +8,7 @@ Hann-windowed frames with 50% overlap, so a 10 second clip maps to a
 
 from __future__ import annotations
 
+import functools
 import struct
 import wave
 from dataclasses import dataclass
@@ -122,12 +123,14 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=None)
 def mel_filterbank(sample_rate: int, n_fft: int, n_bands: int = N_BANDS) -> np.ndarray:
     """Triangular filters (n_bands, n_fft//2 + 1), peak 1, spanning 0-Nyquist.
 
     Band centers are equally spaced on the mel scale; on any interval
     between adjacent centers the two overlapping triangles sum to 1, so
-    per-bin weights across bands never exceed 1.
+    per-bin weights across bands never exceed 1. Built once per arguments
+    and returned read-only, since every caller shares it.
     """
     nyquist = sample_rate / 2.0
     mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(nyquist), n_bands + 2)
@@ -139,6 +142,7 @@ def mel_filterbank(sample_rate: int, n_fft: int, n_bands: int = N_BANDS) -> np.n
         rising = (bin_freqs - lo) / (center - lo)
         falling = (hi - bin_freqs) / (hi - center)
         fb[b] = np.clip(np.minimum(rising, falling), 0.0, None)
+    fb.flags.writeable = False
     return fb
 
 

@@ -10,6 +10,7 @@ consumers, and each rule leaves the tape as soon as it has run.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import queue
 import threading
@@ -526,70 +527,36 @@ def _gemm_rows(rows: np.ndarray) -> np.ndarray:
     return rows if rows.shape[1] > 1 else np.concatenate([rows, np.zeros_like(rows)], axis=1)
 
 
-def _single_channel_kernel_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """(K, kh, kw) kernel gradient of a one-channel conv2d, one gemm per clip.
-
-    ``xp`` is the padded (N, Hp, Wp, 1) input and ``g`` the (N, H', W', K)
-    output gradient; ``cols`` holds every kernel offset's window of one clip.
-    """
-    n, h2, w2, k = g.shape
-    cols = np.zeros((h2, w2, max(2, kh * kw)))
-    flat = cols.reshape(h2 * w2, -1)
-    total = np.zeros((max(2, k), flat.shape[1]))
-    prod = np.empty_like(total)
-    for b in range(n):
-        for i in range(kh):
-            for j in range(kw):
-                cols[:, :, i * kw + j] = xp[b, i : i + h2, j : j + w2, 0]
-        np.dot(_gemm_rows(g[b].reshape(h2 * w2, k)).T, flat, out=prod)
-        total += prod
-    return total[:k, : kh * kw].reshape(k, kh, kw)
-
-
-def _kernel_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """(K, C, kh, kw) gradient of conv2d's kernel, over the whole batch.
-
-    ``xp`` is the padded (N, Hp, Wp, C) input and ``g`` the contiguous
-    (N, H', W', K) output gradient.
-    """
-    n, h2, w2, k = g.shape
-    c = xp.shape[3]
-    if c == 1:
-        return _single_channel_kernel_grad(xp, g, kh, kw)[:, None]
-    m = n * h2 * w2
-    rows = _gemm_rows(g.reshape(m, k))
-    window = np.empty((n, h2, w2, c))  # one offset's input pixels, reused
-    gk = np.empty((k, c, kh, kw))
-    for i in range(kh):
-        for j in range(kw):
-            np.copyto(window, xp[:, i : i + h2, j : j + w2, :])
-            # rows.T is a transposed view on purpose: BLAS rounds a
-            # contiguous copy of it differently in the last bits
-            gk[:, :, i, j] = np.dot(rows.T, window.reshape(m, c))[:k]
-    return gk
-
-
 # Doubles in one conv2d slab buffer (1 MiB). conv2d fills and multiplies
 # one slab of output pixels at a time, so no temporary grows with the batch.
 SLAB_DOUBLES = 1 << 17
 
+# Pixels in one piece of conv2d's backward. OpenBLAS cuts a gemm's inner
+# dimension into blocks of 384 and splits a last remainder of 384 to 768 in
+# two, rounded one way with one thread and another with several unless the
+# remainder is a multiple of 32. So a product whose inner length is at most
+# 384 or a multiple of 32 has the same bits at any thread count.
+PIECE_PIXELS = 384
 
-def _slabs(n: int, h2: int, w2: int, width: int) -> list[tuple[slice, slice]]:
-    """(clips, rows) slices that tile an (n, h2, w2) output in slabs of at
-    most ``SLAB_DOUBLES // width`` pixels (and never less than one row).
 
-    A slab holds whole clips when one clip fits, and otherwise rows of one
-    clip; either way its pixels are contiguous in an NHWC array.
+def _slabs(
+    n: int, h: int, w: int, pixels: int, whole_clips: bool = True
+) -> list[tuple[slice, slice]]:
+    """(clips, rows) slices that tile an (n, h, w) image in slabs of at
+    most ``pixels`` pixels (and never less than one row).
+
+    A slab holds whole clips when one clip fits and ``whole_clips`` allows
+    it, and otherwise rows of one clip; either way its pixels are
+    contiguous in an NHWC array.
     """
-    pixels = max(w2, SLAB_DOUBLES // width)
-    if h2 * w2 <= pixels:
-        step = pixels // (h2 * w2)
-        return [(slice(b, min(b + step, n)), slice(0, h2)) for b in range(0, n, step)]
-    step = pixels // w2
+    if whole_clips and h * w <= pixels:
+        step = pixels // (h * w)
+        return [(slice(b, min(b + step, n)), slice(0, h)) for b in range(0, n, step)]
+    step = max(1, pixels // w)
     return [
-        (slice(b, b + 1), slice(r, min(r + step, h2)))
+        (slice(b, b + 1), slice(r, min(r + step, h)))
         for b in range(n)
-        for r in range(0, h2, step)
+        for r in range(0, h, step)
     ]
 
 
@@ -606,8 +573,41 @@ def _check_conv(x: Tensor, kernel: Tensor, padding: tuple[int, int]) -> None:
 
 
 def _pad(x: np.ndarray, padding: tuple[int, int]) -> np.ndarray:
+    """NHWC ``x`` with ``padding`` (rows, columns) of zeros on both sides of
+    each image axis; a negative count crops that many instead."""
     ph, pw = padding
+    h, w = x.shape[1:3]
+    x = x[:, max(0, -ph) : h - max(0, -ph), max(0, -pw) : w - max(0, -pw)]
+    ph, pw = max(0, ph), max(0, pw)
     return np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0))) if (ph or pw) else x
+
+
+def _windows(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """(N, H', W', kh, kw, C) view of the (kh, kw) windows of NHWC ``xp``,
+    each in the row order of a (kh*kw*C, ·) kernel matrix."""
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    return windows.transpose(0, 1, 2, 4, 5, 3)
+
+
+def _column_buffer(windows: np.ndarray, slab: tuple) -> np.ndarray:
+    """A buffer for the im2col columns of ``slab``, the largest slab, with
+    at least two columns (see ``_gemm_rows``) and past ``PIECE_PIXELS`` a
+    multiple of 32 (see there); its columns past a window are zeros."""
+    width = math.prod(windows.shape[3:])
+    cols = max(2, width) if width <= PIECE_PIXELS else -(-width // 32) * 32
+    buf = np.empty((math.prod(windows[slab].shape[:3]), cols))
+    buf[:, width:] = 0.0
+    return buf
+
+
+def _columns(windows: np.ndarray, slab: tuple, buf: np.ndarray) -> np.ndarray:
+    """The first rows of ``buf`` (see ``_column_buffer``), holding one
+    im2col row per pixel of ``slab``: its window, then zeros."""
+    src = windows[slab]
+    cols = buf[: math.prod(src.shape[:3])]
+    # the reshape only splits rows and window columns, so it is a view of buf
+    np.copyto(cols[:, : math.prod(src.shape[3:])].reshape(src.shape), src)
+    return cols
 
 
 def _conv_forward(xp: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -617,53 +617,50 @@ def _conv_forward(xp: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     k, _, kh, kw = kernel.shape
     h2, w2 = hp - kh + 1, wp - kw + 1
     width = kh * kw * c
-    slabs = _slabs(n, h2, w2, width)  # the first slab is the largest
-    # (N, H', W', kh, kw, C): the input pixels each output pixel meets, in
-    # the row order of the kernel matrix
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    windows = windows.transpose(0, 1, 2, 4, 5, 3)
-    kmat = kernel.transpose(2, 3, 1, 0).reshape(width, k)
-
+    slabs = _slabs(n, h2, w2, SLAB_DOUBLES // width)
+    windows = _windows(xp, kh, kw)
+    buf = _column_buffer(windows, slabs[0])  # the first slab is the largest
+    kmat = np.zeros((buf.shape[1], k))  # zero rows for the buffer's zero columns
+    kmat[:width] = kernel.transpose(2, 3, 1, 0).reshape(width, k)
     out = np.empty((n, h2, w2, k))
-    cols = np.empty(windows[slabs[0]].size)
     for slab in slabs:
-        src = windows[slab]
-        dst = cols[: src.size].reshape(src.shape)
-        np.copyto(dst, src)
-        np.dot(dst.reshape(-1, width), kmat, out=out[slab].reshape(-1, k))
+        np.dot(_columns(windows, slab, buf), kmat, out=out[slab].reshape(-1, k))
     return out
 
 
-def _conv_backward(
-    x: Tensor, kernel: Tensor, padding: tuple[int, int], xp: np.ndarray, g: np.ndarray
-) -> None:
-    """Accumulate the kernel and input gradients of a conv whose padded
-    input is ``xp`` and whose contiguous output gradient is ``g``."""
-    n, h2, w2, k = g.shape
-    kh, kw = kernel.shape[2:]
-    if _tracked(kernel):
-        _accumulate(kernel, _kernel_grad(xp, g, kh, kw))
-    if not _tracked(x):
-        return
-    c = xp.shape[3]
-    gxp = np.zeros_like(xp)
-    kt = kernel.data.transpose(2, 3, 0, 1).copy()  # (kh, kw, K, C)
-    slabs = _slabs(n, h2, w2, kh * kw * c)
-    contrib = np.empty(g[slabs[0]].size // k * c)
-    for clips, rows in slabs:
-        g_rows = g[clips, rows].reshape(-1, k)
-        part = contrib[: len(g_rows) * c].reshape(-1, c)
-        for i in range(kh):
-            for j in range(kw):
-                np.dot(g_rows, kt[i, j], out=part)
-                target = gxp[clips, rows.start + i : rows.stop + i, j : j + w2]
-                target += part.reshape(target.shape)
-    h, w = x.shape[1:3]
-    ph, pw = padding
-    # a contiguous copy of the unpadded part is owned, so it becomes x.grad
-    # without a zero-filled buffer to add it into
-    gx = gxp[:, ph : ph + h, pw : pw + w].copy() if (ph or pw) else gxp
-    _accumulate(x, gx, owned=True)
+def _conv_backward(x: Tensor, kernel: Tensor, padding: tuple[int, int], g: np.ndarray) -> None:
+    """Accumulate the kernel and input gradients of a conv whose contiguous
+    output gradient is ``g`` (see ``conv2d``)."""
+    k, c, kh, kw = kernel.shape
+    total = 0.0  # the kernel gradient's sum over pieces, in piece order
+    if _tracked(x):
+        # row (i, j, k) of an x pixel's column of the padded g meets that
+        # pixel through kernel offset (kh - 1 - i, kw - 1 - j)
+        windows = _windows(_pad(g, (kh - 1 - padding[0], kw - 1 - padding[1])), kh, kw)
+        gx = np.empty(x.shape)
+        pieces = _slabs(*x.shape[:3], PIECE_PIXELS, whole_clips=False)
+        buf = _column_buffer(windows, pieces[0])
+        kflip = np.zeros((buf.shape[1], c))
+        kflip[: kh * kw * k] = kernel.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, c)
+        for piece in pieces:
+            cols = _columns(windows, piece, buf)
+            np.dot(cols, kflip, out=gx[piece].reshape(-1, c))
+            if _tracked(kernel):
+                total += np.dot(cols.T, _gemm_rows(x.data[piece].reshape(-1, c)))
+        _accumulate(x, gx, owned=True)
+        if _tracked(kernel):
+            gk = total[: kh * kw * k, :c].reshape(kh, kw, k, c)[::-1, ::-1].transpose(2, 3, 0, 1)
+            _accumulate(kernel, gk)
+    elif _tracked(kernel):
+        windows = _windows(_pad(x.data, padding), kh, kw)
+        width = kh * kw * c
+        pixels = max(1, SLAB_DOUBLES // width // PIECE_PIXELS) * PIECE_PIXELS
+        pieces = _slabs(*g.shape[:3], pixels, whole_clips=False)
+        buf = _column_buffer(windows, pieces[0])
+        for piece in pieces:
+            cols = _columns(windows, piece, buf)
+            total += np.dot(_gemm_rows(g[piece].reshape(-1, k)).T, cols)
+        _accumulate(kernel, total[:k, :width].reshape(k, kh, kw, c).transpose(0, 3, 1, 2))
 
 
 def conv2d(x: Tensor, kernel: Tensor, padding: tuple[int, int] = (0, 0)) -> Tensor:
@@ -674,34 +671,31 @@ def conv2d(x: Tensor, kernel: Tensor, padding: tuple[int, int] = (0, 0)) -> Tens
 
     The forward is im2col over slabs of output pixels (``_slabs``): whole
     clips when one fits in ``SLAB_DOUBLES``, else rows of one clip. One
-    ``np.copyto`` from a sliding-window view fills a slab's
-    (pixels, kh*kw*C) columns, and one gemm with the (kh*kw*C, K) kernel
-    matrix writes the slab's output in place. The input gradient walks the
-    same slabs: per kernel offset, one (pixels, K) x (K, C) product into a
-    contiguous buffer, added into the padded input gradient. Slab buffers
-    live only inside one call, so memory does not grow with the batch
-    beyond the input, output and their gradients.
+    ``np.copyto`` from a sliding-window view fills a slab's columns, and one
+    gemm with the kernel matrix writes the slab's output in place. Slab
+    buffers live only inside one call, so memory does not grow with the
+    batch beyond the input, output and their gradients.
 
-    The kernel gradient stays one product over the whole batch. Per slab,
-    its inner dimension would be the slab's pixel count, and OpenBLAS
-    blocks some inner lengths differently with one thread than with
-    several: at the gate encoder's block 2 a per-slab (16, 1000) x
-    (1000, 72) product gave different bits at 1 and 2 threads. With C > 1
-    it is one (K, N*H'*W') x (N*H'*W', C) product per offset. With one
-    input channel each offset's product would be a gemv, which OpenBLAS
-    splits between threads when its output is short; instead each clip's
-    gradient is one gemm of its output gradient with an (H'*W', kh*kw)
-    buffer of every offset's window (at least two columns, so numpy calls
-    gemm).
+    The backward walks pieces of rows of one clip, so that no bit of the
+    kernel gradient depends on the batch size or the BLAS thread count.
+    With the input tracked, the output gradient is padded by
+    (kh - 1 - ph, kw - 1 - pw), or cropped where the padding is larger, and
+    each piece of at most ``PIECE_PIXELS`` input pixels gets one im2col
+    copy of its windows. Those (pixels, kh*kw*K) columns feed two gemms:
+    with the flipped kernel into the piece's rows of the input gradient,
+    and, transposed, with the piece's input rows into the kernel gradient,
+    summed in piece order. With the input untracked (an encoder's first
+    block) the kernel gradient takes im2col pieces of the padded input, of
+    the largest multiple of ``PIECE_PIXELS`` pixels that fits in
+    ``SLAB_DOUBLES``, or of a clip's remaining rows.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     _check_conv(x, kernel, padding)
-    xp = _pad(x.data, padding)
-    out = Tensor(_conv_forward(xp, kernel.data))
+    out = Tensor(_conv_forward(_pad(x.data, padding), kernel.data))
 
     def backward():
         if out.grad is not None:
-            _conv_backward(x, kernel, padding, xp, np.ascontiguousarray(out.grad))
+            _conv_backward(x, kernel, padding, np.ascontiguousarray(out.grad))
 
     return _record((x, kernel), out, backward)
 
@@ -889,8 +883,10 @@ def _run_chunks(
     one row).
 
     The chunks run on a pool of as many threads as numpy's OpenBLAS has
-    right now, inline when that is one or there is one chunk: a process
-    whose BLAS was given one thread (an ablation worker) starts none. ``fn``
+    right now, inline when that is one or there are fewer than four chunks
+    per thread: a process whose BLAS was given one thread (an ablation
+    worker) starts none, and a small block (a batch-1 prediction) does not
+    pay for the hand-off. ``fn``
     must only write its own rows, so the result does not depend on the
     thread count or on which chunks run together.
 
@@ -902,8 +898,8 @@ def _run_chunks(
     global _chunk_pool
     step = min(rows, max(1, CHUNK_DOUBLES // row_doubles))
     parts = [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
-    threads = _blas_threads() if len(parts) > 1 else 1
-    if threads == 1:
+    threads = _blas_threads()
+    if threads == 1 or len(parts) < 4 * threads:
         buffers = scratch(step)
         for part in parts:
             fn(part, buffers)
@@ -1188,7 +1184,7 @@ def conv_block(
                 np.multiply(x_rows, coeff_w, out=x_rows)
 
         _run_chunks(scatter, n * h2, q * w * c, pooled_rows)
-        _conv_backward(x, kernel, padding, _pad(x.data, padding), y)
+        _conv_backward(x, kernel, padding, y)
 
     return _record((x, kernel, gamma, beta), out, backward)
 

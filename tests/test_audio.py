@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mbsed import audio
 from mbsed.audio import (
     LOG_FLOOR,
     PIPELINE_RATE,
@@ -21,6 +22,10 @@ from mbsed.audio import (
     write_features,
     write_wav,
 )
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def tone(freq, seconds=1.0, rate=PIPELINE_RATE, amp=0.5):
@@ -158,6 +163,23 @@ class TestMelScale:
     def test_every_band_nonempty(self):
         fb = mel_filterbank(PIPELINE_RATE, 1024, 64)
         assert np.all(fb.sum(axis=1) > 0.0)
+
+    def test_cached_filterbank_is_shared_and_read_only(self):
+        fb = mel_filterbank(PIPELINE_RATE, 1024, 64)
+        assert mel_filterbank(PIPELINE_RATE, 1024, 64) is fb
+        assert same_bits(fb, mel_filterbank.__wrapped__(PIPELINE_RATE, 1024, 64))
+        with pytest.raises(ValueError):
+            fb[0, 0] = 1.0
+        # other arguments get a filterbank of their own
+        assert mel_filterbank(PIPELINE_RATE, 1024, 40).shape == (40, 513)
+        assert mel_filterbank(16000, 1024, 64) is not fb
+
+    def test_features_match_an_uncached_filterbank(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        clip = AudioClip(rng.uniform(-1, 1, 22050), PIPELINE_RATE)
+        cached = logmel(clip).features
+        monkeypatch.setattr(audio, "mel_filterbank", mel_filterbank.__wrapped__)
+        assert same_bits(cached, logmel(clip).features)
 
 
 class TestLogmel:

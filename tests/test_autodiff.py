@@ -67,6 +67,24 @@ def conv2d_loops(x, k, padding):
     return out
 
 
+def conv2d_grads_loops(x, k, g, padding):
+    """Input and kernel gradients of sum(conv2d(x, k, padding) * g), one
+    kernel offset at a time over the zero-padded input."""
+    n, h, w, c = x.shape
+    kk, _, kh, kw = k.shape
+    ph, pw = padding
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    h2, w2 = g.shape[1:3]
+    gxp = np.zeros_like(xp)
+    gk = np.zeros_like(k)
+    for i in range(kh):
+        for j in range(kw):
+            window = xp[:, i : i + h2, j : j + w2]
+            gk[:, :, i, j] = np.einsum("nhwk,nhwc->kc", g, window)
+            gxp[:, i : i + h2, j : j + w2] += np.einsum("nhwk,kc->nhwc", g, k[:, :, i, j])
+    return gxp[:, ph : ph + h, pw : pw + w], gk
+
+
 def batch_norm_loops(x, gamma, beta, eps):
     """Two-pass per-channel mean/variance normalization of NHWC input."""
     out = np.empty_like(x)
@@ -197,8 +215,13 @@ class TestConv2d:
             ((4, 125, 8, 64), (64, 64, 3, 3), (1, 1)),
             ((1, 40000, 16, 1), (1, 1, 3, 3), (1, 1)),
             ((1, 40000, 16, 2), (1, 2, 3, 3), (1, 1)),
+            ((3, 500, 4, 64), (64, 64, 3, 3), (1, 1)),
+            ((2, 100, 16, 48), (48, 48, 3, 3), (1, 1)),
         ],
-        ids=["K2_1x1", "K40_3x3", "K8_C2_3x3", "K16_C8_3x3", "K64_C64_3x3", "K1_3x3", "K1_C2_3x3"],
+        ids=[
+            "K2_1x1", "K40_3x3", "K8_C2_3x3", "K16_C8_3x3", "K64_C64_3x3", "K1_3x3", "K1_C2_3x3",
+            "K64_C64_3x3_3clips", "K48_C48_3x3",
+        ],
     )
     def test_same_bits_at_any_blas_thread_count(self, blas_threads, shape, kernel, padding):
         # one input channel and N*H*W = 256000 output rows, where OpenBLAS
@@ -206,8 +229,13 @@ class TestConv2d:
         # encoder's blocks 1 and 2 at batch 8, whose products are short
         # enough that their blocking could depend on the thread count; a
         # large-preset block whose forward product has 576 = 9 * 64 inner
-        # terms, more than OpenBLAS takes in one block; and one output
-        # channel over 640000 pixels, whose kernel gradient would be a gemv
+        # terms, more than OpenBLAS takes in one block; one output channel
+        # over 640000 pixels, whose kernel gradient would be a gemv; and a
+        # last batch of 3 clips at a large-preset block, whose kernel
+        # gradient over the whole batch (6000 pixels) OpenBLAS blocked
+        # differently at 1, 2 and 4 threads; and 48 channels in and out,
+        # whose forward and input-gradient products would have 432 inner
+        # terms, a remainder past 384 that is not a multiple of 32
         rng = np.random.default_rng(17)
         x_data = rng.standard_normal(shape)
         k_data = rng.standard_normal(kernel)
@@ -258,6 +286,81 @@ class TestConv2d:
         xt = Tensor(x, requires_grad=True)
         assert grad_check(lambda t: loss(t, Tensor(k)), xt, eps=1e-3) <= 1e-6
 
+    @pytest.mark.parametrize(
+        "case, padding",
+        [
+            ("pieces", (1, 1)),
+            ("pieces", (0, 0)),
+            ("pieces", (0, 2)),
+            ("pieces", (3, 2)),
+            ("short_clip", (1, 1)),
+        ],
+    )
+    def test_backward_pieces_match_oracle(self, case, padding):
+        # the backward walks pieces of PIECE_PIXELS // 8 rows of one 8-wide
+        # clip: two full pieces and a ragged third, or a second clip shorter
+        # than one piece; padding 3 > kernel - 1 crops the output gradient
+        w, c = 8, 2
+        rows = ad.PIECE_PIXELS // w
+        n, h = (1, 2 * rows + 5) if case == "pieces" else (2, rows - 7)
+        rng = np.random.default_rng(37)
+        x = rng.standard_normal((n, h, w, c))
+        k = rng.standard_normal((3, c, 3, 3))
+        probe = rng.standard_normal((n, h + 2 * padding[0] - 2, w + 2 * padding[1] - 2, 3))
+
+        def loss(xt, kt):
+            return reduce_sum(ad.mul(conv2d(xt, kt, padding), probe))
+
+        xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
+        loss(xt, kt).backward()
+        want_x, want_k = conv2d_grads_loops(x, k, probe, padding)
+        np.testing.assert_allclose(xt.grad, want_x, atol=1e-10)
+        np.testing.assert_allclose(kt.grad, want_k, atol=1e-10)
+        # the loss is linear in each argument (see the slab test)
+        kt = Tensor(k, requires_grad=True)
+        assert grad_check(lambda t: loss(Tensor(x), t), kt, eps=1e-3) <= 1e-6
+        xt = Tensor(x, requires_grad=True)
+        assert grad_check(lambda t: loss(t, Tensor(k)), xt, eps=1e-3) <= 1e-6
+
+    def test_zero_padded_columns_match_oracle(self):
+        # 48 channels in and out: 432 im2col columns, which the buffers
+        # widen with zeros to 448
+        rng = np.random.default_rng(43)
+        x = rng.standard_normal((1, 4, 5, 48))
+        k = rng.standard_normal((48, 48, 3, 3))
+        probe = rng.standard_normal((1, 4, 5, 48))
+        xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
+        out = conv2d(xt, kt, (1, 1))
+        np.testing.assert_allclose(out.data, conv2d_loops(x, k, (1, 1)), atol=1e-11)
+        reduce_sum(ad.mul(out, probe)).backward()
+        want_x, want_k = conv2d_grads_loops(x, k, probe, (1, 1))
+        np.testing.assert_allclose(xt.grad, want_x, atol=1e-11)
+        np.testing.assert_allclose(kt.grad, want_k, atol=1e-11)
+
+    @pytest.mark.parametrize("kernel", [(2, 1, 1, 1), (3, 1, 3, 3)], ids=["1x1", "3x3"])
+    def test_untracked_input_kernel_gradient_matches_oracle(self, kernel):
+        # an untracked one-channel input, as in an encoder's first block:
+        # the kernel gradient takes pieces of as many multiples of
+        # PIECE_PIXELS as fit in SLAB_DOUBLES of columns, here two per clip
+        # (a full one and a ragged one)
+        kk, c, kh, kw = kernel
+        w = 64
+        pixels = ad.SLAB_DOUBLES // (kh * kw * c) // ad.PIECE_PIXELS * ad.PIECE_PIXELS
+        h = pixels // w + 13
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((2, h, w, c))
+        k = rng.standard_normal(kernel)
+        padding = (kh // 2, kw // 2)
+        probe = rng.standard_normal((2, h, w, kk))
+
+        def loss(kt):
+            return reduce_sum(ad.mul(conv2d(Tensor(x), kt, padding), probe))
+
+        kt = Tensor(k, requires_grad=True)
+        loss(kt).backward()
+        np.testing.assert_allclose(kt.grad, conv2d_grads_loops(x, k, probe, padding)[1], atol=1e-9)
+        assert grad_check(loss, Tensor(k, requires_grad=True), eps=1e-3) <= 1e-6
+
     def test_memory_stays_within_operands(self):
         # the small preset's block 1 at batch 2: 40 -> 40 channels, 3x3
         rng = np.random.default_rng(29)
@@ -282,8 +385,7 @@ class TestConv2d:
             for rule in reversed(out.tape._resolve().entries):
                 rule()
             peak = tracemalloc.get_traced_memory()[1]
-            # backward adds the padded input gradient and the input gradient
-            # (or, before them, one kernel offset's window of the input)
+            # backward adds the padded output gradient and the input gradient
             assert peak - current <= padded_bytes + in_bytes + slack
         finally:
             tracemalloc.stop()
@@ -611,18 +713,23 @@ class TestConvBlock:
     @pytest.mark.parametrize("gammas", list(BLOCK_GAMMAS))
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("pools", [(1, 4), (4, 2)])
-    def test_same_bits_at_any_thread_count(self, blas_threads, pools, batch, gammas, train):
+    def test_same_bits_at_any_thread_count(
+        self, blas_threads, monkeypatch, pools, batch, gammas, train
+    ):
         # conv_block's per-pixel work runs in chunks of CHUNK_DOUBLES // (q*W*C)
-        # window rows, one thread per BLAS thread: here two full chunks and
-        # a partial third, which cross clip boundaries at batch 3
+        # window rows, one thread per BLAS thread once there are four chunks
+        # per thread: here, in 32 KiB chunks, 16 full chunks and a partial
+        # 17th, so 2 and 4 threads both run them, and they cross clip
+        # boundaries at batch 3
+        monkeypatch.setattr(ad, "CHUNK_DOUBLES", 1 << 12)
         q, p = pools
         gamma_data = np.array(BLOCK_GAMMAS[gammas])
         k = len(gamma_data)
         w = 3 * p
         step = ad.CHUNK_DOUBLES // (q * w * k)
-        h = q * -(-(2 * step + 3) // batch)  # ceil((2 * step + 3) / batch) windows
+        h = q * -(-(16 * step + 3) // batch)  # ceil((16 * step + 3) / batch) windows
         window_rows = batch * h // q
-        assert 2 * step < window_rows < 3 * step
+        assert 16 * step < window_rows < 17 * step
         rng = np.random.default_rng(q * 10 + p + batch)
         x_data = np.maximum(rng.standard_normal((batch, h, w, 2)), 0.0)
         x_data[:, : 2 * q] = 0.0  # ties: these windows' conv outputs are all 0

@@ -406,7 +406,10 @@ class TestAblation:
         self, data_dirs, monkeypatch, blas_threads
     ):
         # a conv_block backward on two BLAS threads starts its chunk threads
-        # in this process; fork copies none of them into the workers
+        # in this process; fork copies none of them into the workers. Chunks
+        # of 128 KiB, which the workers inherit, give each block at least the
+        # four chunks per thread that conv_block needs to use its threads
+        monkeypatch.setattr(ad, "CHUNK_DOUBLES", 1 << 14)
         blas_threads(2)
         rng = np.random.default_rng(41)
         x = ad.Tensor(rng.standard_normal((2, 500, 64, 1)), requires_grad=True)
@@ -423,7 +426,7 @@ class TestAblation:
         monkeypatch.setenv("MBSED_WORKERS", "1")
         expected = [row.scores for row in run_ablation(run, rows=rows, model_config=cfg)]
         # 4 CPUs between 2 workers give each 2 BLAS threads, so the workers'
-        # conv_block chunks (two per block 0 batch) run on threads as well
+        # conv_block chunks (32 per block 0 batch of 4) run on threads as well
         monkeypatch.setattr(pipeline, "cpu_count", lambda: 4)
         monkeypatch.setenv("MBSED_WORKERS", "2")
         outcome = []
