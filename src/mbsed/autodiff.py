@@ -590,14 +590,18 @@ def _windows(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
 
 
 def _column_buffer(windows: np.ndarray, slab: tuple) -> np.ndarray:
-    """A buffer for the im2col columns of ``slab``, the largest slab, with
-    at least two columns (see ``_gemm_rows``) and past ``PIECE_PIXELS`` a
-    multiple of 32 (see there); its columns past a window are zeros."""
+    """A buffer for the im2col columns of ``slab``, the largest slab, past
+    ``PIECE_PIXELS`` widened with zero columns to a multiple of 32 (see there)."""
     width = math.prod(windows.shape[3:])
-    cols = max(2, width) if width <= PIECE_PIXELS else -(-width // 32) * 32
+    cols = width if width <= PIECE_PIXELS else -(-width // 32) * 32
     buf = np.empty((math.prod(windows[slab].shape[:3]), cols))
     buf[:, width:] = 0.0
     return buf
+
+
+def _zero_rows(mat: np.ndarray, rows: int) -> np.ndarray:
+    """``mat`` with zero rows up to ``rows``, for a ``_column_buffer``'s zeros."""
+    return mat if len(mat) == rows else np.pad(mat, ((0, rows - len(mat)), (0, 0)))
 
 
 def _columns(windows: np.ndarray, slab: tuple, buf: np.ndarray) -> np.ndarray:
@@ -620,8 +624,7 @@ def _conv_forward(xp: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     slabs = _slabs(n, h2, w2, SLAB_DOUBLES // width)
     windows = _windows(xp, kh, kw)
     buf = _column_buffer(windows, slabs[0])  # the first slab is the largest
-    kmat = np.zeros((buf.shape[1], k))  # zero rows for the buffer's zero columns
-    kmat[:width] = kernel.transpose(2, 3, 1, 0).reshape(width, k)
+    kmat = _zero_rows(kernel.transpose(2, 3, 1, 0).reshape(width, k), buf.shape[1])
     out = np.empty((n, h2, w2, k))
     for slab in slabs:
         np.dot(_columns(windows, slab, buf), kmat, out=out[slab].reshape(-1, k))
@@ -640,13 +643,13 @@ def _conv_backward(x: Tensor, kernel: Tensor, padding: tuple[int, int], g: np.nd
         gx = np.empty(x.shape)
         pieces = _slabs(*x.shape[:3], PIECE_PIXELS, whole_clips=False)
         buf = _column_buffer(windows, pieces[0])
-        kflip = np.zeros((buf.shape[1], c))
-        kflip[: kh * kw * k] = kernel.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, c)
+        kflip = kernel.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, c)
+        kflip = _zero_rows(kflip, buf.shape[1])
         for piece in pieces:
             cols = _columns(windows, piece, buf)
             np.dot(cols, kflip, out=gx[piece].reshape(-1, c))
             if _tracked(kernel):
-                total += np.dot(cols.T, _gemm_rows(x.data[piece].reshape(-1, c)))
+                total += np.dot(_gemm_rows(cols).T, _gemm_rows(x.data[piece].reshape(-1, c)))
         _accumulate(x, gx, owned=True)
         if _tracked(kernel):
             gk = total[: kh * kw * k, :c].reshape(kh, kw, k, c)[::-1, ::-1].transpose(2, 3, 0, 1)
@@ -654,11 +657,11 @@ def _conv_backward(x: Tensor, kernel: Tensor, padding: tuple[int, int], g: np.nd
     elif _tracked(kernel):
         windows = _windows(_pad(x.data, padding), kh, kw)
         width = kh * kw * c
-        pixels = max(1, SLAB_DOUBLES // width // PIECE_PIXELS) * PIECE_PIXELS
-        pieces = _slabs(*g.shape[:3], pixels, whole_clips=False)
+        many = max(1, SLAB_DOUBLES // width // PIECE_PIXELS) if g.shape[2] % 32 == 0 else 1
+        pieces = _slabs(*g.shape[:3], many * PIECE_PIXELS, whole_clips=False)
         buf = _column_buffer(windows, pieces[0])
         for piece in pieces:
-            cols = _columns(windows, piece, buf)
+            cols = _gemm_rows(_columns(windows, piece, buf))
             total += np.dot(_gemm_rows(g[piece].reshape(-1, k)).T, cols)
         _accumulate(kernel, total[:k, :width].reshape(k, kh, kw, c).transpose(0, 3, 1, 2))
 
@@ -676,18 +679,17 @@ def conv2d(x: Tensor, kernel: Tensor, padding: tuple[int, int] = (0, 0)) -> Tens
     buffers live only inside one call, so memory does not grow with the
     batch beyond the input, output and their gradients.
 
-    The backward walks pieces of rows of one clip, so that no bit of the
-    kernel gradient depends on the batch size or the BLAS thread count.
-    With the input tracked, the output gradient is padded by
-    (kh - 1 - ph, kw - 1 - pw), or cropped where the padding is larger, and
-    each piece of at most ``PIECE_PIXELS`` input pixels gets one im2col
-    copy of its windows. Those (pixels, kh*kw*K) columns feed two gemms:
-    with the flipped kernel into the piece's rows of the input gradient,
-    and, transposed, with the piece's input rows into the kernel gradient,
-    summed in piece order. With the input untracked (an encoder's first
-    block) the kernel gradient takes im2col pieces of the padded input, of
-    the largest multiple of ``PIECE_PIXELS`` pixels that fits in
-    ``SLAB_DOUBLES``, or of a clip's remaining rows.
+    The backward walks pieces of rows of one clip. With the input tracked,
+    a piece of at most ``PIECE_PIXELS`` pixels gets one im2col copy of the
+    output gradient padded by (kh - 1 - ph, kw - 1 - pw) (cropped where that
+    is negative), whose (pixels, kh*kw*K) columns feed two gemms: with the
+    flipped kernel into the piece's input-gradient rows, and with its input
+    rows into the kernel gradient, summed in piece order. With the input
+    untracked (an encoder's first block), the kernel gradient takes im2col
+    pieces of the padded input: as many times ``PIECE_PIXELS`` pixels as fit
+    in ``SLAB_DOUBLES`` at an output width that is a multiple of 32, else at
+    most ``PIECE_PIXELS``. No kernel-gradient bit depends on the batch size,
+    nor, at widths up to 384 or a multiple of 32, on the BLAS thread count.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     _check_conv(x, kernel, padding)
@@ -883,23 +885,23 @@ def _run_chunks(
     one row).
 
     The chunks run on a pool of as many threads as numpy's OpenBLAS has
-    right now, inline when that is one or there are fewer than four chunks
-    per thread: a process whose BLAS was given one thread (an ablation
-    worker) starts none, and a small block (a batch-1 prediction) does not
-    pay for the hand-off. ``fn``
-    must only write its own rows, so the result does not depend on the
-    thread count or on which chunks run together.
+    right now, at most one per four chunks at once, and inline when that
+    allows only one: an ablation worker, whose BLAS has one thread, starts
+    none, and a small block (a batch-1 prediction) skips the hand-off.
+    ``fn`` must only write its own rows, so the result does not depend on
+    the thread count or on which chunks run together.
 
     ``buffers`` is what ``scratch(rows_per_chunk)`` returned, made on the
-    calling thread once per thread, and ``fn`` keeps its temporaries there:
-    memory a worker thread allocates stays in that thread's malloc arena
-    once freed, so it would add to the process's resident size.
+    calling thread once per running chunk, and ``fn`` keeps its temporaries
+    there: memory a worker thread allocates stays in that thread's malloc
+    arena once freed, so it would add to the process's resident size.
     """
     global _chunk_pool
     step = min(rows, max(1, CHUNK_DOUBLES // row_doubles))
     parts = [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
     threads = _blas_threads()
-    if threads == 1 or len(parts) < 4 * threads:
+    running = min(threads, len(parts) // 4)  # chunks that run at once
+    if running <= 1:
         buffers = scratch(step)
         for part in parts:
             fn(part, buffers)
@@ -912,7 +914,7 @@ def _run_chunks(
             _chunk_pool = (key, ThreadPoolExecutor(threads, thread_name_prefix="mbsed-chunk"))
         pool = _chunk_pool[1]
     free = queue.SimpleQueue()  # one set of buffers per running chunk
-    for _ in range(min(threads, len(parts))):
+    for _ in range(running):
         free.put(scratch(step))
 
     def run(part: slice) -> None:

@@ -5,6 +5,8 @@ independently of the library code; gradients against central finite
 differences via grad_check.
 """
 
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -206,24 +208,28 @@ class TestConv2d:
         assert same_bits(grads[0], grads[1])
 
     @pytest.mark.parametrize(
-        "shape, kernel, padding",
+        "shape, kernel, padding, tracked",
         [
-            ((4, 1000, 64, 1), (2, 1, 1, 1), (0, 0)),
-            ((8, 500, 64, 1), (40, 1, 3, 3), (1, 1)),
-            ((8, 125, 32, 2), (8, 2, 3, 3), (1, 1)),
-            ((8, 125, 8, 8), (16, 8, 3, 3), (1, 1)),
-            ((4, 125, 8, 64), (64, 64, 3, 3), (1, 1)),
-            ((1, 40000, 16, 1), (1, 1, 3, 3), (1, 1)),
-            ((1, 40000, 16, 2), (1, 2, 3, 3), (1, 1)),
-            ((3, 500, 4, 64), (64, 64, 3, 3), (1, 1)),
-            ((2, 100, 16, 48), (48, 48, 3, 3), (1, 1)),
+            ((4, 1000, 64, 1), (2, 1, 1, 1), (0, 0), True),
+            ((8, 500, 64, 1), (40, 1, 3, 3), (1, 1), True),
+            ((8, 125, 32, 2), (8, 2, 3, 3), (1, 1), True),
+            ((8, 125, 8, 8), (16, 8, 3, 3), (1, 1), True),
+            ((4, 125, 8, 64), (64, 64, 3, 3), (1, 1), True),
+            ((1, 40000, 16, 1), (1, 1, 3, 3), (1, 1), True),
+            ((1, 40000, 16, 2), (1, 2, 3, 3), (1, 1), True),
+            ((3, 500, 4, 64), (64, 64, 3, 3), (1, 1), True),
+            ((2, 100, 16, 48), (48, 48, 3, 3), (1, 1), True),
+            ((8, 500, 64, 1), (2, 1, 1, 1), (0, 0), False),
+            ((2, 500, 62, 1), (40, 1, 3, 3), (1, 1), False),
         ],
         ids=[
             "K2_1x1", "K40_3x3", "K8_C2_3x3", "K16_C8_3x3", "K64_C64_3x3", "K1_3x3", "K1_C2_3x3",
-            "K64_C64_3x3_3clips", "K48_C48_3x3",
+            "K64_C64_3x3_3clips", "K48_C48_3x3", "K2_1x1_untracked", "K40_3x3_w62_untracked",
         ],
     )
-    def test_same_bits_at_any_blas_thread_count(self, blas_threads, shape, kernel, padding):
+    def test_same_bits_at_any_blas_thread_count(
+        self, blas_threads, shape, kernel, padding, tracked
+    ):
         # one input channel and N*H*W = 256000 output rows, where OpenBLAS
         # would split a gemv's sum between threads; then the gate's compact
         # encoder's blocks 1 and 2 at batch 8, whose products are short
@@ -235,7 +241,12 @@ class TestConv2d:
         # gradient over the whole batch (6000 pixels) OpenBLAS blocked
         # differently at 1, 2 and 4 threads; and 48 channels in and out,
         # whose forward and input-gradient products would have 432 inner
-        # terms, a remainder past 384 that is not a multiple of 32
+        # terms, a remainder past 384 that is not a multiple of 32. Then
+        # untracked one-channel inputs, whose kernel gradient takes pieces of
+        # as many rows as fit in SLAB_DOUBLES of columns: the gate's compact
+        # block 0, with one im2col column, and a 62-wide image, whose pieces
+        # of 229 * 62 = 14198 pixels OpenBLAS would block differently at 1,
+        # 2 and 4 threads
         rng = np.random.default_rng(17)
         x_data = rng.standard_normal(shape)
         k_data = rng.standard_normal(kernel)
@@ -243,11 +254,11 @@ class TestConv2d:
         results = []
         for threads in (1, 2, 4):
             blas_threads(threads)
-            x = Tensor(x_data, requires_grad=True)
+            x = Tensor(x_data, requires_grad=tracked)
             k = Tensor(k_data, requires_grad=True)
             out = conv2d(x, k, padding=padding)
             reduce_sum(ad.mul(out, probe)).backward()
-            results.append((out.data, k.grad, x.grad))
+            results.append((out.data, k.grad, x.grad if tracked else np.empty(0)))
         for other in results[1:]:
             for name, a, b in zip(("output", "kernel grad", "input grad"), results[0], other):
                 assert same_bits(a, b), name
@@ -337,16 +348,19 @@ class TestConv2d:
         np.testing.assert_allclose(xt.grad, want_x, atol=1e-11)
         np.testing.assert_allclose(kt.grad, want_k, atol=1e-11)
 
-    @pytest.mark.parametrize("kernel", [(2, 1, 1, 1), (3, 1, 3, 3)], ids=["1x1", "3x3"])
-    def test_untracked_input_kernel_gradient_matches_oracle(self, kernel):
+    @pytest.mark.parametrize(
+        "kernel, w",
+        [((2, 1, 1, 1), 64), ((3, 1, 3, 3), 64), ((3, 1, 3, 3), 62)],
+        ids=["1x1", "3x3", "3x3_w62"],
+    )
+    def test_untracked_input_kernel_gradient_matches_oracle(self, kernel, w):
         # an untracked one-channel input, as in an encoder's first block:
-        # the kernel gradient takes pieces of as many multiples of
+        # 64 wide, the kernel gradient takes pieces of as many multiples of
         # PIECE_PIXELS as fit in SLAB_DOUBLES of columns, here two per clip
-        # (a full one and a ragged one)
+        # (a full one and a ragged one); 62 wide, pieces of 6 rows
         kk, c, kh, kw = kernel
-        w = 64
         pixels = ad.SLAB_DOUBLES // (kh * kw * c) // ad.PIECE_PIXELS * ad.PIECE_PIXELS
-        h = pixels // w + 13
+        h = pixels // 64 + 13
         rng = np.random.default_rng(41)
         x = rng.standard_normal((2, h, w, c))
         k = rng.standard_normal(kernel)
@@ -717,9 +731,9 @@ class TestConvBlock:
         self, blas_threads, monkeypatch, pools, batch, gammas, train
     ):
         # conv_block's per-pixel work runs in chunks of CHUNK_DOUBLES // (q*W*C)
-        # window rows, one thread per BLAS thread once there are four chunks
-        # per thread: here, in 32 KiB chunks, 16 full chunks and a partial
-        # 17th, so 2 and 4 threads both run them, and they cross clip
+        # window rows, as many at once as there are BLAS threads, up to one
+        # per four chunks: here, in 32 KiB chunks, 16 full chunks and a
+        # partial 17th, so 2 and 4 threads all run them, and they cross clip
         # boundaries at batch 3
         monkeypatch.setattr(ad, "CHUNK_DOUBLES", 1 << 12)
         q, p = pools
@@ -808,6 +822,31 @@ class TestConvBlock:
             conv_block(*args, 1, 3)
         with pytest.raises(ShapeError):
             conv_block(*args[:2], Tensor(np.ones(2)), *args[3:], 2, 2)
+
+    @pytest.mark.parametrize(
+        "threads, chunks, running", [(2, 7, 1), (2, 8, 2), (4, 11, 2), (4, 17, 4)]
+    )
+    def test_chunks_run_a_quarter_at_once(self, blas_threads, threads, chunks, running):
+        # at most one chunk per four runs at once, on as many buffer sets;
+        # where that is one, the chunks run inline on the calling thread
+        blas_threads(threads)
+        lock = threading.Lock()
+        active, most, buffers, names = [0], [0], set(), set()
+
+        def fn(part, buf):
+            with lock:
+                active[0] += 1
+                most[0] = max(most[0], active[0])
+                buffers.add(id(buf))
+                names.add(threading.current_thread().name)
+            time.sleep(0.005)
+            with lock:
+                active[0] -= 1
+
+        ad._run_chunks(fn, chunks, ad.CHUNK_DOUBLES, lambda rows: object())
+        assert most[0] <= running and len(buffers) <= running
+        inline = names == {threading.current_thread().name}
+        assert inline == (running == 1)
 
 
 # ---------------------------------------------------------------------------
