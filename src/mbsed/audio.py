@@ -67,22 +67,26 @@ def load_wav(path) -> AudioClip:
             channels = fh.getnchannels()
             width = fh.getsampwidth()
             rate = fh.getframerate()
-            n = fh.getnframes()
-            if width != 2:
-                raise AudioIOError(
-                    f"{path}: only PCM 16-bit WAV is supported, got {8 * width}-bit samples"
-                )
-            if channels not in (1, 2):
-                raise AudioIOError(f"{path}: expected mono or stereo, got {channels} channels")
-            raw = fh.readframes(n)
+            raw = fh.readframes(fh.getnframes())
     except wave.Error as exc:
         raise AudioIOError(f"{path}: not a readable PCM WAV file: {exc}") from None
     except EOFError:
         raise AudioIOError(f"{path}: truncated WAV file") from None
+    except RuntimeError:
+        # wave's chunk reader seeking past the end of the RIFF chunk
+        raise AudioIOError(f"{path}: a chunk runs past the end of the RIFF chunk") from None
+    if width != 2:
+        raise AudioIOError(
+            f"{path}: only PCM 16-bit WAV is supported, got {8 * width}-bit samples"
+        )
+    if channels not in (1, 2):
+        raise AudioIOError(f"{path}: expected mono or stereo, got {channels} channels")
+    if rate < 1:
+        raise AudioIOError(f"{path}: bad sample rate {rate}")
+    if len(raw) % (2 * channels):
+        raise AudioIOError(f"{path}: data chunk ends mid-frame")
     data = np.frombuffer(raw, dtype="<i2")
     if channels == 2:
-        if len(data) % 2:
-            raise AudioIOError(f"{path}: truncated stereo frame")
         data = data.reshape(-1, 2).mean(axis=1)
     samples = np.asarray(data, dtype=np.float64) / 32768.0
     if len(samples) == 0:

@@ -1,14 +1,16 @@
 """Run configuration: strict INI-style files with typed, validated sections.
 
-Unknown sections or keys are fatal so a typo cannot silently fall back to
-a default in the middle of an ablation run.
+The fields of RunConfig name the sections, and each section dataclass's
+fields, in order and with their annotated types, are that section's keys:
+both the parser and ``resolved_text`` read them from there. Unknown
+sections or keys are fatal so a typo cannot silently fall back to a
+default in the middle of an ablation run.
 """
-
-from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import get_origin
 
 from .model import BranchSpec
 from .pooling import MilStrategy
@@ -102,10 +104,13 @@ class RunConfig:
 
 def parse_branches(names) -> tuple[BranchSpec, ...]:
     """Branch strings like "E-ATP" into specs; exactly one main branch."""
-    specs = tuple(
-        BranchSpec.parse(name, 1.0 if name.strip().upper().startswith("E") else 0.5)
-        for name in names
-    )
+    try:
+        specs = tuple(
+            BranchSpec.parse(name, 1.0 if name.strip().upper().startswith("E") else 0.5)
+            for name in names
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if not specs:
         raise ConfigError("branch list is empty")
     mains = [s for s in specs if s.strategy is MilStrategy.EMBEDDING]
@@ -120,7 +125,10 @@ def parse_branches(names) -> tuple[BranchSpec, ...]:
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
-def _convert(section: str, key: str, raw: str, kind):
+def _convert(section: str, key: str, raw: str, kind: type):
+    """One INI value as the type its section's field declares."""
+    if kind is tuple:
+        return tuple(part.strip() for part in raw.split(",") if part.strip())
     try:
         if kind is bool:
             return _BOOL_VALUES[raw.strip().lower()]
@@ -131,41 +139,44 @@ def _convert(section: str, key: str, raw: str, kind):
         ) from None
 
 
-_SCHEMA = {
-    "data": (DataSection, {"train_dir": str, "test_dir": str, "sample_rate": int, "cache_features": bool}),
-    "model": (ModelSection, {"preset": str, "branches": "branch_list"}),
-    "training": (TrainingSection, {"learning_rate": float, "batch_size": int, "epochs": int, "seed": int, "repeats": int}),
-    "postprocess": (PostprocessSection, {"threshold": float, "tag_threshold": float, "window": str}),
-    "eval": (EvalSection, {"protocol": str, "onset_collar": float, "offset_tolerance": float, "segment_length": float}),
-}
+def _render(value) -> str:
+    """A field's INI text, which ``_convert`` reads back to the same value."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return ", ".join(value)
+    return str(value)
 
 
 def parse_run_config(text: str, source: str = "<config>") -> RunConfig:
+    """Sections and keys are the fields of RunConfig and of its section dataclasses.
+
+    A key's type is its field's annotation, read as a type object: this
+    module does not postpone the evaluation of annotations.
+    """
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text, source=source)
     except configparser.Error as exc:
         raise ConfigError(f"{source}: {exc}") from None
     config = RunConfig()
+    sections = [f.name for f in fields(config)]
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in sections:
             raise ConfigError(
-                f"{source}: unknown section [{section}]; expected one of {sorted(_SCHEMA)}"
+                f"{source}: unknown section [{section}]; expected one of {sorted(sections)}"
             )
-        _, keys = _SCHEMA[section]
         target = getattr(config, section)
+        kinds = {f.name: get_origin(f.type) or f.type for f in fields(target)}
         for key, raw in parser.items(section):
-            if key not in keys:
+            if key not in kinds:
                 raise ConfigError(
                     f"{source}: unknown key {key!r} in [{section}]; "
-                    f"expected one of {sorted(keys)}"
+                    f"expected one of {sorted(kinds)}"
                 )
-            kind = keys[key]
-            if kind == "branch_list":
-                value = tuple(part.strip() for part in raw.split(",") if part.strip())
-            else:
-                value = _convert(section, key, raw, kind)
-            setattr(target, key, value)
+            setattr(target, key, _convert(section, key, raw, kinds[key]))
     return config.validate()
 
 
@@ -173,7 +184,7 @@ def load_run_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_run_config(text, source=str(path))
 
@@ -181,34 +192,9 @@ def load_run_config(path) -> RunConfig:
 def resolved_text(config: RunConfig) -> str:
     """Render every key explicitly so the file alone reproduces the run."""
     parser = configparser.ConfigParser(interpolation=None)
-    parser["data"] = {
-        "train_dir": config.data.train_dir,
-        "test_dir": config.data.test_dir,
-        "sample_rate": str(config.data.sample_rate),
-        "cache_features": str(config.data.cache_features).lower(),
-    }
-    parser["model"] = {
-        "preset": config.model.preset,
-        "branches": ", ".join(config.model.branches),
-    }
-    parser["training"] = {
-        "learning_rate": repr(config.training.learning_rate),
-        "batch_size": str(config.training.batch_size),
-        "epochs": str(config.training.epochs),
-        "seed": str(config.training.seed),
-        "repeats": str(config.training.repeats),
-    }
-    parser["postprocess"] = {
-        "threshold": repr(config.postprocess.threshold),
-        "tag_threshold": repr(config.postprocess.tag_threshold),
-        "window": config.postprocess.window,
-    }
-    parser["eval"] = {
-        "protocol": config.eval.protocol,
-        "onset_collar": repr(config.eval.onset_collar),
-        "offset_tolerance": repr(config.eval.offset_tolerance),
-        "segment_length": repr(config.eval.segment_length),
-    }
+    for section in fields(config):
+        values = getattr(config, section.name)
+        parser[section.name] = {f.name: _render(getattr(values, f.name)) for f in fields(values)}
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()

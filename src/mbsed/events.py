@@ -47,31 +47,30 @@ def write_events_tsv(path, events) -> None:
             fh.write(f"{e.clip_id}\t{e.onset:.6f}\t{e.offset:.6f}\t{e.label}\n")
 
 
-def _open_for_read(path):
+def _lines(path) -> list[tuple[int, str]]:
+    """(line number, text) of each non-empty line of a UTF-8 text file."""
     try:
-        return open(path, "r", encoding="utf-8")
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise AnnotationError(f"cannot read {path}: {exc}") from None
+    return [(lineno, line) for lineno, line in enumerate(text.split("\n"), start=1) if line]
 
 
 def read_events_tsv(path) -> list[EventAnnotation]:
     events = []
-    with _open_for_read(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise AnnotationError(
-                    f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}"
-                )
-            clip_id, onset, offset, label = parts
-            try:
-                event = EventAnnotation(clip_id, label, float(onset), float(offset))
-            except ValueError as exc:
-                raise AnnotationError(f"{path}:{lineno}: {exc}") from None
-            events.append(event)
+    for lineno, line in _lines(path):
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise AnnotationError(
+                f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}"
+            )
+        clip_id, onset, offset, label = parts
+        try:
+            event = EventAnnotation(clip_id, label, float(onset), float(offset))
+        except ValueError as exc:
+            raise AnnotationError(f"{path}:{lineno}: {exc}") from None
+        events.append(event)
     return events
 
 
@@ -83,18 +82,14 @@ def write_weak_labels_tsv(path, weak: dict[str, list[str]]) -> None:
 
 def read_weak_labels_tsv(path) -> dict[str, list[str]]:
     weak = {}
-    with _open_for_read(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise AnnotationError(
-                    f"{path}:{lineno}: expected 2 tab-separated fields, got {len(parts)}"
-                )
-            clip_id, labels = parts
-            if clip_id in weak:
-                raise AnnotationError(f"{path}:{lineno}: duplicate clip id {clip_id!r}")
-            weak[clip_id] = [l for l in labels.split(",") if l]
+    for lineno, line in _lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise AnnotationError(
+                f"{path}:{lineno}: expected 2 tab-separated fields, got {len(parts)}"
+            )
+        clip_id, labels = parts
+        if clip_id in weak:
+            raise AnnotationError(f"{path}:{lineno}: duplicate clip id {clip_id!r}")
+        weak[clip_id] = [l for l in labels.split(",") if l]
     return weak

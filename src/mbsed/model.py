@@ -12,7 +12,7 @@ import hashlib
 import json
 import operator
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -151,55 +151,20 @@ class ModelConfig:
         return factor
 
     def to_dict(self) -> dict:
-        return {
-            "encoder": [
-                {
-                    "out_channels": b.out_channels,
-                    "kernel": list(b.kernel),
-                    "freq_pool": b.freq_pool,
-                    "time_pool": b.time_pool,
-                    "dropout": b.dropout,
-                }
-                for b in self.encoder
-            ],
-            "num_classes": self.num_classes,
-            "branches": [
-                {"name": b.label, "loss_weight": b.loss_weight} for b in self.branches
-            ],
-            "attention_scale": self.attention_scale,
-            "num_bands": self.num_bands,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "class_labels": list(self.class_labels),
-        }
+        """JSON-ready fields; a branch is its table name and loss weight."""
+        d = asdict(self)
+        d["branches"] = [{"name": b.label, "loss_weight": b.loss_weight} for b in self.branches]
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(
-            encoder=tuple(
-                CnnBlockSpec(
-                    out_channels=b["out_channels"],
-                    kernel=tuple(b["kernel"]),
-                    freq_pool=b["freq_pool"],
-                    time_pool=b["time_pool"],
-                    dropout=b["dropout"],
-                )
-                for b in d["encoder"]
-            ),
-            num_classes=d["num_classes"],
-            branches=tuple(
-                BranchSpec.parse(b["name"], b["loss_weight"]) for b in d["branches"]
-            ),
-            attention_scale=d["attention_scale"],
-            num_bands=d["num_bands"],
-            learning_rate=d["learning_rate"],
-            batch_size=d["batch_size"],
-            epochs=d["epochs"],
-            seed=d["seed"],
-            class_labels=tuple(d.get("class_labels", ())),
-        )
+        """Inverse of ``to_dict``; an unknown key raises TypeError."""
+        return cls(**{
+            **d,
+            "encoder": tuple(CnnBlockSpec(**{**b, "kernel": tuple(b["kernel"])}) for b in d["encoder"]),
+            "branches": tuple(BranchSpec.parse(b["name"], b["loss_weight"]) for b in d["branches"]),
+            "class_labels": tuple(d.get("class_labels", ())),
+        })
 
 
 def small_config(num_classes: int, branches: tuple[BranchSpec, ...], seed: int = 0) -> ModelConfig:
@@ -590,11 +555,12 @@ def load_checkpoint(path) -> Model:
         )
     try:
         config = ModelConfig.from_dict(header["config"])
-        digest = header["digest"]
+        # to_dict, under the digest, also recurses once per nesting level
+        altered = config_digest(config) != header["digest"]
         lookup = {entry["name"]: entry for entry in header["params"]}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc!r}") from None
-    if config_digest(config) != digest:
+    if altered:
         raise CheckpointError(
             f"{path}: config digest mismatch; the checkpoint was written by a "
             "different model code version or has been altered"

@@ -20,7 +20,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import frame_hop_seconds, load_audio, logmel, read_features, write_features
+from .audio import (
+    AudioIOError,
+    frame_hop_seconds,
+    load_audio,
+    logmel,
+    read_features,
+    write_features,
+)
 from .autodiff import _blas_thread_calls
 from .config import RunConfig, parse_branches, resolved_text
 from .events import (
@@ -126,7 +133,11 @@ def clip_features(dataset_dir: Path, clip_id: str, cache: bool, rate: int) -> np
     wav_path = dataset_dir / f"{clip_id}.wav"
     if not wav_path.exists():
         raise PipelineError(f"missing audio file {wav_path}")
-    feats = logmel(load_audio(wav_path, rate), clip_id=clip_id).features
+    clip = load_audio(wav_path, rate)
+    try:
+        feats = logmel(clip, clip_id=clip_id).features
+    except ValueError as exc:  # a clip shorter than one hop
+        raise AudioIOError(f"{wav_path}: {exc}") from None
     if cache:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
         write_features(cache_path, feats)

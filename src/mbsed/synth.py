@@ -10,7 +10,7 @@ byte for byte and clips could be generated in parallel.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -52,22 +52,6 @@ class EventTemplate:
             raise ValueError(
                 f"duration range [{self.dur_lo}, {self.dur_hi}] must lie within (0.25, 4)"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "kind": self.kind,
-            "freq_lo": self.freq_lo,
-            "freq_hi": self.freq_hi,
-            "dur_lo": self.dur_lo,
-            "dur_hi": self.dur_hi,
-            "attack": self.attack,
-            "release": self.release,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EventTemplate":
-        return cls(**d)
 
 
 DEFAULT_TEMPLATES = (
@@ -125,24 +109,14 @@ class SynthConfig:
         return [t.label for t in self.templates]
 
     def to_dict(self) -> dict:
-        return {
-            "n_clips": self.n_clips,
-            "clip_seconds": self.clip_seconds,
-            "templates": [t.to_dict() for t in self.templates],
-            "max_polyphony": self.max_polyphony,
-            "events_min": self.events_min,
-            "events_max": self.events_max,
-            "snr_db_lo": self.snr_db_lo,
-            "snr_db_hi": self.snr_db_hi,
-            "sample_rate": self.sample_rate,
-            "seed": self.seed,
-        }
+        """JSON-ready fields, templates as a list of their fields."""
+        d = asdict(self)
+        d["templates"] = list(d["templates"])
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthConfig":
-        d = dict(d)
-        d["templates"] = tuple(EventTemplate.from_dict(t) for t in d["templates"])
-        return cls(**d)
+        return cls(**{**d, "templates": tuple(EventTemplate(**t) for t in d["templates"])})
 
 
 def _envelope(n: int, attack: float, release: float, rate: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Tests for WAV I/O, resampling, and the log-mel frontend."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -107,6 +108,20 @@ class TestWavIO:
             fh.setframerate(8000)
         with pytest.raises(AudioIOError, match="no samples"):
             load_wav(path)
+
+    def test_rejects_malformed_chunks(self, tmp_path):
+        path = tmp_path / "ok.wav"
+        write_wav(path, AudioClip(np.full(100, 0.1), 22050))
+        blob = path.read_bytes()
+        stray = b"LIST" + struct.pack("<I", 10**6) + b"abcd"
+        for bad, match in (
+            (blob[:-1], "mid-frame"),  # data chunk cut inside a sample
+            (blob[:36] + stray + blob[36:], "RIFF"),  # chunk size past the file
+            (blob[:24] + struct.pack("<I", 0) + blob[28:], "sample rate"),
+        ):
+            path.write_bytes(bad)
+            with pytest.raises(AudioIOError, match=match):
+                load_wav(path)
 
 
 class TestResample:

@@ -2,8 +2,10 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
+from mbsed.audio import AudioClip, write_wav
 from mbsed.cli import main
 from mbsed.events import read_events_tsv
 
@@ -105,6 +107,13 @@ class TestTrain:
         assert run_cli(["train", "--config", cfg, "--out", tmp_path / "o"]) == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_non_utf8_config(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.ini"
+        cfg.write_bytes(b"[data]\ntrain_dir = /caf\xe9\n")
+        assert run_cli(["train", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestPredict:
     def test_outputs(self, checkpoint, dataset, tmp_path, capsys):
@@ -162,6 +171,17 @@ class TestPredict:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_wav_shorter_than_one_hop(self, checkpoint, tmp_path, capsys):
+        audio = tmp_path / "audio"
+        audio.mkdir()
+        write_wav(audio / "blip.wav", AudioClip(np.zeros(100), 22050))
+        code = run_cli([
+            "predict", "--checkpoint", checkpoint, "--audio", audio, "--out", tmp_path / "e.tsv",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "blip.wav" in err and "Traceback" not in err
+
     def test_missing_audio_dir(self, checkpoint, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -199,6 +219,14 @@ class TestEvaluate:
             "evaluate", "--refs", tmp_path / "absent.tsv", "--preds", dataset / "strong.tsv",
         ])
         assert code == 2
+
+    def test_non_utf8_refs(self, dataset, tmp_path, capsys):
+        refs = tmp_path / "latin1.tsv"
+        refs.write_bytes(b"clip_0000\t0.0\t1.0\tcaf\xe9\n")
+        code = run_cli(["evaluate", "--refs", refs, "--preds", dataset / "strong.tsv"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestAblate:

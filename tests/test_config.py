@@ -1,5 +1,8 @@
 """Run-config parsing: strict keys, typed values, branch validation."""
 
+import configparser
+import dataclasses
+
 import pytest
 
 from mbsed.config import (
@@ -40,6 +43,15 @@ onset_collar = 0.25
 offset_tolerance = 0.3
 segment_length = 0.5
 """
+
+# config_resolved.ini of a run with every default; the empty paths end in a space
+DEFAULTS_TEXT = (
+    "[data]\ntrain_dir = \ntest_dir = \nsample_rate = 22050\ncache_features = true\n\n"
+    "[model]\npreset = small\nbranches = E-ATP, I-GAP, I-GMP\n\n"
+    "[training]\nlearning_rate = 0.001\nbatch_size = 16\nepochs = 60\nseed = 0\nrepeats = 1\n\n"
+    "[postprocess]\nthreshold = 0.5\ntag_threshold = 0.5\nwindow = adaptive\n\n"
+    "[eval]\nprotocol = segment\nonset_collar = 0.2\noffset_tolerance = 0.2\nsegment_length = 1.0\n\n"
+)
 
 
 class TestParsing:
@@ -171,6 +183,11 @@ class TestBranches:
         with pytest.raises(ConfigError, match="exactly one"):
             parse_run_config("[model]\nbranches = I-GAP\n")
 
+    def test_unknown_branch_name_fatal(self):
+        for name in ("E-FOO", "EATP"):
+            with pytest.raises(ConfigError, match="branch name"):
+                parse_run_config(f"[model]\nbranches = {name}\n")
+
 
 class TestResolvedText:
     def test_round_trip(self):
@@ -183,15 +200,15 @@ class TestResolvedText:
         assert parse_run_config(resolved_text(config)) == config
 
     def test_every_key_present(self):
-        text = resolved_text(RunConfig())
-        for key in (
-            "train_dir", "test_dir", "sample_rate", "cache_features",
-            "preset", "branches",
-            "learning_rate", "batch_size", "epochs", "seed", "repeats",
-            "threshold", "window",
-            "protocol", "onset_collar", "offset_tolerance", "segment_length",
-        ):
-            assert key in text
+        config = RunConfig()
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(resolved_text(config))
+        for section in dataclasses.fields(config):
+            keys = [key.name for key in dataclasses.fields(getattr(config, section.name))]
+            assert list(parser[section.name]) == keys
+
+    def test_defaults_text_pinned(self):
+        assert resolved_text(RunConfig()) == DEFAULTS_TEXT
 
     def test_float_precision_survives(self):
         config = parse_run_config("[training]\nlearning_rate = 0.0007\n")

@@ -64,6 +64,17 @@ GATE_COMPACT = (
 )
 
 
+def split_checkpoint(blob: bytes) -> tuple[dict, bytes]:
+    """A checkpoint's JSON header and the parameter bytes behind it."""
+    (size,) = struct.unpack("<I", blob[4:8])
+    return json.loads(blob[8 : 8 + size]), blob[8 + size :]
+
+
+def join_checkpoint(header, params: bytes) -> bytes:
+    text = json.dumps(header).encode()
+    return CHECKPOINT_MAGIC + struct.pack("<I", len(text)) + text + params
+
+
 def make_clips(n, t=20, f=64, classes=4, seed=0, amp=1.0):
     """Clips whose content is a sum of per-class templates plus noise."""
     rng = np.random.default_rng(seed)
@@ -520,16 +531,26 @@ class TestCheckpoint:
         # valid JSON that is not a well-formed header; the digest does not
         # cover the parameter manifest
         save_checkpoint(model, path)
-        blob = path.read_bytes()
-        (size,) = struct.unpack("<I", blob[4:8])
-        header = json.loads(blob[8 : 8 + size])
+        header, params = split_checkpoint(path.read_bytes())
         del header["params"][0]["shape"]
         no_config = {"version": CHECKPOINT_VERSION, "digest": header["digest"]}
         for bad in ([CHECKPOINT_VERSION], no_config, header):
-            text = json.dumps(bad).encode()
-            path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(text)) + text + blob[8 + size :])
+            path.write_bytes(join_checkpoint(bad, params))
             with pytest.raises(CheckpointError, match="corrupt"):
                 load_checkpoint(path)
+
+    def test_rejects_unknown_config_key(self, tmp_path):
+        # the digest is taken over the config as parsed, so a key the parser
+        # dropped would leave it matching
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(Model(tiny_config()), path)
+        header, params = split_checkpoint(path.read_bytes())
+        for target in (header["config"], header["config"]["encoder"][0]):
+            target["stray"] = 1
+            path.write_bytes(join_checkpoint(header, params))
+            with pytest.raises(CheckpointError, match="corrupt"):
+                load_checkpoint(path)
+            del target["stray"]
 
     def test_rejects_truncated_file(self, tmp_path):
         model = Model(tiny_config())
@@ -547,6 +568,14 @@ class TestCheckpoint:
         text = b"[" * 200_000 + b"]" * 200_000
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(text)) + text)
         with pytest.raises(CheckpointError, match="corrupt"):
+            load_checkpoint(path)
+        # a config value nested shallowly enough to parse, deeply enough that
+        # the dict form under the digest cannot be built
+        save_checkpoint(Model(tiny_config(num_classes=1)), path)
+        header, params = split_checkpoint(path.read_bytes())
+        header["config"]["class_labels"] = json.loads("[" * 600 + "]" * 600)
+        path.write_bytes(join_checkpoint(header, params))
+        with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("encoder", ["small", "gate_compact"])
@@ -569,6 +598,20 @@ class TestCheckpoint:
             save_checkpoint(model, path)
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_preset_digests_pinned(self):
+        # the digest hashes the config's dict form: a changed key, value or
+        # rendering of that form changes these
+        branches = tuple(
+            BranchSpec.parse(name, 1.0 if name.startswith("E") else 0.5)
+            for name in ("E-ATP", "I-GAP", "I-GMP")
+        )
+        assert config_digest(small_config(4, branches)) == (
+            "e31e0ad8d2e9b9af4470978f2c55e48d3e7b4e420207192bfe53a94dd74ed259"
+        )
+        assert config_digest(large_config(10, branches, seed=2)) == (
+            "c9313bcc3bd4c62ce0e644d37811fa1ac3f1c933ba90abf758c9ed0fcafd645a"
+        )
 
     def test_digest_tracks_config(self):
         a = config_digest(tiny_config(seed=0))

@@ -58,6 +58,23 @@ class TestTemplates:
         cfg = small_config()
         assert SynthConfig.from_dict(cfg.to_dict()) == cfg
 
+    def test_dict_json_pinned(self):
+        # the manifest's "config" entry, as generate_dataset writes it
+        text = json.dumps(SynthConfig(n_clips=1).to_dict(), sort_keys=True)
+        assert text == (
+            '{"clip_seconds": 10.0, "events_max": 3, "events_min": 1, "max_polyphony": 2, '
+            '"n_clips": 1, "sample_rate": 22050, "seed": 0, "snr_db_hi": 20.0, "snr_db_lo": 6.0, '
+            '"templates": ['
+            '{"attack": 0.02, "dur_hi": 2.0, "dur_lo": 0.6, "freq_hi": 600.0, '
+            '"freq_lo": 300.0, "kind": "tone", "label": "tone", "release": 0.02}, '
+            '{"attack": 0.02, "dur_hi": 2.5, "dur_lo": 0.6, "freq_hi": 1600.0, '
+            '"freq_lo": 800.0, "kind": "chirp", "label": "chirp", "release": 0.02}, '
+            '{"attack": 0.02, "dur_hi": 1.5, "dur_lo": 0.4, "freq_hi": 4000.0, '
+            '"freq_lo": 2500.0, "kind": "noise_burst", "label": "burst", "release": 0.02}, '
+            '{"attack": 0.02, "dur_hi": 2.0, "dur_lo": 0.6, "freq_hi": 8000.0, '
+            '"freq_lo": 5000.0, "kind": "am_tone", "label": "warble", "release": 0.02}]}'
+        )
+
 
 class TestRenderEvent:
     @pytest.mark.parametrize("template", DEFAULT_TEMPLATES, ids=lambda t: t.label)
