@@ -16,6 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 PIPELINE_RATE = 22050
+# sample rates a run config or a WAV header may give; at the floor a 10 s
+# clip still makes 500 frames, and a WAV resampled to 22050 Hz grows at most 22x
+MIN_SAMPLE_RATE = 1000
+MAX_SAMPLE_RATE = 192000
 N_BANDS = 64
 FRAME_MS = 40.0
 FRAME_OVERLAP = 0.5
@@ -81,8 +85,8 @@ def load_wav(path) -> AudioClip:
         )
     if channels not in (1, 2):
         raise AudioIOError(f"{path}: expected mono or stereo, got {channels} channels")
-    if rate < 1:
-        raise AudioIOError(f"{path}: bad sample rate {rate}")
+    if rate < MIN_SAMPLE_RATE:
+        raise AudioIOError(f"{path}: sample rate {rate} Hz is below {MIN_SAMPLE_RATE} Hz")
     if len(raw) % (2 * channels):
         raise AudioIOError(f"{path}: data chunk ends mid-frame")
     data = np.frombuffer(raw, dtype="<i2")

@@ -15,7 +15,7 @@ import os
 import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -315,17 +315,6 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
 # pointwise nonlinearities
 
 
-def relu(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    out = Tensor(np.maximum(x.data, 0.0))
-
-    def backward():
-        if out.grad is not None and _tracked(x):
-            _accumulate(x, out.grad * (x.data > 0.0))
-
-    return _record((x,), out, backward)
-
-
 def sigmoid(x: Tensor) -> Tensor:
     x = as_tensor(x)
     v = x.data
@@ -356,15 +345,14 @@ def log(x: Tensor) -> Tensor:
     return _record((x,), out, backward)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator | int, train: bool = True) -> Tensor:
-    """Zero entries with probability p and rescale survivors by 1/(1-p)."""
+def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
+    """Zero entries with probability p and rescale survivors by 1/(1-p),
+    the mask drawn from ``rng``."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must lie in [0, 1), got {p}")
     x = as_tensor(x)
-    if not train or p == 0.0:
+    if p == 0.0:
         return x
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     keep = (rng.random(x.shape) >= p) / (1.0 - p)
     out = Tensor(x.data * keep)
 
@@ -681,7 +669,7 @@ def conv2d(x: Tensor, kernel: Tensor, padding: tuple[int, int] = (0, 0)) -> Tens
 
 def _check_batch_norm(c: int, gamma: Tensor, beta: Tensor, eps: float) -> None:
     if eps <= 0.0:
-        raise ValueError(f"batch_norm eps must be positive, got {eps}")
+        raise ValueError(f"batch norm eps must be positive, got {eps}")
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"gamma/beta must have shape ({c},)")
 
@@ -732,71 +720,6 @@ def _batch_statistics(
     running_var *= 1.0 - momentum
     running_var += momentum * unbiased
     return mean, var
-
-
-def batch_norm(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    eps: float = 1e-5,
-    momentum: float = 0.1,
-    train: bool = True,
-) -> Tensor:
-    """Per-channel normalization of NHWC input over the (N, H, W) axes.
-
-    Train mode normalizes with batch statistics and updates the running
-    buffers in place (unbiased variance for the running estimate); eval
-    mode applies the running statistics as constants.
-    """
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    if x.ndim != 4:
-        raise ShapeError(f"batch_norm expects 4-D NHWC input, got {x.shape}")
-    n, h, w, c = x.shape
-    _check_batch_norm(c, gamma, beta, eps)
-    m = n * h * w
-    # Elementwise work runs on (N*H, W*C) rows against per-channel vectors
-    # tiled W times, so the inner loops stay long when C is small.
-    rows = x.data.reshape(n * h, w * c)
-
-    def tiled(v: np.ndarray) -> np.ndarray:
-        return np.tile(v, w)
-
-    if train:
-        mean, var = _batch_statistics(rows, c, running_mean, running_var, momentum)
-    else:
-        mean, var = running_mean, running_var
-    x_hat = rows - tiled(mean)
-    inv_sigma = 1.0 / np.sqrt(var + eps)
-    x_hat *= tiled(inv_sigma)
-    out_rows = x_hat * tiled(gamma.data)
-    out_rows += tiled(beta.data)
-    out = Tensor(out_rows.reshape(x.shape))
-
-    def backward():
-        if out.grad is None:
-            return
-        g = np.ascontiguousarray(out.grad).reshape(n * h, w * c)
-        sum_g = _channel_sum(g, c)
-        sum_gx_hat = _channel_sum(g, c, x_hat)
-        if _tracked(gamma):
-            _accumulate(gamma, sum_gx_hat)
-        if _tracked(beta):
-            _accumulate(beta, sum_g)
-        if not _tracked(x):
-            return
-        coeff = tiled(gamma.data * inv_sigma)
-        if train:
-            dx = g - tiled(sum_g / m)
-            # the tape runs this rule once, so x_hat's buffer is free to reuse
-            dx -= np.multiply(x_hat, tiled(sum_gx_hat / m), out=x_hat)
-            dx *= coeff
-        else:
-            dx = g * coeff
-        _accumulate(x, dx.reshape(x.shape), owned=True)
-
-    return _record((x, gamma, beta), out, backward)
 
 
 # OpenBLAS's thread-count setters, by the names scipy-openblas, 64-bit and
@@ -922,18 +845,14 @@ def _pool_windows(x: np.ndarray, time_pool: int, freq_pool: int):
 
 
 def _window_max(
-    windows: np.ndarray,
-    offsets: list,
-    out: np.ndarray,
-    flip: np.ndarray | None = None,
-    work: np.ndarray | None = None,
+    windows: np.ndarray, offsets: list, out: np.ndarray, flip: np.ndarray, work: np.ndarray
 ) -> np.ndarray:
     """Each window's maximum, or its minimum in the channels where ``flip``
     (as minus the maximum of the negated values, which is exact), written
     into and returned as ``out``. ``work``, shaped like ``out``, holds the
     negated values when ``flip`` has a True."""
     first = windows[:, 0, :, 0]
-    if flip is None or not flip.any():
+    if not flip.any():
         np.copyto(out, first)
         for a, b in offsets[1:]:
             np.maximum(out, windows[:, a, :, b], out=out)
@@ -967,36 +886,6 @@ def _first_max(
     return hits
 
 
-def max_pool(x: Tensor, time_pool: int, freq_pool: int) -> Tensor:
-    """Max over non-overlapping (time_pool, freq_pool) windows of NHWC input.
-
-    The gradient routes to the first maximal element of each window in
-    row-major (time, freq) order, the element that a max over freq and
-    then over time would pick.
-    """
-    x = as_tensor(x)
-    if x.ndim != 4:
-        raise ShapeError(f"max_pool expects 4-D NHWC input, got {x.shape}")
-    windows, offsets = _pool_windows(x.data, time_pool, freq_pool)
-    pooled = _window_max(windows, offsets, np.empty(windows[:, 0, :, 0].shape))
-    n, h, w, c = x.shape
-    out = Tensor(pooled.reshape(n, h // time_pool, w // freq_pool, c))
-
-    def backward():
-        if out.grad is None or not _tracked(x):
-            return
-        first = np.empty(windows.shape, dtype=bool)
-        hits = np.empty((len(offsets),) + pooled.shape, dtype=bool)
-        unclaimed = np.empty(pooled.shape, dtype=bool)
-        _first_max(lambda a, b: windows[:, a, :, b], pooled, offsets, hits, unclaimed)
-        for (a, b), hit in zip(offsets, hits):
-            first[:, a, :, b] = hit
-        g = out.grad.reshape(pooled.shape)[:, None, :, None]
-        _accumulate(x, np.where(first, g, 0.0).reshape(x.shape), owned=True)
-
-    return _record((x,), out, backward)
-
-
 def conv_block(
     x: Tensor,
     kernel: Tensor,
@@ -1011,8 +900,9 @@ def conv_block(
     momentum: float = 0.1,
     train: bool = True,
 ) -> Tensor:
-    """relu(max_pool(batch_norm(conv2d(x, kernel)))) as one op, with the
-    same bits as that chain in its output, gradients and running buffers.
+    """conv2d, then batch norm, max-pooling and relu as one op, with the
+    same bits as that chain of ops in its output, gradients and running
+    buffers (the chain is in the tests' ``reference`` module).
 
     Batch norm maps each channel through (((y - mean) * inv_sigma) * gamma)
     + beta, and every step of that chain, rounding included, is monotone:

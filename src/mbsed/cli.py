@@ -87,7 +87,8 @@ def cmd_predict(args) -> int:
         rate=run.data.sample_rate,
         cache=run.data.cache_features,
     )
-    n_events = sum(1 for _ in open(events_path, encoding="utf-8"))
+    with open(events_path, encoding="utf-8") as fh:
+        n_events = sum(1 for _ in fh)
     print(f"events: {events_path} ({n_events} rows)")
     print(f"clip tags: {tags_path}")
     return 0

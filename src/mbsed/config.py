@@ -9,9 +9,11 @@ default in the middle of an ablation run.
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field, fields
 from typing import get_origin
 
+from .audio import MAX_SAMPLE_RATE, MIN_SAMPLE_RATE
 from .model import BranchSpec
 from .pooling import MilStrategy
 
@@ -70,15 +72,20 @@ class RunConfig:
         return parse_branches(self.model.branches)
 
     def validate(self) -> "RunConfig":
+        # the float checks are written so that NaN fails them
+        if not MIN_SAMPLE_RATE <= self.data.sample_rate <= MAX_SAMPLE_RATE:
+            raise ConfigError(f"sample_rate must lie in [{MIN_SAMPLE_RATE}, {MAX_SAMPLE_RATE}] Hz")
         if self.model.preset not in ("small", "large"):
             raise ConfigError(f"model preset must be small or large, got {self.model.preset!r}")
         self.branch_specs()
         if self.training.batch_size < 1 or self.training.epochs < 1:
             raise ConfigError("batch_size and epochs must be positive")
-        if self.training.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0.0 < self.training.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be positive and finite")
         if self.training.repeats < 1:
             raise ConfigError("repeats must be at least 1")
+        if self.training.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if not 0.0 < self.postprocess.threshold < 1.0:
             raise ConfigError("postprocess threshold must lie in (0, 1)")
         if not 0.0 <= self.postprocess.tag_threshold < 1.0:
@@ -97,18 +104,18 @@ class RunConfig:
             raise ConfigError(
                 f"eval protocol must be event, segment, or both, got {self.eval.protocol!r}"
             )
-        if self.eval.segment_length <= 0:
-            raise ConfigError("segment_length must be positive")
+        if not 0.0 < self.eval.segment_length < math.inf:
+            raise ConfigError("segment_length must be positive and finite")
+        for name in ("onset_collar", "offset_tolerance"):
+            if not 0.0 <= getattr(self.eval, name) < math.inf:
+                raise ConfigError(f"{name} must be non-negative and finite")
         return self
 
 
 def parse_branches(names) -> tuple[BranchSpec, ...]:
     """Branch strings like "E-ATP" into specs; exactly one main branch."""
     try:
-        specs = tuple(
-            BranchSpec.parse(name, 1.0 if name.strip().upper().startswith("E") else 0.5)
-            for name in names
-        )
+        specs = tuple(BranchSpec.parse(name) for name in names)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if not specs:
@@ -156,7 +163,8 @@ def parse_run_config(text: str, source: str = "<config>") -> RunConfig:
     A key's type is its field's annotation, read as a type object: this
     module does not postpone the evaluation of annotations.
     """
-    parser = configparser.ConfigParser(interpolation=None)
+    # [DEFAULT], whose keys configparser copies into every section, is unknown here
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text, source=source)
     except configparser.Error as exc:

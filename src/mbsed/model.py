@@ -12,7 +12,7 @@ import hashlib
 import json
 import operator
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -52,8 +52,8 @@ class CnnBlockSpec:
     (min-pools it where gamma < 0), normalizes only the pooled values and
     applies relu after pooling, with the same bits as the four ops in
     sequence. A window's gradient goes to its first maximal element in
-    row-major (time, freq) order, as in ``autodiff.max_pool``. The op's
-    tape entry keeps the conv output and the pooled output only.
+    row-major (time, freq) order, as max-pooling by ``autodiff.reduce_max``
+    does. The op's tape entry keeps the conv output and the pooled output only.
     """
 
     out_channels: int
@@ -69,16 +69,20 @@ class CnnBlockSpec:
             raise ValueError("dropout rate must lie in [0, 1)")
 
 
+# A branch's weight in the training loss, by its MIL strategy: the
+# embedding-level main branch counts fully, each instance-level auxiliary half.
+LOSS_WEIGHTS = {MilStrategy.EMBEDDING: 1.0, MilStrategy.INSTANCE: 0.5}
+
+
 @dataclass(frozen=True)
 class BranchSpec:
-    """Strategy/method/loss-weight triple, e.g. E-ATP at weight 1.0."""
+    """Strategy/method pair, e.g. E-ATP; its loss weight follows the strategy."""
 
     strategy: MilStrategy
     method: PoolMethod
-    loss_weight: float
 
     @classmethod
-    def parse(cls, text: str, loss_weight: float) -> "BranchSpec":
+    def parse(cls, text: str) -> "BranchSpec":
         """Parse table-style branch names such as "E-ATP" or "I-GMP"."""
         parts = text.strip().upper().split("-")
         if len(parts) != 2:
@@ -88,7 +92,11 @@ class BranchSpec:
             method = PoolMethod(parts[1])
         except ValueError:
             raise ValueError(f"unknown branch name {text!r}") from None
-        return cls(strategy, method, loss_weight)
+        return cls(strategy, method)
+
+    @property
+    def loss_weight(self) -> float:
+        return LOSS_WEIGHTS[self.strategy]
 
     @property
     def label(self) -> str:
@@ -158,11 +166,12 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """Inverse of ``to_dict``; an unknown key raises TypeError."""
+        """Inverse of ``to_dict``; an unknown key raises TypeError. Loss weights
+        come from ``LOSS_WEIGHTS``, so a header with others fails its digest."""
         return cls(**{
             **d,
             "encoder": tuple(CnnBlockSpec(**{**b, "kernel": tuple(b["kernel"])}) for b in d["encoder"]),
-            "branches": tuple(BranchSpec.parse(b["name"], b["loss_weight"]) for b in d["branches"]),
+            "branches": tuple(BranchSpec.parse(b["name"]) for b in d["branches"]),
             "class_labels": tuple(d.get("class_labels", ())),
         })
 
@@ -347,7 +356,7 @@ class Model:
                 # masks are drawn in (N, C, T, F) order; a seed's masks, and so
                 # the weights it trains to, depend on that order
                 x = ad.transpose(x, (0, 3, 1, 2))
-                x = ad.dropout(x, spec.dropout, rng=self._dropout_rng, train=True)
+                x = ad.dropout(x, spec.dropout, self._dropout_rng)
                 x = ad.transpose(x, (0, 2, 3, 1))
         n, h, w, c = x.shape
         return ad.reshape(ad.transpose(x, (0, 1, 3, 2)), (n, h, c * w))
@@ -396,11 +405,13 @@ def clip_loss(clip_probs: Tensor, labels: np.ndarray) -> Tensor:
     return ad.mul(ad.reduce_sum(ad.add(pos, neg), axis=-1), -1.0)
 
 
-def total_loss(main_loss: Tensor, aux_losses: list[Tensor], alpha: float = 1.0, beta: float = 0.5) -> Tensor:
-    """alpha * main + beta * sum of auxiliary branch losses."""
-    out = ad.mul(main_loss, alpha)
+def total_loss(main_loss: Tensor, aux_losses: list[Tensor]) -> Tensor:
+    """The main branch's loss plus the auxiliary branches' losses, each
+    weighted by its strategy's ``LOSS_WEIGHTS`` entry."""
+    out = ad.mul(main_loss, LOSS_WEIGHTS[MilStrategy.EMBEDDING])
+    aux_weight = LOSS_WEIGHTS[MilStrategy.INSTANCE]
     for aux in aux_losses:
-        out = ad.add(out, ad.mul(aux, beta))
+        out = ad.add(out, ad.mul(aux, aux_weight))
     return out
 
 
@@ -411,12 +422,13 @@ def total_loss(main_loss: Tensor, aux_losses: list[Tensor], alpha: float = 1.0, 
 class Adam:
     """Adaptive moment estimation with bias correction."""
 
-    def __init__(self, params: list[tuple[str, Tensor]], lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: list[tuple[str, Tensor]], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for _, p in params]
         self.v = [np.zeros_like(p.data) for _, p in params]
@@ -427,15 +439,15 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - self.BETA1**self.t
+        bc2 = 1.0 - self.BETA2**self.t
         for i, (_, p) in enumerate(self.params):
             g = p.grad
             if g is None:
                 continue
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + self.eps)
+            self.m[i] = self.BETA1 * self.m[i] + (1.0 - self.BETA1) * g
+            self.v[i] = self.BETA2 * self.v[i] + (1.0 - self.BETA2) * g * g
+            p.data -= self.lr * (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + self.EPS)
 
 
 def train_model(

@@ -9,6 +9,7 @@ import pytest
 from mbsed import audio
 from mbsed.audio import (
     LOG_FLOOR,
+    MIN_SAMPLE_RATE,
     PIPELINE_RATE,
     AudioClip,
     AudioIOError,
@@ -109,6 +110,12 @@ class TestWavIO:
         with pytest.raises(AudioIOError, match="no samples"):
             load_wav(path)
 
+    def test_floor_rate_gives_full_frames(self, tmp_path):
+        # a lower header rate is refused (see test_rejects_malformed_chunks)
+        path = tmp_path / "r.wav"
+        write_wav(path, AudioClip(np.full(10 * MIN_SAMPLE_RATE, 0.1), MIN_SAMPLE_RATE))
+        assert logmel(load_wav(path)).features.shape == (500, 64)
+
     def test_rejects_malformed_chunks(self, tmp_path):
         path = tmp_path / "ok.wav"
         write_wav(path, AudioClip(np.full(100, 0.1), 22050))
@@ -118,6 +125,9 @@ class TestWavIO:
             (blob[:-1], "mid-frame"),  # data chunk cut inside a sample
             (blob[:36] + stray + blob[36:], "RIFF"),  # chunk size past the file
             (blob[:24] + struct.pack("<I", 0) + blob[28:], "sample rate"),
+            # 1 Hz would resample to 22050 times as many samples
+            (blob[:24] + struct.pack("<I", 1) + blob[28:], "sample rate"),
+            (blob[:24] + struct.pack("<I", MIN_SAMPLE_RATE - 1) + blob[28:], "sample rate"),
         ):
             path.write_bytes(bad)
             with pytest.raises(AudioIOError, match=match):

@@ -115,6 +115,16 @@ class TestTrain:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+    def test_sample_rate_out_of_range(self, dataset, tmp_path, capsys):
+        # each of these rates once made train die with a ZeroDivisionError
+        cfg = tmp_path / "rate.ini"
+        for rate in (0, -5, 1):
+            cfg.write_text(f"[data]\ntrain_dir = {dataset}\nsample_rate = {rate}\n")
+            assert run_cli(["train", "--config", cfg, "--out", tmp_path / "o"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "sample_rate" in err and "Traceback" not in err
+
+
 class TestPredict:
     def test_outputs(self, checkpoint, dataset, tmp_path, capsys):
         out = tmp_path / "pred" / "events.tsv"

@@ -153,8 +153,39 @@ class TestValidation:
             parse_run_config("[training]\nlearning_rate = -1\n")
         with pytest.raises(ConfigError):
             parse_run_config("[training]\nrepeats = 0\n")
+        with pytest.raises(ConfigError, match="seed"):
+            parse_run_config("[training]\nseed = -1\n")
         with pytest.raises(ConfigError):
             parse_run_config("[eval]\nsegment_length = 0\n")
+        # NaN and inf fail too, and collars and tolerances may be 0 but not less
+        for section, key, bad in (
+            ("training", "learning_rate", "nan"),
+            ("training", "learning_rate", "inf"),
+            ("eval", "segment_length", "nan"),
+            ("eval", "segment_length", "inf"),
+            ("eval", "onset_collar", "-1"),
+            ("eval", "onset_collar", "nan"),
+            ("eval", "offset_tolerance", "-0.1"),
+            ("eval", "offset_tolerance", "inf"),
+        ):
+            with pytest.raises(ConfigError, match=key):
+                parse_run_config(f"[{section}]\n{key} = {bad}\n")
+        zero = parse_run_config("[eval]\nonset_collar = 0\noffset_tolerance = 0\n").eval
+        assert zero.onset_collar == 0.0 and zero.offset_tolerance == 0.0
+
+
+    def test_sample_rate_range(self):
+        for bad in (0, -5, 1, 999, 192001):
+            with pytest.raises(ConfigError, match="sample_rate"):
+                parse_run_config(f"[data]\nsample_rate = {bad}\n")
+        for rate in (1000, 192000):
+            assert parse_run_config(f"[data]\nsample_rate = {rate}\n").data.sample_rate == rate
+
+    def test_default_section_refused(self):
+        # configparser would copy its keys into every section
+        for text in ("[DEFAULT]\nseed = 3\n", "[DEFAULT]\nseed = 3\n[training]\n", "[DEFAULT]\n"):
+            with pytest.raises(ConfigError, match="DEFAULT"):
+                parse_run_config(text)
 
 
 class TestBranches:

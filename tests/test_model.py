@@ -1,6 +1,7 @@
 """Tests for the multi-branch model, its losses, training, and checkpoints."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import struct
@@ -33,12 +34,12 @@ from mbsed.model import (
 )
 from mbsed.pooling import MilStrategy, PoolMethod
 
+from reference import batch_norm, relu
+
 
 def tiny_config(branches=("E-ATP", "I-GAP", "I-GMP"), seed=0, epochs=5, **kw):
     """Small enough to train in milliseconds, still two conv blocks deep."""
-    specs = tuple(
-        BranchSpec.parse(name, 1.0 if name.startswith("E") else 0.5) for name in branches
-    )
+    specs = tuple(BranchSpec.parse(name) for name in branches)
     defaults = dict(
         encoder=(
             CnnBlockSpec(4, (3, 3), freq_pool=8),
@@ -93,17 +94,17 @@ def make_clips(n, t=20, f=64, classes=4, seed=0, amp=1.0):
 
 class TestSpecs:
     def test_branch_parse(self):
-        spec = BranchSpec.parse("E-ATP", 1.0)
+        spec = BranchSpec.parse("E-ATP")
         assert spec.strategy is MilStrategy.EMBEDDING
         assert spec.method is PoolMethod.ATP
         assert spec.label == "E-ATP"
-        assert BranchSpec.parse("i-gmp", 0.5).label == "I-GMP"
+        assert BranchSpec.parse("i-gmp").label == "I-GMP"
 
     def test_branch_parse_rejects_unknown(self):
         with pytest.raises(ValueError):
-            BranchSpec.parse("X-ATP", 1.0)
+            BranchSpec.parse("X-ATP")
         with pytest.raises(ValueError):
-            BranchSpec.parse("EATP", 1.0)
+            BranchSpec.parse("EATP")
 
     def test_config_requires_exactly_one_main(self):
         with pytest.raises(ValueError, match="exactly one"):
@@ -116,7 +117,7 @@ class TestSpecs:
             ModelConfig(
                 encoder=(CnnBlockSpec(4, freq_pool=3),),
                 num_classes=2,
-                branches=(BranchSpec.parse("E-GMP", 1.0),),
+                branches=(BranchSpec.parse("E-GMP"),),
                 attention_scale=4.0,
             )
 
@@ -127,14 +128,14 @@ class TestSpecs:
             CnnBlockSpec(4, dropout=1.0)
 
     def test_small_preset_dimensions(self):
-        cfg = small_config(10, (BranchSpec.parse("E-ATP", 1.0),))
+        cfg = small_config(10, (BranchSpec.parse("E-ATP"),))
         assert len(cfg.encoder) == 3
         assert cfg.freq_bins_out == 4
         assert cfg.feature_dim == 160
         assert cfg.attention_scale == 64.0
 
     def test_large_preset_dimensions(self):
-        cfg = large_config(10, (BranchSpec.parse("E-ATP", 1.0),))
+        cfg = large_config(10, (BranchSpec.parse("E-ATP"),))
         assert len(cfg.encoder) == 9
         assert cfg.feature_dim == 1024
         assert cfg.encoder[0].dropout == 0.3
@@ -212,11 +213,11 @@ def relu_then_pool_encode(model, batch, rng):
         spec = block.spec
         kh, kw = spec.kernel
         x = ad.conv2d(x, block.kernel, padding=(kh // 2, kw // 2))
-        x = ad.batch_norm(
+        x = batch_norm(
             x, block.gamma, block.beta, block.running_mean, block.running_var,
             eps=BN_EPS, momentum=BN_MOMENTUM, train=True,
         )
-        x = ad.relu(x)
+        x = relu(x)
         n, h, w, c = x.shape
         if spec.freq_pool > 1:
             x = ad.reduce_max(ad.reshape(x, (n, h, w // spec.freq_pool, spec.freq_pool, c)), axis=3)
@@ -234,10 +235,7 @@ def relu_then_pool_encode(model, batch, rng):
 class TestEncoderRegression:
     @pytest.mark.parametrize("encoder", ["small", "gate_compact", "dropout"])
     def test_encode_matches_relu_then_pool_bit_for_bit(self, encoder):
-        branches = tuple(
-            BranchSpec.parse(name, 1.0 if name.startswith("E") else 0.5)
-            for name in ("E-ATP", "I-GAP", "I-GMP")
-        )
+        branches = tuple(BranchSpec.parse(name) for name in ("E-ATP", "I-GAP", "I-GMP"))
         if encoder == "small":
             cfg = small_config(4, branches, seed=3)
         elif encoder == "gate_compact":
@@ -288,8 +286,6 @@ class TestLosses:
         total = total_loss(
             Tensor(np.array(0.4)),
             [Tensor(np.array(0.2)), Tensor(np.array(0.2))],
-            alpha=1.0,
-            beta=0.5,
         )
         assert total.item() == 0.6
 
@@ -314,33 +310,40 @@ class TestLosses:
         singles = [clip_loss(Tensor(probs[i]), labels[i]).item() for i in range(5)]
         assert np.allclose(batched.data, singles, atol=1e-15)
 
-    def test_zero_beta_matches_main_only_gradients(self):
-        # with beta = 0 the auxiliary branches must not move shared params
+    def test_joint_gradient_is_weighted_sum_of_branch_gradients(self):
+        # total_loss weights each branch as its spec says: the joint gradient
+        # is the main branch's plus 0.5 x each auxiliary's, each of those
+        # taken from a backward pass of its branch's loss alone
         clips, labels = make_clips(4, seed=9)
         batch = np.stack(clips)
 
-        model = Model(tiny_config(seed=5))
-        feats = model.encode(batch, train=True)
-        branch_losses = [
-            ad.reduce_mean(clip_loss(model.branch_clip_probs(feats, b), labels))
-            for b in model.branches
-        ]
-        loss = total_loss(branch_losses[0], branch_losses[1:], alpha=1.0, beta=0.0)
-        loss.backward()
-        grads_joint = {n: p.grad.copy() for n, p in model.parameters() if p.grad is not None}
+        def branch_losses():
+            model = Model(tiny_config(seed=5))
+            feats = model.encode(batch, train=True)
+            losses = [
+                ad.reduce_mean(clip_loss(model.branch_clip_probs(feats, b), labels))
+                for b in model.branches
+            ]
+            return model, losses
 
-        model2 = Model(tiny_config(seed=5))
-        feats2 = model2.encode(batch, train=True)
-        loss2 = ad.reduce_mean(clip_loss(model2.branch_clip_probs(feats2, model2.branches[0]), labels))
-        loss2.backward()
-        for name, p in model2.parameters():
-            if p.grad is None:
-                continue
-            assert np.allclose(grads_joint[name], p.grad, atol=1e-12), name
+        def grads(model):
+            params = model.parameters()
+            return {n: np.zeros_like(p.data) if p.grad is None else p.grad for n, p in params}
 
-        for name, p in model.parameters():
-            if "branches.1" in name or "branches.2" in name:
-                assert p.grad is None or np.all(p.grad == 0.0), name
+        model, losses = branch_losses()
+        weights = [b.spec.loss_weight for b in model.branches]
+        assert weights == [1.0, 0.5, 0.5]
+        total_loss(losses[0], losses[1:]).backward()
+        joint = grads(model)
+
+        want = {n: np.zeros_like(g) for n, g in joint.items()}
+        for i, weight in enumerate(weights):
+            model, losses = branch_losses()
+            losses[i].backward()
+            for name, g in grads(model).items():
+                want[name] += weight * g
+        for name, g in joint.items():
+            np.testing.assert_allclose(g, want[name], rtol=1e-12, atol=1e-15, err_msg=name)
 
 
 class TestAdam:
@@ -552,6 +555,25 @@ class TestCheckpoint:
                 load_checkpoint(path)
             del target["stray"]
 
+    def test_rejects_branch_weight_off_the_table(self, tmp_path):
+        # branch loss weights come from LOSS_WEIGHTS, not from the header: a
+        # header that gives another weight fails the digest check even when
+        # its digest was taken over that weight
+        def digest_over(config: dict) -> str:
+            payload = {"version": CHECKPOINT_VERSION, "config": config}
+            payload = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            return hashlib.sha256(payload.encode()).hexdigest()
+
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(Model(tiny_config()), path)
+        header, params = split_checkpoint(path.read_bytes())
+        assert digest_over(header["config"]) == header["digest"]
+        header["config"]["branches"][1]["loss_weight"] = 0.7
+        header["digest"] = digest_over(header["config"])
+        path.write_bytes(join_checkpoint(header, params))
+        with pytest.raises(CheckpointError, match="digest mismatch"):
+            load_checkpoint(path)
+
     def test_rejects_truncated_file(self, tmp_path):
         model = Model(tiny_config())
         path = tmp_path / "model.ckpt"
@@ -581,10 +603,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("encoder", ["small", "gate_compact"])
     def test_same_bytes_at_any_blas_thread_count(self, blas_threads, tmp_path, encoder):
         if encoder == "small":
-            branches = tuple(
-                BranchSpec.parse(name, 1.0 if name.startswith("E") else 0.5)
-                for name in ("E-ATP", "I-GAP", "I-GMP")
-            )
+            branches = tuple(BranchSpec.parse(name) for name in ("E-ATP", "I-GAP", "I-GMP"))
             cfg = dataclasses.replace(small_config(4, branches, seed=3), epochs=1, batch_size=8)
         else:
             cfg = tiny_config(seed=3, epochs=1, encoder=GATE_COMPACT)
@@ -602,10 +621,7 @@ class TestCheckpoint:
     def test_preset_digests_pinned(self):
         # the digest hashes the config's dict form: a changed key, value or
         # rendering of that form changes these
-        branches = tuple(
-            BranchSpec.parse(name, 1.0 if name.startswith("E") else 0.5)
-            for name in ("E-ATP", "I-GAP", "I-GMP")
-        )
+        branches = tuple(BranchSpec.parse(name) for name in ("E-ATP", "I-GAP", "I-GMP"))
         assert config_digest(small_config(4, branches)) == (
             "e31e0ad8d2e9b9af4470978f2c55e48d3e7b4e420207192bfe53a94dd74ed259"
         )
