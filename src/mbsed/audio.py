@@ -202,6 +202,7 @@ def read_features(path) -> np.ndarray:
         t, f = struct.unpack("<II", head)
         raw = fh.read()
     # compare before allocating: a corrupt header can claim ~2**64 values
-    if len(raw) < t * f * 8:
-        raise AudioIOError(f"{path}: feature cache shorter than header claims")
+    if len(raw) != t * f * 8:
+        relation = "shorter" if len(raw) < t * f * 8 else "longer"
+        raise AudioIOError(f"{path}: feature cache {relation} than header claims")
     return np.frombuffer(raw, dtype="<f8", count=t * f).reshape(t, f).copy()

@@ -15,11 +15,11 @@ from .audio import AudioIOError
 from .config import ConfigError, RunConfig, load_run_config
 from .events import AnnotationError
 from .metrics import format_report
-from .model import CheckpointError, DivergenceError
+from .model import CheckpointError, DivergenceError, load_checkpoint
 from .pipeline import (
     PipelineError,
     format_ablation_table,
-    post_config_from_run,
+    model_post_config,
     run_ablation,
     run_evaluation,
     run_prediction,
@@ -78,7 +78,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     run = _load_config(args)
-    post = post_config_from_run(run, None, 0.02)
+    post = model_post_config(run, load_checkpoint(args.checkpoint).config)
     events_path, tags_path = run_prediction(
         args.checkpoint,
         args.audio,
@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="write event and tag TSVs for a directory of WAVs")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--audio", required=True, help="directory of .wav files")
-    p.add_argument("--config", default=None, help="optional run config for postprocessing")
+    p.add_argument("--config", default=None, help="run config; post-process as ablate does")
     p.add_argument("--out", required=True, help="output events TSV path")
     p.set_defaults(func=cmd_predict)
 

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import (
+    N_BANDS,
     AudioIOError,
     frame_hop_seconds,
     load_audio,
@@ -48,8 +49,8 @@ from .model import (
     small_config,
     train_model,
 )
-from .postprocess import PostConfig, adaptive_window, probs_to_events
-from .synth import WEAK_NAME
+from .postprocess import DEFAULT_WINDOW, PostConfig, adaptive_window, probs_to_events
+from .synth import STRONG_NAME, WEAK_NAME
 
 WORKERS_ENV = "MBSED_WORKERS"
 FEATURE_DIR = "features"
@@ -126,10 +127,13 @@ class Dataset:
 
 
 def clip_features(dataset_dir: Path, clip_id: str, cache: bool, rate: int) -> np.ndarray:
-    """Log-mel features for one clip, cached beside the audio when asked."""
-    cache_path = dataset_dir / FEATURE_DIR / f"{clip_id}.mel"
+    """Log-mel features for one clip, cached beside the audio per rate when asked."""
+    cache_path = dataset_dir / FEATURE_DIR / str(rate) / f"{clip_id}.mel"
     if cache and cache_path.exists():
-        return read_features(cache_path)
+        feats = read_features(cache_path)
+        if feats.shape[1] != N_BANDS:
+            raise AudioIOError(f"{cache_path}: {feats.shape[1]} bands, expected {N_BANDS}")
+        return feats
     wav_path = dataset_dir / f"{clip_id}.wav"
     if not wav_path.exists():
         raise PipelineError(f"missing audio file {wav_path}")
@@ -170,6 +174,19 @@ def load_dataset(
             labels[row, index[label]] = 1.0
     features = [clip_features(dataset_dir, cid, cache, rate) for cid in clip_ids]
     return Dataset(clip_ids, features, labels, list(class_labels), frame_hop_seconds(rate))
+
+
+def load_train_set(run: RunConfig) -> Dataset:
+    """The run's training set; training batches clips, so their frame counts must agree."""
+    dataset = load_dataset(run.data.train_dir, run.data.sample_rate, run.data.cache_features)
+    frames = [feats.shape[0] for feats in dataset.features]
+    for clip_id, n in zip(dataset.clip_ids, frames):
+        if n != frames[0]:
+            raise PipelineError(
+                f"training clip {clip_id} has {n} frames but {dataset.clip_ids[0]} has "
+                f"{frames[0]}; training batches need clips of one length"
+            )
+    return dataset
 
 
 def build_model_config(
@@ -218,7 +235,7 @@ def run_training(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = load_dataset(run.data.train_dir, run.data.sample_rate, run.data.cache_features)
+    dataset = load_train_set(run)
     branches = run.branch_specs()
     artifacts = []
     for r in range(run.training.repeats):
@@ -321,27 +338,32 @@ def run_evaluation(refs_tsv, preds_tsv, run: RunConfig) -> dict[str, EvalReport]
 
 def post_config_from_run(run: RunConfig, train_refs: list[EventAnnotation] | None, hop: float) -> PostConfig:
     """Postprocess settings; adaptive windows need training-set durations."""
-    if run.postprocess.window == "adaptive":
-        windows = {}
-        if train_refs:
-            by_label: dict[str, list[float]] = {}
-            for e in train_refs:
-                by_label.setdefault(e.label, []).append(e.duration)
-            windows = {
-                label: adaptive_window(float(np.median(durs)), hop)
-                for label, durs in by_label.items()
-            }
-        return PostConfig(
-            threshold=run.postprocess.threshold,
-            median_windows=windows,
-            tag_threshold=run.postprocess.tag_threshold,
-        )
+    windows, default = {}, DEFAULT_WINDOW
+    if run.postprocess.window != "adaptive":
+        default = int(run.postprocess.window)
+    elif train_refs:
+        by_label: dict[str, list[float]] = {}
+        for e in train_refs:
+            by_label.setdefault(e.label, []).append(e.duration)
+        windows = {
+            label: adaptive_window(float(np.median(durs)), hop)
+            for label, durs in by_label.items()
+        }
     return PostConfig(
         threshold=run.postprocess.threshold,
-        median_windows={},
-        default_window=int(run.postprocess.window),
+        median_windows=windows,
+        default_window=default,
         tag_threshold=run.postprocess.tag_threshold,
     )
+
+
+def model_post_config(run: RunConfig, model_config: ModelConfig) -> PostConfig:
+    """What ``predict`` and ``ablate`` apply: train_dir's strong labels at the pooled hop."""
+    strong = Path(run.data.train_dir) / STRONG_NAME
+    adaptive = run.postprocess.window == "adaptive" and run.data.train_dir and strong.exists()
+    train_refs = read_events_tsv(strong) if adaptive else None
+    hop = frame_hop_seconds(run.data.sample_rate) * model_config.time_pool_total
+    return post_config_from_run(run, train_refs, hop)
 
 
 @dataclass
@@ -367,7 +389,7 @@ class AblationRow:
 
 
 # What every ablation job of a run shares, in a pool worker: (run, train
-# set, test set, test refs, train refs, model config). The pool initializer
+# set, test set, test refs, model config). The pool initializer
 # sets it, so a worker receives the datasets once and each job only
 # (branches, seed).
 _worker_shared: tuple | None = None
@@ -389,14 +411,13 @@ def _ablation_run(job: tuple[tuple[str, ...], int]) -> float:
 def _ablation_job(shared: tuple, job: tuple[tuple[str, ...], int]) -> float:
     """One train+evaluate pass for (branches, seed)."""
     branches, seed = job
-    run, train_set, test_set, test_refs, train_refs, model_config = shared
+    run, train_set, test_set, test_refs, model_config = shared
     cfg = build_model_config(
         run, train_set.class_labels, parse_branches(branches), seed, model_config
     )
     model = Model(cfg)
     train_model(model, train_set.features, train_set.labels)
-    hop_out = train_set.hop_seconds * cfg.time_pool_total
-    post = post_config_from_run(run, train_refs, hop_out)
+    post = model_post_config(run, cfg)
     predictions = []
     for clip_id, feats in zip(test_set.clip_ids, test_set.features):
         _, events = predict_events(model, feats, clip_id, test_set.hop_seconds, post)
@@ -418,22 +439,17 @@ def run_ablation(
     if not run.data.test_dir:
         raise PipelineError("ablation needs [data] test_dir")
     rows = rows or ABLATION_ROWS
-    train_set = load_dataset(run.data.train_dir, run.data.sample_rate, run.data.cache_features)
+    train_set = load_train_set(run)
     test_set = load_dataset(
         run.data.test_dir, run.data.sample_rate, run.data.cache_features,
         class_labels=train_set.class_labels,
     )
-    strong_path = Path(run.data.test_dir) / "strong.tsv"
+    strong_path = Path(run.data.test_dir) / STRONG_NAME
     if not strong_path.exists():
         raise PipelineError(f"missing reference annotations {strong_path}")
     test_refs = read_events_tsv(strong_path)
-    train_refs = None
-    if run.postprocess.window == "adaptive":
-        train_strong = Path(run.data.train_dir) / "strong.tsv"
-        if train_strong.exists():
-            train_refs = read_events_tsv(train_strong)
 
-    shared = (run, train_set, test_set, test_refs, train_refs, model_config)
+    shared = (run, train_set, test_set, test_refs, model_config)
     jobs = [
         (branches, run.training.seed + r)
         for branches in rows

@@ -78,6 +78,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_clips < 1:
             raise ValueError("n_clips must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.max_polyphony < 1:
             raise ValueError("max_polyphony must be at least 1")
         if not 0 <= self.events_min <= self.events_max:

@@ -304,6 +304,16 @@ class TestFeatureCache:
         with pytest.raises(AudioIOError, match="shorter"):
             read_features(path)
 
+    def test_longer_payload_rejected(self, tmp_path):
+        # a header rewritten from (4, 64) to (4, 32) leaves twice the values it claims
+        path = tmp_path / "c.mel"
+        write_features(path, np.zeros((4, 64)))
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = (32).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(AudioIOError, match="longer"):
+            read_features(path)
+
     def test_rejects_non_2d(self, tmp_path):
         with pytest.raises(ValueError):
             write_features(tmp_path / "x.mel", np.zeros(5))

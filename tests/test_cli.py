@@ -5,9 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mbsed.audio import AudioClip, write_wav
+from mbsed.audio import AudioClip, frame_hop_seconds, write_features, write_wav
 from mbsed.cli import main
-from mbsed.events import read_events_tsv
+from mbsed.config import load_run_config
+from mbsed.events import read_events_tsv, write_events_tsv
+from mbsed.model import load_checkpoint
+from mbsed.pipeline import load_dataset, post_config_from_run, predict_events
 
 from test_pipeline import tiny_model_config
 
@@ -70,6 +73,12 @@ class TestSynth:
         assert run_cli(["synth", "--clips", -3, "--out", tmp_path / "x"]) == 2
         assert "n_clips must be positive" in capsys.readouterr().err
 
+    def test_negative_seed_message(self, tmp_path, capsys):
+        assert run_cli(["synth", "--clips", 2, "--seed", -1, "--out", tmp_path / "x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed must be non-negative" in err
+        assert "Traceback" not in err
+
     def test_deterministic(self, dataset, tmp_path):
         again = tmp_path / "again"
         assert run_cli(["synth", "--clips", 4, "--seed", 0, "--out", again]) == 0
@@ -124,6 +133,40 @@ class TestTrain:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "sample_rate" in err and "Traceback" not in err
 
+    def test_clips_of_different_lengths(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run_cli(["synth", "--clips", 2, "--clip-seconds", 5, "--out", data]) == 0
+        write_wav(data / "clip_0001.wav", AudioClip(np.zeros(7 * 22050), 22050))
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[data]\ntrain_dir = {data}\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli(["train", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "clip_0001 has 350 frames" in err and "clip_0000 has 250" in err
+
+    def test_corrupt_feature_cache(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run_cli(["synth", "--clips", 2, "--clip-seconds", 5, "--out", data]) == 0
+        cache = data / "features" / "22050" / "clip_0000.mel"
+        load_dataset(data, cache=True)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[data]\ntrain_dir = {data}\n", encoding="utf-8")
+
+        def train_error():
+            capsys.readouterr()
+            assert run_cli(["train", "--config", cfg, "--out", tmp_path / "o"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+            return err
+
+        blob = bytearray(cache.read_bytes())
+        blob[4:8] = (32).to_bytes(4, "little")  # header (250, 64) now claims (250, 32)
+        cache.write_bytes(bytes(blob))
+        assert "clip_0000.mel: feature cache longer than header claims" in train_error()
+        write_features(cache, np.zeros((250, 32)))  # well formed, but 32 bands
+        assert "clip_0000.mel: 32 bands, expected 64" in train_error()
+
 
 class TestPredict:
     def test_outputs(self, checkpoint, dataset, tmp_path, capsys):
@@ -141,6 +184,41 @@ class TestPredict:
         assert keys == sorted(keys)
         stdout = capsys.readouterr().out
         assert "events:" in stdout and "clip tags:" in stdout
+
+    def test_config_post_processes_as_ablate(self, tmp_path):
+        # the small preset, trained briefly with the clip gate off: adaptive
+        # windows from the training labels decide which events survive
+        train, test = tmp_path / "train", tmp_path / "test"
+        for out, clips, seed in ((train, 8, 1), (test, 4, 2)):
+            assert run_cli([
+                "synth", "--clips", clips, "--clip-seconds", 5, "--seed", seed, "--out", out,
+            ]) == 0
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(
+            f"[data]\ntrain_dir = {train}\n"
+            "[training]\nepochs = 3\nbatch_size = 4\nlearning_rate = 0.01\n"
+            "[postprocess]\ntag_threshold = 0\n",
+            encoding="utf-8",
+        )
+        assert run_cli(["train", "--config", cfg, "--out", tmp_path / "run"]) == 0
+        ckpt = tmp_path / "run" / "model_seed0.ckpt"
+        out = tmp_path / "events.tsv"
+        assert run_cli([
+            "predict", "--checkpoint", ckpt, "--audio", test, "--config", cfg, "--out", out,
+        ]) == 0
+
+        # the events ablate scores: windows at the pooled hop from train/strong.tsv
+        model = load_checkpoint(ckpt)
+        post = post_config_from_run(
+            load_run_config(cfg), read_events_tsv(train / "strong.tsv"),
+            frame_hop_seconds(22050) * model.config.time_pool_total,
+        )
+        test_set = load_dataset(test, cache=False)
+        expected = []
+        for clip_id, feats in zip(test_set.clip_ids, test_set.features):
+            expected += predict_events(model, feats, clip_id, test_set.hop_seconds, post)[1]
+        write_events_tsv(tmp_path / "expected.tsv", expected)
+        assert out.read_bytes() == (tmp_path / "expected.tsv").read_bytes()
 
     def test_digest_mismatch_refused(self, checkpoint, dataset, tmp_path, capsys):
         # flip one config byte inside the header; loading must refuse

@@ -13,6 +13,7 @@ import pytest
 
 from mbsed import autodiff as ad
 from mbsed import pipeline
+from mbsed.audio import frame_hop_seconds
 from mbsed.config import RunConfig, parse_branches, parse_run_config
 from mbsed.events import EventAnnotation, read_events_tsv
 from mbsed.metrics import segment_based_f1
@@ -22,6 +23,7 @@ from mbsed.pipeline import (
     PipelineError,
     format_ablation_table,
     load_dataset,
+    model_post_config,
     post_config_from_run,
     predict_events,
     run_ablation,
@@ -31,7 +33,7 @@ from mbsed.pipeline import (
     set_blas_threads,
     worker_count,
 )
-from mbsed.postprocess import PostConfig
+from mbsed.postprocess import PostConfig, adaptive_window
 from mbsed.synth import SynthConfig, generate_dataset
 
 N_TRAIN = 6
@@ -51,6 +53,19 @@ def tiny_model_config(branches=("E-ATP", "I-GAP", "I-GMP"), epochs=3, seed=0):
         batch_size=4,
         epochs=epochs,
         seed=seed,
+    )
+
+
+def compact_model_config():
+    """The gate's compact encoder, which pools time by 4, at tiny_model_config's settings."""
+    return dataclasses.replace(
+        tiny_model_config(),
+        encoder=(
+            CnnBlockSpec(2, (1, 1), freq_pool=2, time_pool=4),
+            CnnBlockSpec(8, (3, 3), freq_pool=4),
+            CnnBlockSpec(16, (3, 3), freq_pool=8),
+        ),
+        class_labels=("burst", "chirp", "tone", "warble"),
     )
 
 
@@ -123,7 +138,7 @@ class TestLoadDataset:
         dataset = tmp_path / "tiny"
         generate_dataset(SynthConfig(n_clips=2, seed=5), dataset)
         first = load_dataset(dataset, cache=True)
-        assert sorted(p.name for p in (dataset / "features").iterdir()) == [
+        assert sorted(p.name for p in (dataset / "features" / "22050").iterdir()) == [
             "clip_0000.mel",
             "clip_0001.mel",
         ]
@@ -134,6 +149,20 @@ class TestLoadDataset:
             np.testing.assert_array_equal(a, b)
         with pytest.raises(PipelineError, match="missing audio"):
             load_dataset(dataset, cache=False)
+
+
+    def test_cache_keyed_by_rate(self, tmp_path):
+        # features cached at one rate are not served at another
+        dataset = tmp_path / "tiny"
+        generate_dataset(SynthConfig(n_clips=2, seed=5), dataset)
+        for rate in (22050, 16000):
+            cached = load_dataset(dataset, rate=rate, cache=True)
+            again = load_dataset(dataset, rate=rate, cache=True)
+            fresh = load_dataset(dataset, rate=rate, cache=False)
+            for a, b, c in zip(cached.features, again.features, fresh.features):
+                np.testing.assert_array_equal(a, c)
+                np.testing.assert_array_equal(b, c)
+        assert sorted(p.name for p in (dataset / "features").iterdir()) == ["16000", "22050"]
 
 
 class TestTraining:
@@ -193,17 +222,8 @@ class TestPrediction:
         audio = tmp_path / "audio"
         generate_dataset(SynthConfig(n_clips=2, clip_seconds=7.3, seed=5), audio)
         assert load_dataset(audio, cache=False).features[0].shape == (365, 64)
-        cfg = dataclasses.replace(
-            tiny_model_config(),
-            encoder=(
-                CnnBlockSpec(2, (1, 1), freq_pool=2, time_pool=4),
-                CnnBlockSpec(8, (3, 3), freq_pool=4),
-                CnnBlockSpec(16, (3, 3), freq_pool=8),
-            ),
-            class_labels=("burst", "chirp", "tone", "warble"),
-        )
         ckpt = tmp_path / "compact.ckpt"
-        save_checkpoint(Model(cfg), ckpt)
+        save_checkpoint(Model(compact_model_config()), ckpt)
         # a threshold below every probability and no clip gate: one event per class and clip
         events_path, tags_path = run_prediction(
             ckpt, audio, tmp_path / "events.tsv", PostConfig(threshold=1e-9, tag_threshold=0.0)
@@ -309,6 +329,30 @@ class TestPostConfigFromRun:
         assert post_config_from_run(run, None, hop=0.02).tag_threshold == 0.8
         run = parse_run_config("[postprocess]\ntag_threshold = 0.8\nwindow = 5\n")
         assert post_config_from_run(run, None, hop=0.02).tag_threshold == 0.8
+
+
+class TestModelPostConfig:
+    def test_windows_at_the_pooled_hop(self, data_dirs):
+        train, test = data_dirs
+        refs = read_events_tsv(train / "strong.tsv")
+        post = model_post_config(make_run(train, test), compact_model_config())
+        hop = 4 * frame_hop_seconds(22050)
+        durations = {e.label: [d.duration for d in refs if d.label == e.label] for e in refs}
+        assert post.median_windows == {
+            label: adaptive_window(float(np.median(durs)), hop) for label, durs in durations.items()
+        }
+        assert post.median_windows != model_post_config(
+            make_run(train, test), tiny_model_config()
+        ).median_windows
+
+    def test_fixed_window_or_no_train_labels(self, data_dirs):
+        train, test = data_dirs
+        run = parse_run_config("[postprocess]\nwindow = 9\n")
+        run.data.train_dir = str(train)
+        assert model_post_config(run, tiny_model_config()).median_windows == {}
+        assert model_post_config(run, tiny_model_config()).default_window == 9
+        post = model_post_config(RunConfig(), tiny_model_config())
+        assert post.median_windows == {} and post.default_window == 27
 
 
 class TestWorkerCount:
