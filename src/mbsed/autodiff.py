@@ -28,21 +28,26 @@ class DomainError(ValueError):
     """Operand values lie outside the mathematical domain of the op."""
 
 
-# Gradient recording can be suspended (finite-difference probes, inference).
-_grad_enabled = True
+class _GradState(threading.local):
+    """Whether this thread records ops onto tapes; each thread starts on."""
+
+    enabled = True
+
+
+# Gradient recording can be suspended (finite-difference probes, inference),
+# per thread, so inference on one thread leaves training on another recording.
+_grad = _GradState()
 
 
 class no_grad:
-    """Context manager that suspends tape recording."""
+    """Context manager that suspends tape recording on the calling thread."""
 
     def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
+        self._prev = _grad.enabled
+        _grad.enabled = False
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
+        _grad.enabled = self._prev
         return False
 
 
@@ -142,7 +147,7 @@ def _find_tape(inputs: Sequence[Tensor]) -> Tape | None:
 
 
 def _record(inputs: Sequence[Tensor], out: Tensor, backward: Callable[[], None]) -> Tensor:
-    if not _grad_enabled or not any(_tracked(t) for t in inputs):
+    if not _grad.enabled or not any(_tracked(t) for t in inputs):
         return out
     tape = _find_tape(inputs)
     if tape is None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from .audio import (
     read_features,
     write_features,
 )
-from .autodiff import _blas_thread_calls
+from .autodiff import _blas_thread_calls, _blas_threads
 from .config import RunConfig, parse_branches, resolved_text
 from .events import (
     EventAnnotation,
@@ -89,6 +90,32 @@ def set_blas_threads(n: int) -> int | None:
     previous = getter()
     setter(n)
     return previous
+
+
+def map_clips(fn, items) -> list:
+    """``[fn(item) for item in items]``, with the items spread over as many
+    threads as numpy's OpenBLAS has now, each on one BLAS thread.
+
+    BLAS is pinned to one thread while the threads run, so each clip keeps
+    to one core and ``conv_block`` runs its chunks inline, and the count is
+    restored afterwards, also when ``fn`` raises. The count is process-wide,
+    so two maps must not overlap. With one BLAS thread (an
+    ablation worker, ``OPENBLAS_NUM_THREADS=1``) or one item the map runs
+    inline and starts no thread. Results come in item order, and the first
+    item to raise, in that order, is the one whose exception propagates, so
+    a caller sees what a serial loop would. ``fn`` must not depend on the
+    BLAS thread count or share mutable state between items.
+    """
+    items = list(items)
+    threads = min(_blas_threads(), len(items))
+    if threads <= 1:
+        return [fn(item) for item in items]
+    previous = set_blas_threads(1)
+    try:
+        with ThreadPoolExecutor(threads, thread_name_prefix="mbsed-clip") as pool:
+            return list(pool.map(fn, items))
+    finally:
+        set_blas_threads(previous)
 
 
 def cpu_count() -> int:
@@ -179,6 +206,10 @@ def load_dataset(
 def load_train_set(run: RunConfig) -> Dataset:
     """The run's training set; training batches clips, so their frame counts must agree."""
     dataset = load_dataset(run.data.train_dir, run.data.sample_rate, run.data.cache_features)
+    if not dataset.clip_ids:
+        raise PipelineError(
+            f"training set {Path(run.data.train_dir) / WEAK_NAME} lists no clips"
+        )
     frames = [feats.shape[0] for feats in dataset.features]
     for clip_id, n in zip(dataset.clip_ids, frames):
         if n != frames[0]:
@@ -283,7 +314,11 @@ def run_prediction(
     rate: int = 22050,
     cache: bool = False,
 ) -> tuple[Path, Path]:
-    """Predict events for every WAV in a directory; returns (events, tags) paths."""
+    """Predict events for every WAV in a directory; returns (events, tags) paths.
+
+    The clips run concurrently (``map_clips``), and the files list them in
+    sorted WAV order, so they do not depend on the BLAS thread count.
+    """
     model = load_checkpoint(checkpoint_path)
     audio_dir = Path(audio_dir)
     wavs = sorted(audio_dir.glob("*.wav"))
@@ -291,12 +326,14 @@ def run_prediction(
         raise PipelineError(f"no .wav files found in {audio_dir}")
     post = post or PostConfig()
     hop = frame_hop_seconds(rate)
+
+    def predict_wav(wav: Path):
+        feats = clip_features(audio_dir, wav.stem, cache, rate)
+        return wav.stem, *predict_events(model, feats, wav.stem, hop, post)
+
     all_events = []
     tag_rows = []
-    for wav in wavs:
-        clip_id = wav.stem
-        feats = clip_features(audio_dir, clip_id, cache, rate)
-        clip_probs, events = predict_events(model, feats, clip_id, hop, post)
+    for clip_id, clip_probs, events in map_clips(predict_wav, wavs):
         all_events.extend(events)
         for label, prob in zip(model.config.label_names, clip_probs):
             tag_rows.append(f"{clip_id}\t{label}\t{prob:.6f}")
@@ -418,10 +455,13 @@ def _ablation_job(shared: tuple, job: tuple[tuple[str, ...], int]) -> float:
     model = Model(cfg)
     train_model(model, train_set.features, train_set.labels)
     post = model_post_config(run, cfg)
-    predictions = []
-    for clip_id, feats in zip(test_set.clip_ids, test_set.features):
-        _, events = predict_events(model, feats, clip_id, test_set.hop_seconds, post)
-        predictions.extend(events)
+
+    def clip_events(clip):
+        clip_id, feats = clip
+        return predict_events(model, feats, clip_id, test_set.hop_seconds, post)[1]
+
+    clips = zip(test_set.clip_ids, test_set.features)
+    predictions = [e for events in map_clips(clip_events, clips) for e in events]
     return score_events(test_refs, predictions, run)[run.eval.protocol].macro_f1
 
 

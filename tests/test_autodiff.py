@@ -907,6 +907,87 @@ class TestBackward:
         assert np.array_equal(o1, o2) and np.array_equal(g1, g2)
 
 
+def records() -> bool:
+    """Whether an op on a tracked tensor lands on a tape on this thread."""
+    return ad.mul(Tensor([1.0], requires_grad=True), 2.0).tape is not None
+
+
+def run_threads(*targets) -> None:
+    """Run each target on its own thread; re-raise the first failure here."""
+    errors = []
+
+    def guarded(target):
+        try:
+            target()
+        except BaseException as exc:  # re-raised below, in the test's thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(t,), daemon=True) for t in targets]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads), "a thread did not finish in 30 s"
+    if errors:
+        raise errors[0]
+
+
+class TestNoGrad:
+    def test_suspends_recording_in_its_block(self):
+        with ad.no_grad():
+            assert not records()
+            with ad.no_grad():
+                assert not records()
+            assert not records()
+        assert records()
+
+    def test_held_on_one_thread_leaves_another_recording(self):
+        entered, checked = threading.Event(), threading.Event()
+        seen = {}
+
+        def inference():
+            with ad.no_grad():
+                entered.set()
+                assert checked.wait(10)
+                seen["inference"] = records()
+
+        def training():
+            assert entered.wait(10)
+            seen["training"] = records()
+            checked.set()
+
+        run_threads(inference, training)
+        assert seen == {"inference": False, "training": True}
+
+    def test_interleaved_blocks_leave_recording_on(self):
+        # a enters, b enters, a leaves, b leaves: with one flag for the
+        # process, a's leaving would switch b's block back on, and b's
+        # leaving would restore the "off" it saw on entering, for good
+        step = threading.Barrier(2, timeout=10)
+        seen = {}
+
+        def a():
+            with ad.no_grad():
+                step.wait()  # a is inside
+                step.wait()  # b is inside
+            step.wait()  # a has left
+            step.wait()  # b has left
+            seen["a"] = records()
+
+        def b():
+            step.wait()
+            with ad.no_grad():
+                step.wait()
+                step.wait()
+                seen["b inside"] = records()
+            step.wait()
+            seen["b"] = records()
+
+        run_threads(a, b)
+        assert seen == {"a": True, "b inside": False, "b": True}
+        assert records()
+
+
 # ---------------------------------------------------------------------------
 # misc ops
 

@@ -104,6 +104,17 @@ class TestTrain:
         stdout = capsys.readouterr().out
         assert "seed 5" in stdout and "seed 7" in stdout
 
+    def test_empty_training_set(self, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "weak.tsv").write_text("", encoding="utf-8")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[data]\ntrain_dir = {empty}\n", encoding="utf-8")
+        assert run_cli(["train", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"training set {empty / 'weak.tsv'} lists no clips" in err
+
     def test_missing_train_dir(self, tmp_path, capsys):
         cfg = tmp_path / "none.ini"
         cfg.write_text("[training]\nepochs = 1\n", encoding="utf-8")
@@ -333,6 +344,18 @@ class TestAblate:
         assert (out / "ablation.md").read_text(encoding="utf-8").splitlines()[0] == lines[0]
         # progress goes to stderr, one line per run
         assert captured.err.count("[") >= 4
+
+    def test_empty_training_set(self, dataset, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "weak.tsv").write_text("", encoding="utf-8")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[data]\ntrain_dir = {empty}\ntest_dir = {dataset}\n", encoding="utf-8")
+        code = run_cli(["ablate", "--config", cfg, "--repeats", 2, "--out", tmp_path / "a"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "lists no clips" in err
 
     def test_needs_repeats(self, run_config_path, tmp_path, capsys):
         code = run_cli(["ablate", "--config", run_config_path, "--out", tmp_path / "a"])

@@ -6,6 +6,8 @@ predict, evaluate loop stays fast.
 
 import copy
 import dataclasses
+import shutil
+import sys
 import threading
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 
 from mbsed import autodiff as ad
 from mbsed import pipeline
-from mbsed.audio import frame_hop_seconds
+from mbsed.audio import AudioIOError, frame_hop_seconds
 from mbsed.config import RunConfig, parse_branches, parse_run_config
 from mbsed.events import EventAnnotation, read_events_tsv
 from mbsed.metrics import segment_based_f1
@@ -216,6 +218,75 @@ class TestPrediction:
         events = read_events_tsv(events_path)
         keys = [(e.clip_id, e.onset) for e in events]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_same_bytes_as_a_serial_loop(
+        self, trained, data_dirs, tmp_path, monkeypatch, blas_threads, threads
+    ):
+        # the test set has N_TEST = 3 clips, so 4 threads are more than clips;
+        # a short switch interval makes the clip threads interleave often
+        _, _, arts = trained
+        _, test = data_dirs
+        ckpt = arts[0].checkpoint_path
+        blas_threads(threads)
+        seen = []  # (thread name, BLAS threads) of each clip
+        predict = pipeline.predict_events
+
+        def spy(*args):
+            seen.append((threading.current_thread().name, ad._blas_threads()))
+            return predict(*args)
+
+        monkeypatch.setattr(pipeline, "predict_events", spy)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            concurrent = run_prediction(ckpt, test, tmp_path / "concurrent" / "events.tsv")
+        finally:
+            sys.setswitchinterval(interval)
+        assert ad._blas_threads() == threads
+        assert len(seen) == N_TEST and all(blas == 1 for _, blas in seen)
+        names = {name for name, _ in seen}
+        if threads == 1:
+            assert names == {threading.current_thread().name}
+        else:
+            assert all(name.startswith("mbsed-clip") for name in names)
+            assert len(names) <= min(threads, N_TEST)
+
+        monkeypatch.setattr(pipeline, "map_clips", lambda fn, items: [fn(i) for i in items])
+        serial = run_prediction(ckpt, test, tmp_path / "serial" / "events.tsv")
+        for a, b in zip(concurrent, serial):
+            assert a.read_bytes() == b.read_bytes()
+
+    def test_first_bad_clip_in_sorted_order_raises(
+        self, trained, data_dirs, tmp_path, blas_threads
+    ):
+        _, _, arts = trained
+        _, test = data_dirs
+        audio = tmp_path / "audio"
+        audio.mkdir()
+        for wav in test.glob("*.wav"):
+            shutil.copy(wav, audio / wav.name)
+        (audio / "clip_0001.wav").write_bytes(b"not a wav file")
+        (audio / "clip_0002.wav").write_bytes(b"RIFF")
+        for threads in (1, 2, 4):
+            blas_threads(threads)
+            with pytest.raises(AudioIOError, match="clip_0001.wav"):
+                run_prediction(arts[0].checkpoint_path, audio, tmp_path / "e.tsv")
+            assert ad._blas_threads() == threads
+
+    def test_training_records_after_prediction(self, trained, data_dirs, tmp_path, blas_threads):
+        # inference switches recording off on its clip threads only
+        _, _, arts = trained
+        train, test = data_dirs
+        blas_threads(2)
+        run_prediction(arts[0].checkpoint_path, test, tmp_path / "events.tsv")
+        ds = load_dataset(train)
+        model = Model(tiny_model_config(epochs=1))
+        before = [t.data.copy() for _, t in model.parameters()]
+        # backward on an empty tape would raise
+        train_model(model, ds.features[:4], ds.labels[:4])
+        after = [t.data for _, t in model.parameters()]
+        assert not all(np.array_equal(a, b) for a, b in zip(before, after))
 
     def test_clip_length_pooling_cannot_tile(self, tmp_path):
         # 7.3 s clips have 365 frames; the gate's compact encoder pools time by 4
