@@ -5,16 +5,23 @@ backward rule onto a tape while they execute, so the recording order is
 already a topological order; ``Tensor.backward`` replays the tape in exact
 reverse. Gradients accumulate additively when a tensor feeds several
 consumers, and each rule leaves the tape as soon as it has run.
+
+``with profile() as prof:`` totals each op's calls, forward and backward
+seconds and output bytes, on every thread.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import dataclasses
 import functools
 import math
 import os
 import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Sequence
 
 import numpy as np
@@ -149,6 +156,9 @@ def _find_tape(inputs: Sequence[Tensor]) -> Tape | None:
 def _record(inputs: Sequence[Tensor], out: Tensor, backward: Callable[[], None]) -> Tensor:
     if not _grad.enabled or not any(_tracked(t) for t in inputs):
         return out
+    prof = _profile
+    if prof is not None:
+        backward = prof._timed(backward)
     tape = _find_tape(inputs)
     if tape is None:
         tape = Tape()
@@ -184,9 +194,122 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# op profiler
+
+
+@dataclasses.dataclass
+class OpStats:
+    """One op's totals in a profile: calls, seconds in the calls and in the
+    backward rules they recorded, and bytes of their outputs."""
+
+    calls: int = 0
+    forward_s: float = 0.0
+    backward_s: float = 0.0
+    out_bytes: int = 0
+
+
+class profile:
+    """``with profile() as prof:`` totals the ops run while it is open, on
+    any thread; ``prof.ops`` maps each op's name to its ``OpStats``.
+
+    A call counts from entry to return, with its output's bytes; the
+    backward rule it records counts when it runs, also after the profile
+    has closed. Compositions such as ``linear`` and ``swapaxes`` are not
+    ops: they show as the ops they call, so no second counts time twice,
+    and the calls of a step add up to its tape's entries. Each thread adds
+    into a table of its own and ``ops`` merges them, so threads share no
+    mutable state. One profile is open at a time. While none is, an op
+    pays one test for ``None``, and so does ``_record``.
+    """
+
+    def __init__(self):
+        self._local = threading.local()
+        self._tables: list[dict[str, OpStats]] = []
+        self._lock = threading.Lock()
+
+    def __enter__(self) -> "profile":
+        global _profile
+        with _profile_lock:
+            if _profile is not None:
+                raise RuntimeError("a profile is already open")
+            _profile = self
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        global _profile
+        _profile = None
+        return False
+
+    def _stats(self, name: str) -> OpStats:
+        table = getattr(self._local, "table", None)
+        if table is None:
+            table = self._local.table = {}
+            with self._lock:
+                self._tables.append(table)
+        stats = table.get(name)
+        if stats is None:
+            stats = table[name] = OpStats()
+        return stats
+
+    def _call(self, name: str, fn: Callable, args, kwargs) -> Tensor:
+        start = time.perf_counter()
+        out = fn(*args, **kwargs)
+        stats = self._stats(name)
+        stats.forward_s += time.perf_counter() - start
+        stats.calls += 1
+        stats.out_bytes += out.data.nbytes
+        return out
+
+    def _timed(self, backward: Callable[[], None]) -> Callable[[], None]:
+        name = backward.__qualname__.partition(".")[0]  # "<op>.<locals>.backward"
+
+        def timed() -> None:
+            start = time.perf_counter()
+            try:
+                backward()
+            finally:
+                self._stats(name).backward_s += time.perf_counter() - start
+
+        return timed
+
+    @property
+    def ops(self) -> dict[str, OpStats]:
+        """Totals per op name, over every thread, in name order."""
+        with self._lock:
+            tables = list(self._tables)
+        merged: dict[str, OpStats] = {}
+        for table in tables:
+            for name, stats in list(table.items()):
+                into = merged.setdefault(name, OpStats())
+                for f in dataclasses.fields(OpStats):
+                    setattr(into, f.name, getattr(into, f.name) + getattr(stats, f.name))
+        return dict(sorted(merged.items()))
+
+
+# the open profile, or None
+_profile: profile | None = None
+_profile_lock = threading.Lock()
+
+
+def _op(fn: Callable[..., Tensor]) -> Callable[..., Tensor]:
+    """``fn`` as an op: counted under its name while a profile is open."""
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def op(*args, **kwargs):
+        prof = _profile
+        if prof is None:
+            return fn(*args, **kwargs)
+        return prof._call(name, fn, args, kwargs)
+
+    return op
+
+
+# ---------------------------------------------------------------------------
 # elementwise arithmetic
 
 
+@_op
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.data + b.data)
@@ -203,6 +326,7 @@ def add(a, b) -> Tensor:
     return _record((a, b), out, backward)
 
 
+@_op
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.data - b.data)
@@ -219,6 +343,7 @@ def sub(a, b) -> Tensor:
     return _record((a, b), out, backward)
 
 
+@_op
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.data * b.data)
@@ -235,6 +360,7 @@ def mul(a, b) -> Tensor:
     return _record((a, b), out, backward)
 
 
+@_op
 def matmul(a, b) -> Tensor:
     """Stacked matrix product over the last two axes."""
     a, b = as_tensor(a), as_tensor(b)
@@ -260,6 +386,7 @@ def matmul(a, b) -> Tensor:
 # shape manipulation
 
 
+@_op
 def reshape(x: Tensor, shape) -> Tensor:
     x = as_tensor(x)
     out = Tensor(x.data.reshape(shape))
@@ -271,6 +398,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _record((x,), out, backward)
 
 
+@_op
 def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
     x = as_tensor(x)
     if axes is None:
@@ -292,6 +420,7 @@ def swapaxes(x: Tensor, a: int, b: int) -> Tensor:
     return transpose(x, axes)
 
 
+@_op
 def broadcast_to(x: Tensor, shape) -> Tensor:
     x = as_tensor(x)
     out = Tensor(np.broadcast_to(x.data, shape).copy())
@@ -303,6 +432,7 @@ def broadcast_to(x: Tensor, shape) -> Tensor:
     return _record((x,), out, backward)
 
 
+@_op
 def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
     """Clip values into [lo, hi]; gradient passes only strictly inside."""
     x = as_tensor(x)
@@ -320,6 +450,7 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
 # pointwise nonlinearities
 
 
+@_op
 def sigmoid(x: Tensor) -> Tensor:
     x = as_tensor(x)
     v = x.data
@@ -337,6 +468,7 @@ def sigmoid(x: Tensor) -> Tensor:
     return _record((x,), out, backward)
 
 
+@_op
 def log(x: Tensor) -> Tensor:
     x = as_tensor(x)
     if np.any(x.data <= 0.0):
@@ -350,6 +482,7 @@ def log(x: Tensor) -> Tensor:
     return _record((x,), out, backward)
 
 
+@_op
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     """Zero entries with probability p and rescale survivors by 1/(1-p),
     the mask drawn from ``rng``."""
@@ -376,6 +509,7 @@ def _expand(g: np.ndarray, axis: int | None, keepdims: bool) -> np.ndarray:
     return g if keepdims or axis is None else np.expand_dims(g, axis)
 
 
+@_op
 def reduce_sum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     """Sum along ``axis``, or over every axis when it is None."""
     x = as_tensor(x)
@@ -389,6 +523,7 @@ def reduce_sum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Te
     return _record((x,), out, backward)
 
 
+@_op
 def reduce_mean(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     """Mean along ``axis``, or over every axis when it is None."""
     x = as_tensor(x)
@@ -403,6 +538,7 @@ def reduce_mean(x: Tensor, axis: int | None = None, keepdims: bool = False) -> T
     return _record((x,), out, backward)
 
 
+@_op
 def reduce_max(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     """Max along one axis; gradient routes to the first maximal element."""
     x = as_tensor(x)
@@ -431,6 +567,7 @@ def _check_axis(x: Tensor, axis: int | None) -> None:
         raise ShapeError(f"cannot reduce over empty axis {axis} of shape {x.shape}")
 
 
+@_op
 def softmax(x: Tensor, scale: float = 1.0, axis: int = -1) -> Tensor:
     """exp(x/scale) normalized along ``axis``, with max subtraction."""
     if scale <= 0.0:
@@ -559,12 +696,18 @@ def _windows(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return windows.transpose(0, 1, 2, 4, 5, 3)
 
 
+def _inner_width(width: int) -> int:
+    """How many terms a product's inner sum of ``width`` terms takes: past
+    ``PIECE_PIXELS``, zeros widen it to a multiple of 32 (see there), so its
+    bits do not depend on the BLAS thread count."""
+    return width if width <= PIECE_PIXELS else -(-width // 32) * 32
+
+
 def _column_buffer(windows: np.ndarray, slab: tuple) -> np.ndarray:
-    """A buffer for the im2col columns of ``slab``, the largest slab, past
-    ``PIECE_PIXELS`` widened with zero columns to a multiple of 32 (see there)."""
+    """A buffer for the im2col columns of ``slab``, the largest slab,
+    ``_inner_width`` columns wide, zeros past the window's."""
     width = math.prod(windows.shape[3:])
-    cols = width if width <= PIECE_PIXELS else -(-width // 32) * 32
-    buf = np.empty((math.prod(windows[slab].shape[:3]), cols))
+    buf = np.empty((math.prod(windows[slab].shape[:3]), _inner_width(width)))
     buf[:, width:] = 0.0
     return buf
 
@@ -593,11 +736,14 @@ def _conv_forward(xp: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     width = kh * kw * c
     slabs = _slabs(n, h2, w2, SLAB_DOUBLES // width)
     windows = _windows(xp, kh, kw)
-    buf = _column_buffer(windows, slabs[0])  # the first slab is the largest
-    kmat = _zero_rows(kernel.transpose(2, 3, 1, 0).reshape(width, k), buf.shape[1])
+    kmat = _zero_rows(kernel.transpose(2, 3, 1, 0).reshape(width, k), _inner_width(width))
     out = np.empty((n, h2, w2, k))
-    for slab in slabs:
+
+    def slab_gemm(slab: tuple, buf: np.ndarray, _) -> None:
         np.dot(_columns(windows, slab, buf), kmat, out=out[slab].reshape(-1, k))
+
+    # the first slab is the largest
+    _run_parts(slab_gemm, slabs, lambda: _column_buffer(windows, slabs[0]))
     return out
 
 
@@ -605,23 +751,27 @@ def _conv_backward(x: Tensor, kernel: Tensor, padding: tuple[int, int], g: np.nd
     """Accumulate the kernel and input gradients of a conv whose contiguous
     output gradient is ``g`` (see ``conv2d``)."""
     k, c, kh, kw = kernel.shape
-    total = 0.0  # the kernel gradient's sum over pieces, in piece order
     if _tracked(x):
         # row (i, j, k) of an x pixel's column of the padded g meets that
         # pixel through kernel offset (kh - 1 - i, kw - 1 - j)
         windows = _windows(_pad(g, (kh - 1 - padding[0], kw - 1 - padding[1])), kh, kw)
         gx = np.empty(x.shape)
         pieces = _slabs(*x.shape[:3], PIECE_PIXELS, whole_clips=False)
-        buf = _column_buffer(windows, pieces[0])
+        width = _inner_width(kh * kw * k)
         kflip = kernel.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, c)
-        kflip = _zero_rows(kflip, buf.shape[1])
-        for piece in pieces:
+        kflip = _zero_rows(kflip, width)
+        # the kernel gradient's sum over pieces, in piece order
+        total = np.zeros((max(2, width), max(2, c))) if _tracked(kernel) else None
+
+        def piece_grads(piece: tuple, buf: np.ndarray, term: np.ndarray | None) -> None:
             cols = _columns(windows, piece, buf)
             np.dot(cols, kflip, out=gx[piece].reshape(-1, c))
-            if _tracked(kernel):
-                total += np.dot(_gemm_rows(cols).T, _gemm_rows(x.data[piece].reshape(-1, c)))
+            if term is not None:
+                np.dot(_gemm_rows(cols).T, _gemm_rows(x.data[piece].reshape(-1, c)), out=term)
+
+        _run_parts(piece_grads, pieces, lambda: _column_buffer(windows, pieces[0]), total)
         _accumulate(x, gx, owned=True)
-        if _tracked(kernel):
+        if total is not None:
             gk = total[: kh * kw * k, :c].reshape(kh, kw, k, c)[::-1, ::-1].transpose(2, 3, 0, 1)
             _accumulate(kernel, gk)
     elif _tracked(kernel):
@@ -629,13 +779,17 @@ def _conv_backward(x: Tensor, kernel: Tensor, padding: tuple[int, int], g: np.nd
         width = kh * kw * c
         many = max(1, SLAB_DOUBLES // width // PIECE_PIXELS) if g.shape[2] % 32 == 0 else 1
         pieces = _slabs(*g.shape[:3], many * PIECE_PIXELS, whole_clips=False)
-        buf = _column_buffer(windows, pieces[0])
-        for piece in pieces:
+        total = np.zeros((max(2, k), max(2, _inner_width(width))))
+
+        def piece_grad(piece: tuple, buf: np.ndarray, term: np.ndarray) -> None:
             cols = _gemm_rows(_columns(windows, piece, buf))
-            total += np.dot(_gemm_rows(g[piece].reshape(-1, k)).T, cols)
+            np.dot(_gemm_rows(g[piece].reshape(-1, k)).T, cols, out=term)
+
+        _run_parts(piece_grad, pieces, lambda: _column_buffer(windows, pieces[0]), total)
         _accumulate(kernel, total[:k, :width].reshape(k, kh, kw, c).transpose(0, 3, 1, 2))
 
 
+@_op
 def conv2d(x: Tensor, kernel: Tensor, padding: tuple[int, int] = (0, 0)) -> Tensor:
     """2-D cross-correlation of NHWC input with a KCkhkw kernel, NHWC out.
 
@@ -660,6 +814,13 @@ def conv2d(x: Tensor, kernel: Tensor, padding: tuple[int, int] = (0, 0)) -> Tens
     in ``SLAB_DOUBLES`` at an output width that is a multiple of 32, else at
     most ``PIECE_PIXELS``. No kernel-gradient bit depends on the batch size,
     nor, at widths up to 384 or a multiple of 32, on the BLAS thread count.
+
+    Slabs and pieces run on the chunk pool (``_run_parts``), as many at once
+    as BLAS has threads and ``SCRATCH_DOUBLES`` allows, each on one BLAS
+    thread: a thread copies its part's columns into a buffer made on the
+    calling thread and runs its gemms into rows only it writes, or into a
+    kernel-gradient term that the calling thread adds into the sum in
+    piece order. So no bit depends on the thread count.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     _check_conv(x, kernel, padding)
@@ -769,14 +930,162 @@ def _blas_threads() -> int:
     return max(1, calls[1]()) if calls is not None else 1
 
 
+def _set_blas_threads(n: int) -> int | None:
+    """Give numpy's OpenBLAS n threads; return the previous count.
+
+    Returns None, and changes nothing, when numpy has no OpenBLAS.
+    """
+    calls = _blas_thread_calls()
+    if calls is None:
+        return None
+    setter, getter = calls
+    previous = getter()
+    setter(n)
+    return previous
+
+
+# open _one_blas_thread blocks, and the count the last of them restores
+_pins = 0
+_unpinned: int | None = None
+_pin_lock = threading.Lock()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """numpy's OpenBLAS at one thread inside the block, so threads that
+    share out work each run their products on one core.
+
+    The count is process-wide: other work in the process meanwhile also
+    gets one thread. Blocks may overlap, on any threads: the first to open
+    saves the count and the last to close restores it, also when the block
+    raises.
+    """
+    global _pins, _unpinned
+    with _pin_lock:
+        if _pins == 0:
+            _unpinned = _set_blas_threads(1)
+        _pins += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pins -= 1
+            if _pins == 0 and _unpinned is not None:
+                _set_blas_threads(_unpinned)
+
+
 # Doubles of conv output in one chunk of conv_block's per-pixel work (2 MiB),
 # so that a chunk's several passes find it in cache.
 CHUNK_DOUBLES = 1 << 18
 
-# ((pid, threads), pool) of the last _run_chunks call that needed threads. A
+# Doubles of scratch that the parts of one _run_parts call running at once
+# may hold between them (2 MiB), unless two parts' scratch is more.
+SCRATCH_DOUBLES = 1 << 18
+
+# ((pid, threads), pool) of the last _run_parts call that needed threads. A
 # pool made before fork has no threads in the child, so a new pid gets its own.
 _chunk_pool: tuple[tuple[int, int], ThreadPoolExecutor] | None = None
 _chunk_pool_lock = threading.Lock()
+
+
+def _pool_of(threads: int) -> ThreadPoolExecutor:
+    """The chunk pool of ``threads`` threads of this process."""
+    global _chunk_pool
+    key = (os.getpid(), threads)
+    with _chunk_pool_lock:
+        if _chunk_pool is None or _chunk_pool[0] != key:
+            if _chunk_pool is not None and _chunk_pool[0][0] == key[0]:
+                _chunk_pool[1].shutdown(wait=False)
+            _chunk_pool = (key, ThreadPoolExecutor(threads, thread_name_prefix="mbsed-chunk"))
+        return _chunk_pool[1]
+
+
+def _nbytes(buffers) -> int:
+    """Bytes of the arrays in ``buffers``, an array or a tuple of them."""
+    items = buffers if isinstance(buffers, tuple) else (buffers,)
+    return sum(b.nbytes for b in items if isinstance(b, np.ndarray))
+
+
+def _run_parts(
+    fn: Callable[[object, object, np.ndarray | None], None],
+    parts: list,
+    scratch: Callable[[], object],
+    total: np.ndarray | None = None,
+) -> None:
+    """``fn(part, buffers, term)`` for every part of ``parts``. With
+    ``total``, ``fn`` writes its part's term into ``term``, shaped like
+    ``total``, and the terms are added into ``total`` in part order on the
+    calling thread, as a serial loop would add them.
+
+    The parts run on a pool of as many threads as numpy's OpenBLAS has
+    right now, at most one per four parts at once, with BLAS pinned to one
+    thread meanwhile (``_one_blas_thread``), so each part's products run on
+    one core. Where that allows only one at once they run inline, at the
+    BLAS count as it is: an ablation worker or a ``map_clips`` thread,
+    whose BLAS has one thread, starts none, and a small op skips the
+    hand-off. ``fn`` must only write its own part of a shared output, and
+    its products must have the same bits at any BLAS thread count (see
+    ``PIECE_PIXELS``), so the result does not depend on the thread count
+    or on which parts run together.
+
+    Every buffer is made on the calling thread: ``buffers`` is what
+    ``scratch()`` returned, one set per running part, and ``term`` one of
+    at most two per running part, reused once added: memory a pool thread
+    allocates stays in that thread's malloc arena once freed, so it would
+    add to the process's resident size. The parts that run at once hold at most ``SCRATCH_DOUBLES`` of
+    buffers and terms between them, or two parts' worth where one part's
+    is more, so scratch memory does not grow with the core count. If a
+    part raises, the parts not yet started are dropped, the started ones
+    finish, and the first exception in part order propagates.
+    """
+    buffers = scratch()
+    part_bytes = _nbytes(buffers) + (0 if total is None else 2 * total.nbytes)
+    threads = _blas_threads()
+    # parts that run at once
+    running = min(threads, len(parts) // 4, max(2, SCRATCH_DOUBLES * 8 // max(1, part_bytes)))
+    if running <= 1:
+        term = None if total is None else np.empty_like(total)
+        for part in parts:
+            fn(part, buffers, term)
+            if total is not None:
+                np.add(total, term, out=total)
+        return
+    pool = _pool_of(threads)
+    free = queue.SimpleQueue()
+    free.put(buffers)
+    for _ in range(running - 1):
+        free.put(scratch())
+
+    def run(part, term: np.ndarray | None) -> np.ndarray | None:
+        buffers = free.get()
+        try:
+            fn(part, buffers, term)
+        finally:
+            free.put(buffers)
+        return term
+
+    spare = [None if total is None else np.empty_like(total) for _ in range(2 * running)]
+    pending = collections.deque()
+
+    def add_oldest() -> None:
+        term = pending.popleft().result()  # re-raises the part's exception
+        if total is not None:
+            np.add(total, term, out=total)
+        spare.append(term)
+
+    with _one_blas_thread():
+        try:
+            for part in parts:
+                if not spare:
+                    add_oldest()
+                pending.append(pool.submit(run, part, spare.pop()))
+            while pending:
+                add_oldest()
+        except BaseException:
+            for future in pending:
+                future.cancel()
+            wait(pending)
+            raise
 
 
 def _run_chunks(
@@ -785,53 +1094,13 @@ def _run_chunks(
     row_doubles: int,
     scratch: Callable[[int], object],
 ) -> None:
-    """``fn(part, buffers)`` for slices ``part`` that tile ``range(rows)`` in
-    chunks of about ``CHUNK_DOUBLES`` (``row_doubles`` per row, at least
-    one row).
-
-    The chunks run on a pool of as many threads as numpy's OpenBLAS has
-    right now, at most one per four chunks at once, and inline when that
-    allows only one: an ablation worker, whose BLAS has one thread, starts
-    none, and a small block (a batch-1 prediction) skips the hand-off.
-    ``fn`` must only write its own rows, so the result does not depend on
-    the thread count or on which chunks run together.
-
-    ``buffers`` is what ``scratch(rows_per_chunk)`` returned, made on the
-    calling thread once per running chunk, and ``fn`` keeps its temporaries
-    there: memory a worker thread allocates stays in that thread's malloc
-    arena once freed, so it would add to the process's resident size.
-    """
-    global _chunk_pool
+    """``fn(part, buffers)`` through ``_run_parts``, for slices ``part``
+    that tile ``range(rows)`` in chunks of about ``CHUNK_DOUBLES``
+    (``row_doubles`` per row, at least one row); ``buffers`` is what
+    ``scratch(rows_per_chunk)`` returned."""
     step = min(rows, max(1, CHUNK_DOUBLES // row_doubles))
     parts = [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
-    threads = _blas_threads()
-    running = min(threads, len(parts) // 4)  # chunks that run at once
-    if running <= 1:
-        buffers = scratch(step)
-        for part in parts:
-            fn(part, buffers)
-        return
-    key = (os.getpid(), threads)
-    with _chunk_pool_lock:
-        if _chunk_pool is None or _chunk_pool[0] != key:
-            if _chunk_pool is not None and _chunk_pool[0][0] == key[0]:
-                _chunk_pool[1].shutdown(wait=False)
-            _chunk_pool = (key, ThreadPoolExecutor(threads, thread_name_prefix="mbsed-chunk"))
-        pool = _chunk_pool[1]
-    free = queue.SimpleQueue()  # one set of buffers per running chunk
-    for _ in range(running):
-        free.put(scratch(step))
-
-    def run(part: slice) -> None:
-        buffers = free.get()
-        try:
-            fn(part, buffers)
-        finally:
-            free.put(buffers)
-
-    # reading every result re-raises the first exception of a chunk
-    for _ in pool.map(run, parts):
-        pass
+    _run_parts(lambda part, buffers, _: fn(part, buffers), parts, lambda: scratch(step))
 
 
 def _pool_windows(x: np.ndarray, time_pool: int, freq_pool: int):
@@ -891,6 +1160,7 @@ def _first_max(
     return hits
 
 
+@_op
 def conv_block(
     x: Tensor,
     kernel: Tensor,
@@ -937,9 +1207,9 @@ def conv_block(
     x_hat, marks the winners and gathers them, and after the batch-norm
     sums a second that writes batch norm's input gradient. Every chunk op
     is elementwise on its own rows. The order-dependent sums (the batch
-    statistics and the batch-norm sums over the gathered winners) and the
-    conv's products run on the calling thread, so no bit depends on the
-    thread count.
+    statistics and the batch-norm sums over the gathered winners) run on
+    the calling thread, and the conv runs as ``conv2d`` does, so no bit
+    depends on the thread count.
     """
     x, kernel, gamma, beta = as_tensor(x), as_tensor(kernel), as_tensor(gamma), as_tensor(beta)
     _check_conv(x, kernel, padding)

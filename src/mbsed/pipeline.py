@@ -30,7 +30,8 @@ from .audio import (
     read_features,
     write_features,
 )
-from .autodiff import _blas_thread_calls, _blas_threads
+from .autodiff import _blas_threads, _one_blas_thread
+from .autodiff import _set_blas_threads as set_blas_threads
 from .config import RunConfig, parse_branches, resolved_text
 from .events import (
     EventAnnotation,
@@ -78,28 +79,14 @@ class PipelineError(RuntimeError):
     """Missing dataset files or inconsistent pipeline inputs."""
 
 
-def set_blas_threads(n: int) -> int | None:
-    """Give numpy's OpenBLAS n threads; return the previous count.
-
-    Returns None, and changes nothing, when numpy has no OpenBLAS.
-    """
-    calls = _blas_thread_calls()
-    if calls is None:
-        return None
-    setter, getter = calls
-    previous = getter()
-    setter(n)
-    return previous
-
-
 def map_clips(fn, items) -> list:
     """``[fn(item) for item in items]``, with the items spread over as many
     threads as numpy's OpenBLAS has now, each on one BLAS thread.
 
-    BLAS is pinned to one thread while the threads run, so each clip keeps
-    to one core and ``conv_block`` runs its chunks inline, and the count is
-    restored afterwards, also when ``fn`` raises. The count is process-wide,
-    so two maps must not overlap. With one BLAS thread (an
+    BLAS is pinned to one thread while the threads run
+    (``autodiff._one_blas_thread``), so each clip keeps to one core and
+    ``conv_block`` runs its conv and chunks inline, and the count is
+    restored afterwards, also when ``fn`` raises. With one BLAS thread (an
     ablation worker, ``OPENBLAS_NUM_THREADS=1``) or one item the map runs
     inline and starts no thread. Results come in item order, and the first
     item to raise, in that order, is the one whose exception propagates, so
@@ -110,12 +97,8 @@ def map_clips(fn, items) -> list:
     threads = min(_blas_threads(), len(items))
     if threads <= 1:
         return [fn(item) for item in items]
-    previous = set_blas_threads(1)
-    try:
-        with ThreadPoolExecutor(threads, thread_name_prefix="mbsed-clip") as pool:
-            return list(pool.map(fn, items))
-    finally:
-        set_blas_threads(previous)
+    with _one_blas_thread(), ThreadPoolExecutor(threads, thread_name_prefix="mbsed-clip") as pool:
+        return list(pool.map(fn, items))
 
 
 def cpu_count() -> int:

@@ -274,6 +274,19 @@ class TestLogmel:
         feats = logmel(tone(200.0, seconds=0.1), clip_id="clip_0007")
         assert feats.clip_id == "clip_0007"
 
+    @pytest.mark.parametrize("rate", [PIPELINE_RATE, 44100])
+    def test_same_bits_at_any_blas_thread_count(self, blas_threads, rate):
+        # 513 and 1025 frequency bins: more than 384, and not a multiple of
+        # 32, so without zero bins OpenBLAS would round the sum one way at
+        # one thread and another at several
+        rng = np.random.default_rng(9)
+        clip = AudioClip(rng.uniform(-1, 1, 10 * rate), rate)
+        feats = []
+        for threads in (1, 2, 4):
+            blas_threads(threads)
+            feats.append(logmel(clip).features)
+        assert same_bits(feats[0], feats[1]) and same_bits(feats[0], feats[2])
+
 
 class TestFeatureCache:
     def test_round_trip_bit_identical(self, tmp_path):

@@ -5,6 +5,8 @@ independently of the library code; gradients against central finite
 differences via grad_check.
 """
 
+import functools
+import sys
 import threading
 import time
 import tracemalloc
@@ -403,6 +405,13 @@ class TestConv2d:
         finally:
             tracemalloc.stop()
         assert x.grad is not None and k.grad is not None
+
+    @pytest.mark.parametrize("threads", [3, 4])
+    def test_memory_stays_within_operands_at_more_blas_threads(self, blas_threads, threads):
+        # the slabs and pieces that run at once on the chunk pool share one
+        # scratch budget, so more BLAS threads hold no more column buffers
+        blas_threads(threads)
+        self.test_memory_stays_within_operands()
 
 
 # ---------------------------------------------------------------------------
@@ -986,6 +995,295 @@ class TestNoGrad:
         run_threads(a, b)
         assert seen == {"a": True, "b inside": False, "b": True}
         assert records()
+
+
+# ---------------------------------------------------------------------------
+# conv2d on the chunk pool
+
+# (input shape, kernel shape, input tracked): with SLAB_DOUBLES at 2**12,
+# each has 8 or more forward slabs and backward pieces, so 2 and 4 BLAS
+# threads run them on the pool: a tracked input (im2col of the padded
+# output gradient), one input channel and one output channel (the
+# kernel-gradient operands widened by _gemm_rows), a 1x1 kernel with one
+# output channel (one im2col column), and untracked inputs at a width of 32
+# (the kernel gradient alone, over im2col pieces of the padded input)
+THREADED_CONVS = {
+    "tracked": ((4, 60, 16, 8), (8, 8, 3, 3), True),
+    "tracked_one_channel": ((4, 60, 16, 1), (1, 1, 3, 3), True),
+    "tracked_1x1_one_out": ((4, 120, 16, 3), (1, 3, 1, 1), True),
+    "untracked": ((4, 60, 32, 1), (6, 1, 3, 3), False),
+    "untracked_one_out": ((4, 60, 32, 2), (1, 2, 3, 3), False),
+}
+
+
+def conv_parts(shape, kernel, tracked):
+    """(forward slabs, backward pieces) of a padded 'same' conv2d."""
+    n, h, w, c = shape
+    _, _, kh, kw = kernel
+    slabs = ad._slabs(n, h, w, ad.SLAB_DOUBLES // (kh * kw * c))
+    if tracked:
+        pieces = ad._slabs(n, h, w, ad.PIECE_PIXELS, whole_clips=False)
+    else:
+        many = max(1, ad.SLAB_DOUBLES // (kh * kw * c) // ad.PIECE_PIXELS)
+        pieces = ad._slabs(n, h, w, many * ad.PIECE_PIXELS, whole_clips=False)
+    return slabs, pieces
+
+
+def conv_step(x_data, k_data, probe, tracked):
+    """Output, kernel gradient and input gradient of sum(conv2d * probe)."""
+    kh, kw = k_data.shape[2:]
+    x = Tensor(x_data, requires_grad=tracked)
+    k = Tensor(k_data, requires_grad=True)
+    out = conv2d(x, k, padding=(kh // 2, kw // 2))
+    reduce_sum(ad.mul(out, probe)).backward()
+    return out.data, k.grad, x.grad if tracked else np.empty(0)
+
+
+@pytest.fixture
+def small_slabs(monkeypatch):
+    monkeypatch.setattr(ad, "SLAB_DOUBLES", 1 << 12)
+
+
+@pytest.fixture
+def column_spy(monkeypatch):
+    """Records (thread name, BLAS threads) of every im2col copy, which the
+    part's gemms follow on the same thread."""
+    seen = []
+    columns = ad._columns
+
+    def spy(*args):
+        seen.append((threading.current_thread().name, ad._blas_threads()))
+        return columns(*args)
+
+    monkeypatch.setattr(ad, "_columns", spy)
+    return seen
+
+
+class TestConvOnThePool:
+    @pytest.mark.parametrize("case", list(THREADED_CONVS))
+    def test_same_bits_as_inline(self, blas_threads, small_slabs, column_spy, case):
+        shape, kernel, tracked = THREADED_CONVS[case]
+        slabs, pieces = conv_parts(shape, kernel, tracked)
+        assert len(slabs) >= 8 and len(pieces) >= 8
+        rng = np.random.default_rng(53)
+        x_data = rng.standard_normal(shape)
+        k_data = rng.standard_normal(kernel)
+        probe = rng.standard_normal(shape[:3] + kernel[:1])
+        results = []
+        for threads in (1, 2, 4):
+            blas_threads(threads)
+            column_spy.clear()
+            results.append(conv_step(x_data, k_data, probe, tracked))
+            assert ad._blas_threads() == threads
+            assert len(column_spy) == len(slabs) + len(pieces)
+            if threads == 1:
+                assert {name for name, _ in column_spy} == {threading.current_thread().name}
+            else:
+                assert all(name.startswith("mbsed-chunk") for name, _ in column_spy)
+                assert all(blas == 1 for _, blas in column_spy)
+        for threads, other in zip((2, 4), results[1:]):
+            for name, a, b in zip(("output", "kernel grad", "input grad"), results[0], other):
+                assert same_bits(a, b), f"{name} at {threads} threads"
+
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    def test_conv_block_same_bits_as_inline(self, blas_threads, small_slabs, column_spy, train):
+        # 36 im2col columns: 12 forward slabs and 4 backward pieces per clip
+        rng = np.random.default_rng(59)
+        x_data = rng.standard_normal((3, 80, 16, 4))
+        k_data = rng.standard_normal((6, 4, 3, 3)) * 0.5
+        gamma_data = np.array([1.1, -0.6, 0.8, 0.0, 1.3, -1.2])
+        beta_data = rng.standard_normal(6) * 0.1
+        probe = rng.standard_normal((3, 40, 8, 6))
+        results = []
+        for threads in (1, 2, 4):
+            blas_threads(threads)
+            column_spy.clear()
+            tensors = [
+                Tensor(a.copy(), requires_grad=True) for a in (x_data, k_data, gamma_data, beta_data)
+            ]
+            rm, rv = np.zeros(6), np.ones(6)
+            out = conv_block(*tensors, rm, rv, (1, 1), 2, 2, train=train)
+            reduce_sum(ad.mul(out, probe)).backward()
+            results.append([out.data, rm, rv] + [t.grad for t in tensors])
+            names = {name for name, _ in column_spy}
+            if threads > 1:
+                assert all(name.startswith("mbsed-chunk") for name in names)
+        names = ("out", "running_mean", "running_var", "x", "kernel", "gamma", "beta")
+        for threads, other in zip((2, 4), results[1:]):
+            for name, a, b in zip(names, results[0], other):
+                assert same_bits(a, b), f"{name} at {threads} threads"
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    @pytest.mark.parametrize("phase", ["forward", "backward"])
+    def test_blas_count_restored_when_a_piece_raises(
+        self, blas_threads, small_slabs, monkeypatch, threads, phase
+    ):
+        # the copy of a middle slab or piece raises
+        shape, kernel, _ = THREADED_CONVS["tracked"]
+        slabs, pieces = conv_parts(shape, kernel, True)
+        fail_at = len(slabs) // 2 if phase == "forward" else len(slabs) + len(pieces) // 2
+        blas_threads(threads)
+        calls = [0]
+        columns = ad._columns
+
+        def failing(*args):
+            calls[0] += 1
+            if calls[0] == fail_at:
+                raise RuntimeError("piece failed")
+            return columns(*args)
+
+        monkeypatch.setattr(ad, "_columns", failing)
+        rng = np.random.default_rng(61)
+        with pytest.raises(RuntimeError, match="piece failed"):
+            conv_step(rng.standard_normal(shape), rng.standard_normal(kernel),
+                      rng.standard_normal(shape[:3] + kernel[:1]), True)
+        assert ad._blas_threads() == threads
+        assert ad._pins == 0
+
+    def test_inside_map_clips_runs_inline(self, blas_threads, small_slabs, column_spy):
+        from mbsed.pipeline import map_clips
+
+        rng = np.random.default_rng(67)
+        shape, kernel, _ = THREADED_CONVS["tracked"]
+        args = [rng.standard_normal(shape), rng.standard_normal(kernel) * 0.5]
+        gamma, beta = np.ones(kernel[0]), np.zeros(kernel[0])
+
+        def block(seed):
+            x, k = (Tensor(a, requires_grad=True) for a in args)
+            out = conv_block(x, k, Tensor(gamma), Tensor(beta), np.zeros(kernel[0]),
+                             np.ones(kernel[0]), (1, 1), 2, 2)
+            reduce_sum(ad.mul(out, float(seed))).backward()
+            return out.data, x.grad, k.grad
+
+        blas_threads(1)
+        want = [block(seed) for seed in (1, 2)]
+        blas_threads(2)
+        column_spy.clear()
+        got = []
+        run_threads(lambda: got.extend(map_clips(block, [1, 2])))
+        assert {name.split("_")[0] for name, _ in column_spy} == {"mbsed-clip"}
+        assert all(blas == 1 for _, blas in column_spy)
+        assert ad._blas_threads() == 2
+        for a, b in zip(want, got):
+            assert all(same_bits(u, v) for u, v in zip(a, b))
+
+
+class TestRunParts:
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_terms_added_in_part_order(self, blas_threads, threads):
+        # terms of mixed magnitude, whose sum changes with the order of
+        # addition; random sleeps finish the parts out of order
+        blas_threads(threads)
+        rng = np.random.default_rng(71)
+        terms = rng.standard_normal((24, 5)) * 10.0 ** rng.integers(-8, 9, (24, 1))
+        delays = rng.uniform(0, 0.004, 24)
+        want = np.zeros(5)
+        for term in terms:
+            want += term
+        seen = set()  # term buffers
+
+        def fn(part, _, term):
+            time.sleep(delays[part])
+            seen.add(id(term))
+            term[:] = terms[part]
+
+        total = np.zeros(5)
+        ad._run_parts(fn, list(range(24)), object, total)
+        assert same_bits(total, want)
+        running = min(threads, 24 // 4)
+        assert len(seen) <= (1 if running == 1 else 2 * running)
+
+    def test_overlapping_pins_restore_the_count(self, blas_threads):
+        # eight threads on two cores open and close pins in every order; a
+        # pin that saved and restored the count by itself could restore a
+        # count of one that another pin had set
+        blas_threads(2)
+        rng = np.random.default_rng(79)
+        delays = rng.uniform(0, 0.002, (8, 20))
+        inside = []
+
+        def pinner(row):
+            for delay in row:
+                with ad._one_blas_thread():
+                    inside.append(ad._blas_threads())
+                    time.sleep(delay)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_threads(*[functools.partial(pinner, row) for row in delays])
+        finally:
+            sys.setswitchinterval(interval)
+        assert inside == [1] * 160
+        assert ad._blas_threads() == 2 and ad._pins == 0
+
+
+# ---------------------------------------------------------------------------
+# profiler
+
+
+def profiled_step():
+    """Loss of two conv_blocks, a linear head and a mean, and its backward:
+    returns the tape's entries before the backward."""
+    rng = np.random.default_rng(73)
+    x = Tensor(rng.standard_normal((2, 16, 8, 1)))
+    params = [
+        Tensor(rng.standard_normal(shape), requires_grad=True)
+        for shape in ((4, 1, 3, 3), (4,), (4,), (4, 4, 3, 3), (4,), (4,), (8, 3), (3,))
+    ]
+    h = x
+    for i in (0, 3):
+        k, gamma, beta = params[i : i + 3]
+        h = conv_block(h, k, gamma, beta, np.zeros(4), np.ones(4), (1, 1), 2, 2)
+    h = reshape(h, (2, 4, 8))
+    loss = reduce_mean(sigmoid(linear(h, params[6], params[7])))
+    entries = len(loss.tape._resolve().entries)
+    loss.backward()
+    return entries
+
+
+class TestProfile:
+    def test_reports_each_op_of_a_step_once(self):
+        with ad.profile() as prof:
+            entries = profiled_step()
+        ops = prof.ops
+        assert ops["conv_block"].calls == 2
+        assert ops["conv_block"].forward_s > 0.0 and ops["conv_block"].backward_s > 0.0
+        assert ops["conv_block"].out_bytes == (2 * 8 * 4 * 4 + 2 * 4 * 2 * 4) * 8
+        # linear is matmul then add, and counts only as those
+        assert "linear" not in ops and ops["matmul"].calls == ops["add"].calls == 1
+        assert sum(s.calls for s in ops.values()) == entries == 7
+        assert all(s.backward_s > 0.0 for s in ops.values())
+
+    def test_totals_from_threads_add_up(self):
+        # four threads on two cores, switching often: a lost update to a
+        # shared total would break the sums
+        with ad.profile() as one:
+            profiled_step()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ad.profile() as four:
+                run_threads(*[profiled_step] * 4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert four.ops.keys() == one.ops.keys()
+        for name, stats in four.ops.items():
+            assert stats.calls == 4 * one.ops[name].calls, name
+            assert stats.out_bytes == 4 * one.ops[name].out_bytes, name
+
+    def test_records_only_while_open(self):
+        with ad.profile() as prof:
+            pass
+        profiled_step()
+        assert prof.ops == {} and ad._profile is None
+
+    def test_one_profile_at_a_time(self):
+        with ad.profile():
+            with pytest.raises(RuntimeError, match="already open"):
+                with ad.profile():
+                    pass
+        assert ad._profile is None
 
 
 # ---------------------------------------------------------------------------

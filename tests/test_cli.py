@@ -1,10 +1,15 @@
 """Command line behaviour: flags, artifacts, error reporting."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mbsed
 from mbsed.audio import AudioClip, frame_hop_seconds, write_features, write_wav
 from mbsed.cli import main
 from mbsed.config import load_run_config
@@ -103,6 +108,32 @@ class TestTrain:
         assert "config_resolved.ini" in names
         stdout = capsys.readouterr().out
         assert "seed 5" in stdout and "seed 7" in stdout
+
+    def test_same_checkpoint_at_any_blas_thread_count(self, tmp_path):
+        # WAVs to log-mel features to the small preset's training, without
+        # the feature cache, in a fresh process at one and at two BLAS threads
+        data = tmp_path / "data"
+        assert run_cli(["synth", "--clips", 4, "--seed", 3, "--out", data]) == 0
+        config = tmp_path / "run.ini"
+        config.write_text(
+            f"[data]\ntrain_dir = {data}\ncache_features = false\n"
+            "[training]\nepochs = 2\nbatch_size = 4\n",
+            encoding="utf-8",
+        )
+        src = Path(mbsed.__file__).resolve().parent.parent
+        blobs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(src)}
+            args = ["-m", "mbsed.cli", "train", "--config", config, "--out", out]
+            proc = subprocess.run(
+                [sys.executable, *map(str, args)], env=env, capture_output=True, text=True,
+                timeout=600,
+            )
+            assert proc.returncode == 0, proc.stderr
+            blobs.append((out / "model_seed0.ckpt").read_bytes())
+        assert not (data / "features").exists()
+        assert blobs[0] == blobs[1]
 
     def test_empty_training_set(self, tmp_path, capsys):
         empty = tmp_path / "empty"

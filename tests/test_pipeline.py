@@ -166,6 +166,17 @@ class TestLoadDataset:
                 np.testing.assert_array_equal(b, c)
         assert sorted(p.name for p in (dataset / "features").iterdir()) == ["16000", "22050"]
 
+    def test_same_bytes_at_any_blas_thread_count(self, data_dirs, blas_threads):
+        # log-mel's filterbank product gives the same bits at any BLAS
+        # thread count, so features do not depend on where they were made
+        train, _ = data_dirs
+        blobs = []
+        for threads in (1, 2):
+            blas_threads(threads)
+            ds = load_dataset(train, cache=False)
+            blobs.append(b"".join(feats.tobytes() for feats in ds.features))
+        assert blobs[0] == blobs[1]
+
 
 class TestTraining:
     def test_artifacts(self, data_dirs, tmp_path):
