@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import _inner_width
+from . import blas
 
 PIPELINE_RATE = 22050
 # sample rates a run config or a WAV header may give; at the floor a 10 s
@@ -156,25 +156,14 @@ def mel_filterbank(sample_rate: int, n_fft: int, n_bands: int = N_BANDS) -> np.n
     return fb
 
 
-@functools.lru_cache(maxsize=None)
-def _filterbank_operand(sample_rate: int, n_fft: int) -> np.ndarray:
-    """The transposed filterbank as ``logmel``'s right operand, read-only:
-    zero rows widen its n_fft//2 + 1 bins to ``autodiff._inner_width``, so
-    the product's bits do not depend on the BLAS thread count."""
-    fb = mel_filterbank(sample_rate, n_fft)
-    bins = fb.shape[1]
-    operand = np.pad(fb, ((0, 0), (0, _inner_width(bins) - bins))).T
-    operand.flags.writeable = False
-    return operand
-
-
 def logmel(clip: AudioClip, clip_id: str = "") -> LogMelClip:
     """Log-power mel features: T = ceil(n_samples / hop) frames, one row each.
 
     Frames are centered by reflect padding of half a frame, Hann windowed,
     zero padded to the next power of two for the FFT, and projected onto
-    the mel filterbank, with the same bits at any BLAS thread count. Cells
-    are ln(max(power, 1e-10)); the clamp keeps the exact +ln(4) shift under
+    the mel filterbank at one BLAS thread (``blas.one_thread``), so the
+    bits do not depend on the BLAS thread count. Cells are
+    ln(max(power, 1e-10)); the clamp keeps the exact +ln(4) shift under
     waveform doubling for above-floor cells.
     """
     sr = clip.sample_rate
@@ -190,17 +179,13 @@ def logmel(clip: AudioClip, clip_id: str = "") -> LogMelClip:
     n_fft = 1 << (frame - 1).bit_length()
     hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(frame) / frame)
     spectrum = np.fft.rfft(windows * hann, n=n_fft, axis=1)
-    # zero bins widen the filterbank product's inner sum to the operand's
-    # rows (_filterbank_operand); squaring into the buffer keeps one
-    # temporary, which keeps glibc from returning the heap's top to the
-    # system, and faulting it in again, on every clip of a dataset
-    operand = _filterbank_operand(sr, n_fft)
-    bins = n_fft // 2 + 1
-    power = np.empty((t_frames, len(operand)))
-    power[:, bins:] = 0.0
-    squares = np.square(spectrum.real, out=power[:, :bins])
-    squares += np.square(spectrum.imag)
-    mel_power = power @ operand
+    # squaring into one buffer keeps one temporary, which keeps glibc from
+    # returning the heap's top to the system, and faulting it in again, on
+    # every clip of a dataset
+    power = np.square(spectrum.real)
+    power += np.square(spectrum.imag)
+    with blas.one_thread():
+        mel_power = power @ mel_filterbank(sr, n_fft).T
     features = np.log(np.maximum(mel_power, LOG_FLOOR))
     return LogMelClip(features, frame_hop_seconds=hop / sr, clip_id=clip_id)
 

@@ -13,7 +13,6 @@ seconds and output bytes, on every thread.
 from __future__ import annotations
 
 import collections
-import contextlib
 import dataclasses
 import functools
 import math
@@ -25,6 +24,8 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Sequence
 
 import numpy as np
+
+from . import blas
 
 
 class ShapeError(ValueError):
@@ -362,22 +363,25 @@ def mul(a, b) -> Tensor:
 
 @_op
 def matmul(a, b) -> Tensor:
-    """Stacked matrix product over the last two axes."""
+    """Stacked matrix product over the last two axes, forward and backward
+    at one BLAS thread (``blas.one_thread``)."""
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError("matmul operands must have at least 2 dimensions")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data)
+    with blas.one_thread():
+        out = Tensor(a.data @ b.data)
 
     def backward():
         g = out.grad
         if g is None:
             return
-        if _tracked(a):
-            _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
-        if _tracked(b):
-            _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
+        with blas.one_thread():
+            if _tracked(a):
+                _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
+            if _tracked(b):
+                _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
 
     return _record((a, b), out, backward)
 
@@ -627,22 +631,21 @@ def _channel_sum(rows: np.ndarray, c: int, other: np.ndarray | None = None) -> n
 def _gemm_rows(rows: np.ndarray) -> np.ndarray:
     """(M, K) ``rows``, with a zero column appended when K == 1.
 
-    numpy computes a product with a one-row operand as a gemv, and
-    OpenBLAS splits a long gemv's sum between threads, so its bits depend
-    on the thread count; with two rows it is a gemm, whose bits do not.
+    numpy computes a product with a one-column operand as a gemv, which
+    adds in another order than a gemm even at one BLAS thread; the zero
+    column keeps the bits of one-channel convs, such as the gate's compact
+    encoder's 1x1 front block, as its checkpoints have always had them.
     """
     return rows if rows.shape[1] > 1 else np.concatenate([rows, np.zeros_like(rows)], axis=1)
 
 
-# Doubles in one conv2d slab buffer (1 MiB). conv2d fills and multiplies
+# Doubles in one conv slab buffer (1 MiB). The conv fills and multiplies
 # one slab of output pixels at a time, so no temporary grows with the batch.
 SLAB_DOUBLES = 1 << 17
 
-# Pixels in one piece of conv2d's backward. OpenBLAS cuts a gemm's inner
-# dimension into blocks of 384 and splits a last remainder of 384 to 768 in
-# two, rounded one way with one thread and another with several unless the
-# remainder is a multiple of 32. So a product whose inner length is at most
-# 384 or a multiple of 32 has the same bits at any thread count.
+# Pixels in one piece of the conv's backward. The kernel gradient is a sum
+# of one term per piece, added in piece order, so this tiling fixes the
+# order of that sum, and with it the gradient's bits.
 PIECE_PIXELS = 384
 
 
@@ -669,7 +672,7 @@ def _slabs(
 
 def _check_conv(x: Tensor, kernel: Tensor, padding: tuple[int, int]) -> None:
     if x.ndim != 4 or kernel.ndim != 4:
-        raise ShapeError(f"conv2d expects 4-D input and kernel, got {x.shape} and {kernel.shape}")
+        raise ShapeError(f"conv expects 4-D input and kernel, got {x.shape} and {kernel.shape}")
     _, h, w, c = x.shape
     _, ck, kh, kw = kernel.shape
     if ck != c:
@@ -696,47 +699,35 @@ def _windows(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return windows.transpose(0, 1, 2, 4, 5, 3)
 
 
-def _inner_width(width: int) -> int:
-    """How many terms a product's inner sum of ``width`` terms takes: past
-    ``PIECE_PIXELS``, zeros widen it to a multiple of 32 (see there), so its
-    bits do not depend on the BLAS thread count."""
-    return width if width <= PIECE_PIXELS else -(-width // 32) * 32
-
-
 def _column_buffer(windows: np.ndarray, slab: tuple) -> np.ndarray:
-    """A buffer for the im2col columns of ``slab``, the largest slab,
-    ``_inner_width`` columns wide, zeros past the window's."""
-    width = math.prod(windows.shape[3:])
-    buf = np.empty((math.prod(windows[slab].shape[:3]), _inner_width(width)))
-    buf[:, width:] = 0.0
-    return buf
-
-
-def _zero_rows(mat: np.ndarray, rows: int) -> np.ndarray:
-    """``mat`` with zero rows up to ``rows``, for a ``_column_buffer``'s zeros."""
-    return mat if len(mat) == rows else np.pad(mat, ((0, rows - len(mat)), (0, 0)))
+    """A buffer for the im2col columns of ``slab``, the largest slab."""
+    return np.empty((math.prod(windows[slab].shape[:3]), math.prod(windows.shape[3:])))
 
 
 def _columns(windows: np.ndarray, slab: tuple, buf: np.ndarray) -> np.ndarray:
     """The first rows of ``buf`` (see ``_column_buffer``), holding one
-    im2col row per pixel of ``slab``: its window, then zeros."""
+    im2col row per pixel of ``slab``: its window."""
     src = windows[slab]
     cols = buf[: math.prod(src.shape[:3])]
     # the reshape only splits rows and window columns, so it is a view of buf
-    np.copyto(cols[:, : math.prod(src.shape[3:])].reshape(src.shape), src)
+    np.copyto(cols.reshape(src.shape), src)
     return cols
 
 
 def _conv_forward(xp: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """(N, H', W', K) cross-correlation of the padded NHWC input ``xp`` with
-    a (K, C, kh, kw) kernel, one gemm per slab (see ``conv2d``)."""
+    a (K, C, kh, kw) kernel: unit stride, no bias (batch norm's beta is the
+    shift). It is im2col over slabs of output pixels (``_slabs``), whole
+    clips when one fits in ``SLAB_DOUBLES`` and rows of one clip otherwise:
+    one ``np.copyto`` fills a slab's columns and one gemm writes its output
+    rows, so no temporary grows with the batch."""
     n, hp, wp, c = xp.shape
     k, _, kh, kw = kernel.shape
     h2, w2 = hp - kh + 1, wp - kw + 1
     width = kh * kw * c
     slabs = _slabs(n, h2, w2, SLAB_DOUBLES // width)
     windows = _windows(xp, kh, kw)
-    kmat = _zero_rows(kernel.transpose(2, 3, 1, 0).reshape(width, k), _inner_width(width))
+    kmat = kernel.transpose(2, 3, 1, 0).reshape(width, k)
     out = np.empty((n, h2, w2, k))
 
     def slab_gemm(slab: tuple, buf: np.ndarray, _) -> None:
@@ -749,7 +740,15 @@ def _conv_forward(xp: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 def _conv_backward(x: Tensor, kernel: Tensor, padding: tuple[int, int], g: np.ndarray) -> None:
     """Accumulate the kernel and input gradients of a conv whose contiguous
-    output gradient is ``g`` (see ``conv2d``)."""
+    output gradient is ``g``, over pieces of rows of one clip. With the
+    input tracked, a piece of at most ``PIECE_PIXELS`` pixels takes one
+    im2col copy of ``g`` padded by (kh - 1 - ph, kw - 1 - pw) (cropped where
+    negative), whose columns feed two gemms: with the flipped kernel into
+    the piece's input-gradient rows, and with its input rows into its
+    kernel-gradient term. With the input untracked (an encoder's first
+    block), im2col pieces of the padded input, as many times
+    ``PIECE_PIXELS`` pixels as fit in ``SLAB_DOUBLES``, give the terms
+    alone. ``_run_parts`` adds the terms in piece order."""
     k, c, kh, kw = kernel.shape
     if _tracked(x):
         # row (i, j, k) of an x pixel's column of the padded g meets that
@@ -757,9 +756,8 @@ def _conv_backward(x: Tensor, kernel: Tensor, padding: tuple[int, int], g: np.nd
         windows = _windows(_pad(g, (kh - 1 - padding[0], kw - 1 - padding[1])), kh, kw)
         gx = np.empty(x.shape)
         pieces = _slabs(*x.shape[:3], PIECE_PIXELS, whole_clips=False)
-        width = _inner_width(kh * kw * k)
-        kflip = kernel.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, c)
-        kflip = _zero_rows(kflip, width)
+        width = kh * kw * k
+        kflip = kernel.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(width, c)
         # the kernel gradient's sum over pieces, in piece order
         total = np.zeros((max(2, width), max(2, c))) if _tracked(kernel) else None
 
@@ -772,14 +770,14 @@ def _conv_backward(x: Tensor, kernel: Tensor, padding: tuple[int, int], g: np.nd
         _run_parts(piece_grads, pieces, lambda: _column_buffer(windows, pieces[0]), total)
         _accumulate(x, gx, owned=True)
         if total is not None:
-            gk = total[: kh * kw * k, :c].reshape(kh, kw, k, c)[::-1, ::-1].transpose(2, 3, 0, 1)
+            gk = total[:width, :c].reshape(kh, kw, k, c)[::-1, ::-1].transpose(2, 3, 0, 1)
             _accumulate(kernel, gk)
     elif _tracked(kernel):
         windows = _windows(_pad(x.data, padding), kh, kw)
         width = kh * kw * c
-        many = max(1, SLAB_DOUBLES // width // PIECE_PIXELS) if g.shape[2] % 32 == 0 else 1
+        many = max(1, SLAB_DOUBLES // width // PIECE_PIXELS)
         pieces = _slabs(*g.shape[:3], many * PIECE_PIXELS, whole_clips=False)
-        total = np.zeros((max(2, k), max(2, _inner_width(width))))
+        total = np.zeros((max(2, k), max(2, width)))
 
         def piece_grad(piece: tuple, buf: np.ndarray, term: np.ndarray) -> None:
             cols = _gemm_rows(_columns(windows, piece, buf))
@@ -787,50 +785,6 @@ def _conv_backward(x: Tensor, kernel: Tensor, padding: tuple[int, int], g: np.nd
 
         _run_parts(piece_grad, pieces, lambda: _column_buffer(windows, pieces[0]), total)
         _accumulate(kernel, total[:k, :width].reshape(k, kh, kw, c).transpose(0, 3, 1, 2))
-
-
-@_op
-def conv2d(x: Tensor, kernel: Tensor, padding: tuple[int, int] = (0, 0)) -> Tensor:
-    """2-D cross-correlation of NHWC input with a KCkhkw kernel, NHWC out.
-
-    Zero padding, unit stride, no bias (the model feeds every conv into
-    batch norm, whose beta is the shift).
-
-    The forward is im2col over slabs of output pixels (``_slabs``): whole
-    clips when one fits in ``SLAB_DOUBLES``, else rows of one clip. One
-    ``np.copyto`` from a sliding-window view fills a slab's columns, and one
-    gemm with the kernel matrix writes the slab's output in place. Slab
-    buffers live only inside one call, so memory does not grow with the
-    batch beyond the input, output and their gradients.
-
-    The backward walks pieces of rows of one clip. With the input tracked,
-    a piece of at most ``PIECE_PIXELS`` pixels gets one im2col copy of the
-    output gradient padded by (kh - 1 - ph, kw - 1 - pw) (cropped where that
-    is negative), whose (pixels, kh*kw*K) columns feed two gemms: with the
-    flipped kernel into the piece's input-gradient rows, and with its input
-    rows into the kernel gradient, summed in piece order. With the input
-    untracked (an encoder's first block), the kernel gradient takes im2col
-    pieces of the padded input: as many times ``PIECE_PIXELS`` pixels as fit
-    in ``SLAB_DOUBLES`` at an output width that is a multiple of 32, else at
-    most ``PIECE_PIXELS``. No kernel-gradient bit depends on the batch size,
-    nor, at widths up to 384 or a multiple of 32, on the BLAS thread count.
-
-    Slabs and pieces run on the chunk pool (``_run_parts``), as many at once
-    as BLAS has threads and ``SCRATCH_DOUBLES`` allows, each on one BLAS
-    thread: a thread copies its part's columns into a buffer made on the
-    calling thread and runs its gemms into rows only it writes, or into a
-    kernel-gradient term that the calling thread adds into the sum in
-    piece order. So no bit depends on the thread count.
-    """
-    x, kernel = as_tensor(x), as_tensor(kernel)
-    _check_conv(x, kernel, padding)
-    out = Tensor(_conv_forward(_pad(x.data, padding), kernel.data))
-
-    def backward():
-        if out.grad is not None:
-            _conv_backward(x, kernel, padding, np.ascontiguousarray(out.grad))
-
-    return _record((x, kernel), out, backward)
 
 
 def _check_batch_norm(c: int, gamma: Tensor, beta: Tensor, eps: float) -> None:
@@ -888,92 +842,6 @@ def _batch_statistics(
     return mean, var
 
 
-# OpenBLAS's thread-count setters, by the names scipy-openblas, 64-bit and
-# plain builds export
-_BLAS_THREAD_SETTERS = (
-    "scipy_openblas_set_num_threads64_",
-    "openblas_set_num_threads64_",
-    "openblas_set_num_threads",
-)
-
-
-@functools.lru_cache(maxsize=None)
-def _blas_thread_calls():
-    """(setter, getter) of the OpenBLAS numpy links against, or None.
-
-    A handle on numpy's compiled core finds the library by ``dlsym``, which
-    searches the handle's dependency tree.
-    """
-    import ctypes
-
-    try:
-        from numpy._core import _multiarray_umath
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath
-    try:
-        lib = ctypes.CDLL(_multiarray_umath.__file__)
-    except OSError:
-        return None
-    for name in _BLAS_THREAD_SETTERS:
-        setter = getattr(lib, name, None)
-        getter = getattr(lib, name.replace("_set_", "_get_"), None)
-        if setter is not None and getter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            return setter, getter
-    return None
-
-
-def _blas_threads() -> int:
-    """numpy's OpenBLAS thread count, read now; 1 without OpenBLAS."""
-    calls = _blas_thread_calls()
-    return max(1, calls[1]()) if calls is not None else 1
-
-
-def _set_blas_threads(n: int) -> int | None:
-    """Give numpy's OpenBLAS n threads; return the previous count.
-
-    Returns None, and changes nothing, when numpy has no OpenBLAS.
-    """
-    calls = _blas_thread_calls()
-    if calls is None:
-        return None
-    setter, getter = calls
-    previous = getter()
-    setter(n)
-    return previous
-
-
-# open _one_blas_thread blocks, and the count the last of them restores
-_pins = 0
-_unpinned: int | None = None
-_pin_lock = threading.Lock()
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """numpy's OpenBLAS at one thread inside the block, so threads that
-    share out work each run their products on one core.
-
-    The count is process-wide: other work in the process meanwhile also
-    gets one thread. Blocks may overlap, on any threads: the first to open
-    saves the count and the last to close restores it, also when the block
-    raises.
-    """
-    global _pins, _unpinned
-    with _pin_lock:
-        if _pins == 0:
-            _unpinned = _set_blas_threads(1)
-        _pins += 1
-    try:
-        yield
-    finally:
-        with _pin_lock:
-            _pins -= 1
-            if _pins == 0 and _unpinned is not None:
-                _set_blas_threads(_unpinned)
-
-
 # Doubles of conv output in one chunk of conv_block's per-pixel work (2 MiB),
 # so that a chunk's several passes find it in cache.
 CHUNK_DOUBLES = 1 << 18
@@ -1017,63 +885,62 @@ def _run_parts(
     ``total``, and the terms are added into ``total`` in part order on the
     calling thread, as a serial loop would add them.
 
-    The parts run on a pool of as many threads as numpy's OpenBLAS has
-    right now, at most one per four parts at once, with BLAS pinned to one
-    thread meanwhile (``_one_blas_thread``), so each part's products run on
-    one core. Where that allows only one at once they run inline, at the
-    BLAS count as it is: an ablation worker or a ``map_clips`` thread,
-    whose BLAS has one thread, starts none, and a small op skips the
-    hand-off. ``fn`` must only write its own part of a shared output, and
-    its products must have the same bits at any BLAS thread count (see
-    ``PIECE_PIXELS``), so the result does not depend on the thread count
-    or on which parts run together.
+    Every product in ``fn`` runs at one BLAS thread (``blas.one_thread``),
+    inline or not, and the parts run on a pool of as many threads as
+    numpy's OpenBLAS had at the call, at most one per four parts at once.
+    Where that allows only one at once they run inline: an ablation worker
+    or a ``map_clips`` thread, whose BLAS has one thread, starts none, and
+    a small op skips the hand-off. ``fn`` must only write its own part of a
+    shared output, so the result does not depend on the thread count or on
+    which parts run together.
 
     Every buffer is made on the calling thread: ``buffers`` is what
     ``scratch()`` returned, one set per running part, and ``term`` one of
     at most two per running part, reused once added: memory a pool thread
     allocates stays in that thread's malloc arena once freed, so it would
-    add to the process's resident size. The parts that run at once hold at most ``SCRATCH_DOUBLES`` of
-    buffers and terms between them, or two parts' worth where one part's
-    is more, so scratch memory does not grow with the core count. If a
-    part raises, the parts not yet started are dropped, the started ones
-    finish, and the first exception in part order propagates.
+    add to the process's resident size. The parts that run at once hold
+    at most ``SCRATCH_DOUBLES`` of buffers and terms between them, or two
+    parts' worth where one part's is more, so scratch memory does not grow
+    with the core count. If a part raises, the parts not yet started are
+    dropped, the started ones finish, and the first exception in part
+    order propagates.
     """
     buffers = scratch()
     part_bytes = _nbytes(buffers) + (0 if total is None else 2 * total.nbytes)
-    threads = _blas_threads()
+    threads = blas.threads()
     # parts that run at once
     running = min(threads, len(parts) // 4, max(2, SCRATCH_DOUBLES * 8 // max(1, part_bytes)))
-    if running <= 1:
-        term = None if total is None else np.empty_like(total)
-        for part in parts:
-            fn(part, buffers, term)
+    with blas.one_thread():
+        if running <= 1:
+            term = None if total is None else np.empty_like(total)
+            for part in parts:
+                fn(part, buffers, term)
+                if total is not None:
+                    np.add(total, term, out=total)
+            return
+        pool = _pool_of(threads)
+        free = queue.SimpleQueue()
+        free.put(buffers)
+        for _ in range(running - 1):
+            free.put(scratch())
+
+        def run(part, term: np.ndarray | None) -> np.ndarray | None:
+            buffers = free.get()
+            try:
+                fn(part, buffers, term)
+            finally:
+                free.put(buffers)
+            return term
+
+        spare = [None if total is None else np.empty_like(total) for _ in range(2 * running)]
+        pending = collections.deque()
+
+        def add_oldest() -> None:
+            term = pending.popleft().result()  # re-raises the part's exception
             if total is not None:
                 np.add(total, term, out=total)
-        return
-    pool = _pool_of(threads)
-    free = queue.SimpleQueue()
-    free.put(buffers)
-    for _ in range(running - 1):
-        free.put(scratch())
+            spare.append(term)
 
-    def run(part, term: np.ndarray | None) -> np.ndarray | None:
-        buffers = free.get()
-        try:
-            fn(part, buffers, term)
-        finally:
-            free.put(buffers)
-        return term
-
-    spare = [None if total is None else np.empty_like(total) for _ in range(2 * running)]
-    pending = collections.deque()
-
-    def add_oldest() -> None:
-        term = pending.popleft().result()  # re-raises the part's exception
-        if total is not None:
-            np.add(total, term, out=total)
-        spare.append(term)
-
-    with _one_blas_thread():
         try:
             for part in parts:
                 if not spare:
@@ -1208,8 +1075,8 @@ def conv_block(
     sums a second that writes batch norm's input gradient. Every chunk op
     is elementwise on its own rows. The order-dependent sums (the batch
     statistics and the batch-norm sums over the gathered winners) run on
-    the calling thread, and the conv runs as ``conv2d`` does, so no bit
-    depends on the thread count.
+    the calling thread, and the conv's gemms run at one BLAS thread
+    (``_run_parts``), so no bit depends on the thread count.
     """
     x, kernel, gamma, beta = as_tensor(x), as_tensor(kernel), as_tensor(gamma), as_tensor(beta)
     _check_conv(x, kernel, padding)

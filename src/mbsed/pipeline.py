@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import blas
 from .audio import (
     N_BANDS,
     AudioIOError,
@@ -30,8 +31,6 @@ from .audio import (
     read_features,
     write_features,
 )
-from .autodiff import _blas_threads, _one_blas_thread
-from .autodiff import _set_blas_threads as set_blas_threads
 from .config import RunConfig, parse_branches, resolved_text
 from .events import (
     EventAnnotation,
@@ -81,23 +80,25 @@ class PipelineError(RuntimeError):
 
 def map_clips(fn, items) -> list:
     """``[fn(item) for item in items]``, with the items spread over as many
-    threads as numpy's OpenBLAS has now, each on one BLAS thread.
+    threads as numpy's OpenBLAS has now.
 
-    BLAS is pinned to one thread while the threads run
-    (``autodiff._one_blas_thread``), so each clip keeps to one core and
+    Every BLAS product in mbsed runs at one BLAS thread (``mbsed.blas``),
+    so the cores are used by threads like these, never by OpenBLAS. BLAS
+    is pinned to one thread while the clip threads run
+    (``blas.one_thread``), so each clip keeps to one core and
     ``conv_block`` runs its conv and chunks inline, and the count is
     restored afterwards, also when ``fn`` raises. With one BLAS thread (an
     ablation worker, ``OPENBLAS_NUM_THREADS=1``) or one item the map runs
     inline and starts no thread. Results come in item order, and the first
     item to raise, in that order, is the one whose exception propagates, so
-    a caller sees what a serial loop would. ``fn`` must not depend on the
-    BLAS thread count or share mutable state between items.
+    a caller sees what a serial loop would. ``fn`` must not share mutable
+    state between items.
     """
     items = list(items)
-    threads = min(_blas_threads(), len(items))
+    threads = min(blas.threads(), len(items))
     if threads <= 1:
         return [fn(item) for item in items]
-    with _one_blas_thread(), ThreadPoolExecutor(threads, thread_name_prefix="mbsed-clip") as pool:
+    with blas.one_thread(), ThreadPoolExecutor(threads, thread_name_prefix="mbsed-clip") as pool:
         return list(pool.map(fn, items))
 
 
@@ -420,7 +421,7 @@ def _init_ablation_worker(shared: tuple, blas_threads: int) -> None:
     the CPUs as BLAS threads (results do not depend on the count)."""
     global _worker_shared
     _worker_shared = shared
-    set_blas_threads(blas_threads)
+    blas.set_threads(blas_threads)
 
 
 def _ablation_run(job: tuple[tuple[str, ...], int]) -> float:

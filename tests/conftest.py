@@ -2,17 +2,17 @@
 
 import pytest
 
-from mbsed.pipeline import set_blas_threads
+from mbsed import blas
 
 
 @pytest.fixture
 def blas_threads():
-    """``set_blas_threads``, with the count as it was restored afterwards.
+    """``blas.set_threads``, with the count as it was restored afterwards.
 
     Skips the test when numpy links no OpenBLAS whose thread count can be set.
     """
-    previous = set_blas_threads(1)
+    previous = blas.set_threads(1)
     if previous is None:
         pytest.skip("numpy links no OpenBLAS whose thread count can be set")
-    yield set_blas_threads
-    set_blas_threads(previous)
+    yield blas.set_threads
+    blas.set_threads(previous)

@@ -1,13 +1,13 @@
 """The four-op chain that ``autodiff.conv_block`` fuses, as separate ops.
 
 ``conv_block`` must give the same bits as conv2d → batch norm → max-pool →
-relu in its output, gradients and running buffers. ``conv2d`` is in
-``mbsed.autodiff``; the other three live here, because the model calls
-only the fused op. Batch norm takes its statistics and sums with the
-helpers ``conv_block`` uses, in the same order, so the two can agree bit
-for bit. Pooling is reshape then ``reduce_max`` over freq, then over time,
-whose gradient goes to the first maximal element of each window in
-row-major (time, freq) order.
+relu in its output, gradients and running buffers. All four live here,
+because the model calls only the fused op; ``conv2d`` wraps the conv that
+``conv_block`` runs (``_conv_forward`` and ``_conv_backward``). Batch norm
+takes its statistics and sums with the helpers ``conv_block`` uses, in the
+same order, so the two can agree bit for bit. Pooling is reshape then
+``reduce_max`` over freq, then over time, whose gradient goes to the first
+maximal element of each window in row-major (time, freq) order.
 """
 
 import numpy as np
@@ -19,12 +19,30 @@ from mbsed.autodiff import (
     _batch_statistics,
     _channel_sum,
     _check_batch_norm,
+    _check_conv,
+    _conv_backward,
+    _conv_forward,
+    _pad,
     _record,
     _tracked,
     as_tensor,
     reduce_max,
     reshape,
 )
+
+
+def conv2d(x: Tensor, kernel: Tensor, padding: tuple[int, int] = (0, 0)) -> Tensor:
+    """2-D cross-correlation of NHWC input with a KCkhkw kernel, NHWC out:
+    zero padding, unit stride, no bias."""
+    x, kernel = as_tensor(x), as_tensor(kernel)
+    _check_conv(x, kernel, padding)
+    out = Tensor(_conv_forward(_pad(x.data, padding), kernel.data))
+
+    def backward():
+        if out.grad is not None:
+            _conv_backward(x, kernel, padding, np.ascontiguousarray(out.grad))
+
+    return _record((x, kernel), out, backward)
 
 
 def relu(x: Tensor) -> Tensor:

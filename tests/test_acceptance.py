@@ -35,7 +35,7 @@ from mbsed.pooling import (
 from mbsed.postprocess import binarize, extract_events, median_filter
 from mbsed.synth import SynthConfig, generate_dataset
 
-from reference import batch_norm, relu
+from reference import batch_norm, conv2d, relu
 from test_metrics import max_matching_oracle, random_case, segment_counts_oracle
 from test_pipeline import tiny_model_config
 
@@ -117,8 +117,8 @@ def op_checks(rng):
         ("reduce_mean", lambda x: proj(ad.reduce_mean(x, axis=1, keepdims=True), w31), t(3, 4)),
         ("reduce_max", lambda x: proj(ad.reduce_max(x, axis=1), w4), x_max),
         ("softmax", lambda x: proj(ad.softmax(x, scale=3.0, axis=-1), w34), t(3, 4)),
-        ("conv2d_kernel", lambda k: proj(ad.conv2d(img, k, padding=(1, 1)), w_conv), kern),
-        ("conv2d_input", lambda x: proj(ad.conv2d(x, kern, padding=(1, 1)), w_conv), img),
+        ("conv2d_kernel", lambda k: proj(conv2d(img, k, padding=(1, 1)), w_conv), kern),
+        ("conv2d_input", lambda x: proj(conv2d(x, kern, padding=(1, 1)), w_conv), img),
         ("batch_norm_train", bn_train, x_bn),
         ("batch_norm_gamma", lambda g: proj(batch_norm(x_bn, g, beta, np.zeros(3), np.ones(3), train=True), w_bn), gamma),
         ("batch_norm_beta", lambda b: proj(batch_norm(x_bn, gamma, b, np.zeros(3), np.ones(3), train=True), w_bn), beta),

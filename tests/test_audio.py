@@ -277,8 +277,8 @@ class TestLogmel:
     @pytest.mark.parametrize("rate", [PIPELINE_RATE, 44100])
     def test_same_bits_at_any_blas_thread_count(self, blas_threads, rate):
         # 513 and 1025 frequency bins: more than 384, and not a multiple of
-        # 32, so without zero bins OpenBLAS would round the sum one way at
-        # one thread and another at several
+        # 32, so OpenBLAS would round the filterbank product's sum one way
+        # at one thread and another at several; logmel runs it at one
         rng = np.random.default_rng(9)
         clip = AudioClip(rng.uniform(-1, 1, 10 * rate), rate)
         feats = []

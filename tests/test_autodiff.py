@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 from mbsed import autodiff as ad
+from mbsed import blas
 from mbsed.autodiff import (
     DomainError,
     ShapeError,
     Tensor,
     clamp,
-    conv2d,
     conv_block,
     dropout,
     grad_check,
@@ -36,7 +36,7 @@ from mbsed.autodiff import (
     transpose,
 )
 
-from reference import batch_norm, max_pool_by_reduce_max, relu
+from reference import batch_norm, conv2d, max_pool_by_reduce_max, relu
 
 
 # ---------------------------------------------------------------------------
@@ -231,23 +231,20 @@ class TestConv2d:
     def test_same_bits_at_any_blas_thread_count(
         self, blas_threads, shape, kernel, padding, tracked
     ):
-        # one input channel and N*H*W = 256000 output rows, where OpenBLAS
-        # would split a gemv's sum between threads; then the gate's compact
-        # encoder's blocks 1 and 2 at batch 8, whose products are short
-        # enough that their blocking could depend on the thread count; a
-        # large-preset block whose forward product has 576 = 9 * 64 inner
-        # terms, more than OpenBLAS takes in one block; one output channel
-        # over 640000 pixels, whose kernel gradient would be a gemv; and a
-        # last batch of 3 clips at a large-preset block, whose kernel
-        # gradient over the whole batch (6000 pixels) OpenBLAS blocked
-        # differently at 1, 2 and 4 threads; and 48 channels in and out,
-        # whose forward and input-gradient products would have 432 inner
-        # terms, a remainder past 384 that is not a multiple of 32. Then
-        # untracked one-channel inputs, whose kernel gradient takes pieces of
-        # as many rows as fit in SLAB_DOUBLES of columns: the gate's compact
-        # block 0, with one im2col column, and a 62-wide image, whose pieces
-        # of 229 * 62 = 14198 pixels OpenBLAS would block differently at 1,
-        # 2 and 4 threads
+        # every gemm of the conv runs at one BLAS thread (_run_parts), so
+        # no shape's bits depend on the count, whether or not OpenBLAS would
+        # split its products differently between threads: one input channel
+        # and N*H*W = 256000 output rows, a long one-column product; the
+        # gate's compact encoder's blocks 1 and 2 at batch 8; a large-preset
+        # block whose forward product has 576 = 9 * 64 inner terms, more
+        # than OpenBLAS takes in one block; one output channel over 640000
+        # pixels; a last batch of 3 clips at a large-preset block; and 48
+        # channels in and out, whose forward and input-gradient products
+        # have 432 inner terms, a remainder past 384 that is not a multiple
+        # of 32. Then untracked one-channel inputs, whose kernel gradient
+        # takes pieces of as many rows as fit in SLAB_DOUBLES of columns:
+        # the gate's compact block 0, with one im2col column, and a 62-wide
+        # image, whose pieces of 229 * 62 = 14198 pixels are no multiple of 32
         rng = np.random.default_rng(17)
         x_data = rng.standard_normal(shape)
         k_data = rng.standard_normal(kernel)
@@ -334,9 +331,9 @@ class TestConv2d:
         xt = Tensor(x, requires_grad=True)
         assert grad_check(lambda t: loss(t, Tensor(k)), xt, eps=1e-3) <= 1e-6
 
-    def test_zero_padded_columns_match_oracle(self):
-        # 48 channels in and out: 432 im2col columns, which the buffers
-        # widen with zeros to 448
+    def test_wide_columns_match_oracle(self):
+        # 48 channels in and out: 432 im2col columns, an inner sum past 384
+        # terms that is not a multiple of 32
         rng = np.random.default_rng(43)
         x = rng.standard_normal((1, 4, 5, 48))
         k = rng.standard_normal((48, 48, 3, 3))
@@ -356,9 +353,9 @@ class TestConv2d:
     )
     def test_untracked_input_kernel_gradient_matches_oracle(self, kernel, w):
         # an untracked one-channel input, as in an encoder's first block:
-        # 64 wide, the kernel gradient takes pieces of as many multiples of
+        # the kernel gradient takes pieces of as many multiples of
         # PIECE_PIXELS as fit in SLAB_DOUBLES of columns, here two per clip
-        # (a full one and a ragged one); 62 wide, pieces of 6 rows
+        # (a full one and a ragged one), also at a width of 62
         kk, c, kh, kw = kernel
         pixels = ad.SLAB_DOUBLES // (kh * kw * c) // ad.PIECE_PIXELS * ad.PIECE_PIXELS
         h = pixels // 64 + 13
@@ -595,6 +592,28 @@ class TestLinear:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
+
+    def test_matmul_same_bits_at_any_blas_thread_count(self, blas_threads):
+        # the large preset's classifier at batch 16: (16, 500, 1024) frames
+        # times (1024, 10) weights. The weight gradient's products sum over
+        # 500 frames, which OpenBLAS splits at one point with one thread and
+        # at another with several; matmul runs every product at one thread
+        rng = np.random.default_rng(83)
+        a_data = rng.standard_normal((16, 500, 1024))
+        b_data = rng.standard_normal((1024, 10))
+        probe = rng.standard_normal((16, 500, 10))
+        first = None
+        for threads in (1, 2, 4):
+            blas_threads(threads)
+            a, b = Tensor(a_data, requires_grad=True), Tensor(b_data, requires_grad=True)
+            out = matmul(a, b)
+            reduce_sum(ad.mul(out, probe)).backward()
+            got = (out.data, a.grad, b.grad)
+            if first is None:
+                first = got
+                continue
+            for name, x, y in zip(("product", "left gradient", "right gradient"), first, got):
+                assert same_bits(x, y), f"{name} at {threads} threads"
 
 
 # ---------------------------------------------------------------------------
@@ -1052,7 +1071,7 @@ def column_spy(monkeypatch):
     columns = ad._columns
 
     def spy(*args):
-        seen.append((threading.current_thread().name, ad._blas_threads()))
+        seen.append((threading.current_thread().name, blas.threads()))
         return columns(*args)
 
     monkeypatch.setattr(ad, "_columns", spy)
@@ -1074,13 +1093,13 @@ class TestConvOnThePool:
             blas_threads(threads)
             column_spy.clear()
             results.append(conv_step(x_data, k_data, probe, tracked))
-            assert ad._blas_threads() == threads
+            assert blas.threads() == threads
             assert len(column_spy) == len(slabs) + len(pieces)
             if threads == 1:
                 assert {name for name, _ in column_spy} == {threading.current_thread().name}
             else:
                 assert all(name.startswith("mbsed-chunk") for name, _ in column_spy)
-                assert all(blas == 1 for _, blas in column_spy)
+                assert all(count == 1 for _, count in column_spy)
         for threads, other in zip((2, 4), results[1:]):
             for name, a, b in zip(("output", "kernel grad", "input grad"), results[0], other):
                 assert same_bits(a, b), f"{name} at {threads} threads"
@@ -1137,8 +1156,8 @@ class TestConvOnThePool:
         with pytest.raises(RuntimeError, match="piece failed"):
             conv_step(rng.standard_normal(shape), rng.standard_normal(kernel),
                       rng.standard_normal(shape[:3] + kernel[:1]), True)
-        assert ad._blas_threads() == threads
-        assert ad._pins == 0
+        assert blas.threads() == threads
+        assert blas._pins == 0
 
     def test_inside_map_clips_runs_inline(self, blas_threads, small_slabs, column_spy):
         from mbsed.pipeline import map_clips
@@ -1162,8 +1181,8 @@ class TestConvOnThePool:
         got = []
         run_threads(lambda: got.extend(map_clips(block, [1, 2])))
         assert {name.split("_")[0] for name, _ in column_spy} == {"mbsed-clip"}
-        assert all(blas == 1 for _, blas in column_spy)
-        assert ad._blas_threads() == 2
+        assert all(count == 1 for _, count in column_spy)
+        assert blas.threads() == 2
         for a, b in zip(want, got):
             assert all(same_bits(u, v) for u, v in zip(a, b))
 
@@ -1193,6 +1212,19 @@ class TestRunParts:
         running = min(threads, 24 // 4)
         assert len(seen) <= (1 if running == 1 else 2 * running)
 
+    def test_inline_parts_run_at_one_blas_thread(self, blas_threads):
+        # three parts are too few for the pool, so they run on the calling
+        # thread, still at one BLAS thread
+        blas_threads(2)
+        seen = []
+
+        def fn(part, _, term):
+            seen.append((threading.current_thread().name, blas.threads()))
+
+        ad._run_parts(fn, [0, 1, 2], object)
+        assert seen == [(threading.current_thread().name, 1)] * 3
+        assert blas.threads() == 2 and blas._pins == 0
+
     def test_overlapping_pins_restore_the_count(self, blas_threads):
         # eight threads on two cores open and close pins in every order; a
         # pin that saved and restored the count by itself could restore a
@@ -1204,8 +1236,8 @@ class TestRunParts:
 
         def pinner(row):
             for delay in row:
-                with ad._one_blas_thread():
-                    inside.append(ad._blas_threads())
+                with blas.one_thread():
+                    inside.append(blas.threads())
                     time.sleep(delay)
 
         interval = sys.getswitchinterval()
@@ -1215,7 +1247,7 @@ class TestRunParts:
         finally:
             sys.setswitchinterval(interval)
         assert inside == [1] * 160
-        assert ad._blas_threads() == 2 and ad._pins == 0
+        assert blas.threads() == 2 and blas._pins == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,37 @@
+"""Checks on how the modules of ``mbsed`` depend on each other."""
+
+import ast
+from pathlib import Path
+
+import mbsed
+
+PACKAGE = Path(mbsed.__file__).parent
+
+
+def sibling_private_uses(path: Path) -> list[str]:
+    """Underscore-prefixed names that ``path`` takes from a sibling module:
+    by ``from .x import _y`` (or ``from mbsed.x import _y``), or as
+    ``alias._y`` of a module bound by ``from . import x as alias``."""
+    tree = ast.parse(path.read_text(), str(path))
+    found, aliases = [], set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if not (node.level or module == "mbsed" or module.startswith("mbsed.")):
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_"):
+                found.append(f"{path.name}:{node.lineno} imports {alias.name}")
+            elif not module or module == "mbsed":
+                aliases.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id in aliases):
+            found.append(f"{path.name}:{node.lineno} uses {node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_takes_a_private_name_from_a_sibling():
+    found = [use for path in sorted(PACKAGE.glob("*.py")) for use in sibling_private_uses(path)]
+    assert not found, "\n".join(found)

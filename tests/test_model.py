@@ -34,7 +34,7 @@ from mbsed.model import (
 )
 from mbsed.pooling import MilStrategy, PoolMethod
 
-from reference import batch_norm, relu
+from reference import batch_norm, conv2d, relu
 
 
 def tiny_config(branches=("E-ATP", "I-GAP", "I-GMP"), seed=0, epochs=5, **kw):
@@ -212,7 +212,7 @@ def relu_then_pool_encode(model, batch, rng):
     for block in model.blocks:
         spec = block.spec
         kh, kw = spec.kernel
-        x = ad.conv2d(x, block.kernel, padding=(kh // 2, kw // 2))
+        x = conv2d(x, block.kernel, padding=(kh // 2, kw // 2))
         x = batch_norm(
             x, block.gamma, block.beta, block.running_mean, block.running_var,
             eps=BN_EPS, momentum=BN_MOMENTUM, train=True,
@@ -600,14 +600,21 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("encoder", ["small", "gate_compact"])
+    @pytest.mark.parametrize("encoder", ["small", "gate_compact", "large"])
     def test_same_bytes_at_any_blas_thread_count(self, blas_threads, tmp_path, encoder):
+        # every BLAS product runs at one BLAS thread, so no preset's bytes
+        # depend on the count; at the large preset (E = 1024) the head's
+        # weight gradients sum over T' = 500 frames, an inner length that
+        # OpenBLAS splits at one point with one thread and at another with
+        # several
+        branches = tuple(BranchSpec.parse(name) for name in ("E-ATP", "I-GAP", "I-GMP"))
         if encoder == "small":
-            branches = tuple(BranchSpec.parse(name) for name in ("E-ATP", "I-GAP", "I-GMP"))
             cfg = dataclasses.replace(small_config(4, branches, seed=3), epochs=1, batch_size=8)
+        elif encoder == "large":
+            cfg = dataclasses.replace(large_config(4, branches, seed=3), epochs=1, batch_size=3)
         else:
             cfg = tiny_config(seed=3, epochs=1, encoder=GATE_COMPACT)
-        clips, labels = make_clips(8, t=500, seed=4)
+        clips, labels = make_clips(6 if encoder == "large" else 8, t=500, seed=4)
         blobs = []
         for threads in (1, 2, 4):
             blas_threads(threads)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from mbsed import autodiff as ad
-from mbsed import pipeline
+from mbsed import blas, pipeline
 from mbsed.audio import AudioIOError, frame_hop_seconds
 from mbsed.config import RunConfig, parse_branches, parse_run_config
 from mbsed.events import EventAnnotation, read_events_tsv
@@ -32,7 +32,6 @@ from mbsed.pipeline import (
     run_evaluation,
     run_prediction,
     run_training,
-    set_blas_threads,
     worker_count,
 )
 from mbsed.postprocess import PostConfig, adaptive_window
@@ -244,7 +243,7 @@ class TestPrediction:
         predict = pipeline.predict_events
 
         def spy(*args):
-            seen.append((threading.current_thread().name, ad._blas_threads()))
+            seen.append((threading.current_thread().name, blas.threads()))
             return predict(*args)
 
         monkeypatch.setattr(pipeline, "predict_events", spy)
@@ -254,8 +253,8 @@ class TestPrediction:
             concurrent = run_prediction(ckpt, test, tmp_path / "concurrent" / "events.tsv")
         finally:
             sys.setswitchinterval(interval)
-        assert ad._blas_threads() == threads
-        assert len(seen) == N_TEST and all(blas == 1 for _, blas in seen)
+        assert blas.threads() == threads
+        assert len(seen) == N_TEST and all(count == 1 for _, count in seen)
         names = {name for name, _ in seen}
         if threads == 1:
             assert names == {threading.current_thread().name}
@@ -283,7 +282,7 @@ class TestPrediction:
             blas_threads(threads)
             with pytest.raises(AudioIOError, match="clip_0001.wav"):
                 run_prediction(arts[0].checkpoint_path, audio, tmp_path / "e.tsv")
-            assert ad._blas_threads() == threads
+            assert blas.threads() == threads
 
     def test_training_records_after_prediction(self, trained, data_dirs, tmp_path, blas_threads):
         # inference switches recording off on its clip threads only
@@ -459,8 +458,8 @@ class TestWorkerCount:
 
 def report_blas_threads(job):
     """Stands in for an ablation job in a pool worker: its BLAS thread count."""
-    threads = set_blas_threads(1)
-    set_blas_threads(threads)
+    threads = blas.set_threads(1)
+    blas.set_threads(threads)
     return float(threads)
 
 
