@@ -154,18 +154,40 @@ def _find_tape(inputs: Sequence[Tensor]) -> Tape | None:
     return tape
 
 
-def _record(inputs: Sequence[Tensor], out: Tensor, backward: Callable[[], None]) -> Tensor:
+def _record(inputs: Sequence[Tensor], out: Tensor, backward: Callable, named_by=None) -> Tensor:
+    """Put ``backward`` on the tape of ``inputs`` as ``out``'s rule. A profile
+    counts it under the op whose name starts the ``__qualname__`` of
+    ``named_by``, or else of ``backward``: "<op>.<locals>.backward"."""
     if not _grad.enabled or not any(_tracked(t) for t in inputs):
         return out
     prof = _profile
     if prof is not None:
-        backward = prof._timed(backward)
+        backward = prof._timed(backward, (named_by or backward).__qualname__.partition(".")[0])
     tape = _find_tape(inputs)
     if tape is None:
         tape = Tape()
     out.tape = tape
     tape.entries.append(backward)
     return out
+
+
+def _recorded(inputs: Sequence[Tensor], data: np.ndarray, grads: Sequence[Callable]) -> Tensor:
+    """The output tensor of an op of ``inputs`` whose value is ``data``,
+    recorded with the one backward rule: once the output has a gradient g,
+    ``grads[i](g)`` is added into ``inputs[i]`` where it is tracked, in
+    input order. A profile counts the rule under the op that defines
+    ``grads[0]``."""
+    out = Tensor(data)
+
+    def backward():
+        g = out.grad
+        if g is None:
+            return
+        for t, grad in zip(inputs, grads):
+            if _tracked(t):
+                _accumulate(t, grad(g))
+
+    return _record(inputs, out, backward, grads[0])
 
 
 def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
@@ -261,9 +283,7 @@ class profile:
         stats.out_bytes += out.data.nbytes
         return out
 
-    def _timed(self, backward: Callable[[], None]) -> Callable[[], None]:
-        name = backward.__qualname__.partition(".")[0]  # "<op>.<locals>.backward"
-
+    def _timed(self, backward: Callable[[], None], name: str) -> Callable[[], None]:
         def timed() -> None:
             start = time.perf_counter()
             try:
@@ -313,52 +333,37 @@ def _op(fn: Callable[..., Tensor]) -> Callable[..., Tensor]:
 @_op
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data + b.data)
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if _tracked(a):
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if _tracked(b):
-            _accumulate(b, _unbroadcast(g, b.shape))
-
-    return _record((a, b), out, backward)
+    return _recorded(
+        (a, b),
+        a.data + b.data,
+        (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(g, b.shape)),
+    )
 
 
 @_op
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data - b.data)
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if _tracked(a):
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if _tracked(b):
-            _accumulate(b, _unbroadcast(-g, b.shape))
-
-    return _record((a, b), out, backward)
+    return _recorded(
+        (a, b),
+        a.data - b.data,
+        (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(-g, b.shape)),
+    )
 
 
 @_op
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data * b.data)
+    return _recorded(
+        (a, b),
+        a.data * b.data,
+        (lambda g: _unbroadcast(g * b.data, a.shape), lambda g: _unbroadcast(g * a.data, b.shape)),
+    )
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if _tracked(a):
-            _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        if _tracked(b):
-            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
-    return _record((a, b), out, backward)
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b at one BLAS thread."""
+    with blas.one_thread():
+        return a @ b
 
 
 @_op
@@ -370,20 +375,14 @@ def matmul(a, b) -> Tensor:
         raise ShapeError("matmul operands must have at least 2 dimensions")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    with blas.one_thread():
-        out = Tensor(a.data @ b.data)
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        with blas.one_thread():
-            if _tracked(a):
-                _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
-            if _tracked(b):
-                _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
-
-    return _record((a, b), out, backward)
+    return _recorded(
+        (a, b),
+        _product(a.data, b.data),
+        (
+            lambda g: _unbroadcast(_product(g, b.data.swapaxes(-1, -2)), a.shape),
+            lambda g: _unbroadcast(_product(a.data.swapaxes(-1, -2), g), b.shape),
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +392,7 @@ def matmul(a, b) -> Tensor:
 @_op
 def reshape(x: Tensor, shape) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(x.data.reshape(shape))
-
-    def backward():
-        if out.grad is not None and _tracked(x):
-            _accumulate(x, out.grad.reshape(x.shape))
-
-    return _record((x,), out, backward)
+    return _recorded((x,), x.data.reshape(shape), (lambda g: g.reshape(x.shape),))
 
 
 @_op
@@ -409,13 +402,7 @@ def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
         axes = tuple(reversed(range(x.ndim)))
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
-    out = Tensor(x.data.transpose(axes))
-
-    def backward():
-        if out.grad is not None and _tracked(x):
-            _accumulate(x, out.grad.transpose(inverse))
-
-    return _record((x,), out, backward)
+    return _recorded((x,), x.data.transpose(axes), (lambda g: g.transpose(inverse),))
 
 
 def swapaxes(x: Tensor, a: int, b: int) -> Tensor:
@@ -427,27 +414,16 @@ def swapaxes(x: Tensor, a: int, b: int) -> Tensor:
 @_op
 def broadcast_to(x: Tensor, shape) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(np.broadcast_to(x.data, shape).copy())
-
-    def backward():
-        if out.grad is not None and _tracked(x):
-            _accumulate(x, _unbroadcast(out.grad, x.shape))
-
-    return _record((x,), out, backward)
+    data = np.broadcast_to(x.data, shape).copy()
+    return _recorded((x,), data, (lambda g: _unbroadcast(g, x.shape),))
 
 
 @_op
 def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
     """Clip values into [lo, hi]; gradient passes only strictly inside."""
     x = as_tensor(x)
-    out = Tensor(np.clip(x.data, lo, hi))
     interior = (x.data > lo) & (x.data < hi)
-
-    def backward():
-        if out.grad is not None and _tracked(x):
-            _accumulate(x, out.grad * interior)
-
-    return _record((x,), out, backward)
+    return _recorded((x,), np.clip(x.data, lo, hi), (lambda g: g * interior,))
 
 
 # ---------------------------------------------------------------------------
@@ -463,13 +439,7 @@ def sigmoid(x: Tensor) -> Tensor:
     s[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
     ev = np.exp(v[~pos])
     s[~pos] = ev / (1.0 + ev)
-    out = Tensor(s)
-
-    def backward():
-        if out.grad is not None and _tracked(x):
-            _accumulate(x, out.grad * s * (1.0 - s))
-
-    return _record((x,), out, backward)
+    return _recorded((x,), s, (lambda g: g * s * (1.0 - s),))
 
 
 @_op
@@ -477,32 +447,7 @@ def log(x: Tensor) -> Tensor:
     x = as_tensor(x)
     if np.any(x.data <= 0.0):
         raise DomainError("log requires strictly positive inputs")
-    out = Tensor(np.log(x.data))
-
-    def backward():
-        if out.grad is not None and _tracked(x):
-            _accumulate(x, out.grad / x.data)
-
-    return _record((x,), out, backward)
-
-
-@_op
-def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Zero entries with probability p and rescale survivors by 1/(1-p),
-    the mask drawn from ``rng``."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout rate must lie in [0, 1), got {p}")
-    x = as_tensor(x)
-    if p == 0.0:
-        return x
-    keep = (rng.random(x.shape) >= p) / (1.0 - p)
-    out = Tensor(x.data * keep)
-
-    def backward():
-        if out.grad is not None and _tracked(x):
-            _accumulate(x, out.grad * keep)
-
-    return _record((x,), out, backward)
+    return _recorded((x,), np.log(x.data), (lambda g: g / x.data,))
 
 
 # ---------------------------------------------------------------------------
@@ -518,13 +463,11 @@ def reduce_sum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Te
     """Sum along ``axis``, or over every axis when it is None."""
     x = as_tensor(x)
     _check_axis(x, axis)
-    out = Tensor(x.data.sum(axis=axis, keepdims=keepdims))
-
-    def backward():
-        if out.grad is not None and _tracked(x):
-            _accumulate(x, np.broadcast_to(_expand(out.grad, axis, keepdims), x.shape).copy())
-
-    return _record((x,), out, backward)
+    return _recorded(
+        (x,),
+        x.data.sum(axis=axis, keepdims=keepdims),
+        (lambda g: np.broadcast_to(_expand(g, axis, keepdims), x.shape).copy(),),
+    )
 
 
 @_op
@@ -533,13 +476,11 @@ def reduce_mean(x: Tensor, axis: int | None = None, keepdims: bool = False) -> T
     x = as_tensor(x)
     _check_axis(x, axis)
     n = x.size if axis is None else x.shape[axis]
-    out = Tensor(x.data.mean(axis=axis, keepdims=keepdims))
-
-    def backward():
-        if out.grad is not None and _tracked(x):
-            _accumulate(x, np.broadcast_to(_expand(out.grad, axis, keepdims) / n, x.shape).copy())
-
-    return _record((x,), out, backward)
+    return _recorded(
+        (x,),
+        x.data.mean(axis=axis, keepdims=keepdims),
+        (lambda g: np.broadcast_to(_expand(g, axis, keepdims) / n, x.shape).copy(),),
+    )
 
 
 @_op
@@ -547,19 +488,16 @@ def reduce_max(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     """Max along one axis; gradient routes to the first maximal element."""
     x = as_tensor(x)
     _check_axis(x, axis)
-    out = Tensor(x.data.max(axis=axis, keepdims=keepdims))
     # argmax returns the lowest index among ties, which is the declared
     # tie-break rule.
     argmax = np.expand_dims(x.data.argmax(axis=axis), axis)
 
-    def backward():
-        if out.grad is None or not _tracked(x):
-            return
-        g = np.zeros_like(x.data)
-        np.put_along_axis(g, argmax, _expand(out.grad, axis, keepdims), axis)
-        _accumulate(x, g)
+    def grad(g: np.ndarray) -> np.ndarray:
+        gx = np.zeros_like(x.data)
+        np.put_along_axis(gx, argmax, _expand(g, axis, keepdims), axis)
+        return gx
 
-    return _record((x,), out, backward)
+    return _recorded((x,), x.data.max(axis=axis, keepdims=keepdims), (grad,))
 
 
 def _check_axis(x: Tensor, axis: int | None) -> None:
@@ -582,16 +520,12 @@ def softmax(x: Tensor, scale: float = 1.0, axis: int = -1) -> Tensor:
     z = z - z.max(axis=axis, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y)
 
-    def backward():
-        g = out.grad
-        if g is None or not _tracked(x):
-            return
+    def grad(g: np.ndarray) -> np.ndarray:
         inner = (g * y).sum(axis=axis, keepdims=True)
-        _accumulate(x, (g - inner) * y / scale)
+        return (g - inner) * y / scale
 
-    return _record((x,), out, backward)
+    return _recorded((x,), y, (grad,))
 
 
 # ---------------------------------------------------------------------------

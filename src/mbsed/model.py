@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import operator
 import struct
 from dataclasses import asdict, dataclass
@@ -43,6 +44,10 @@ class DivergenceError(RuntimeError):
     """Training aborted because the loss became non-finite."""
 
 
+def _positive_int(value) -> bool:
+    return isinstance(value, int) and value > 0
+
+
 @dataclass(frozen=True)
 class CnnBlockSpec:
     """One encoder block: conv + batch norm + max pooling + relu.
@@ -63,8 +68,12 @@ class CnnBlockSpec:
     dropout: float = 0.0
 
     def __post_init__(self):
-        if self.freq_pool < 1 or self.time_pool < 1:
-            raise ValueError("pool factors must be >= 1")
+        if not _positive_int(self.out_channels):
+            raise ValueError(f"out_channels must be a positive integer, got {self.out_channels!r}")
+        if len(self.kernel) != 2 or not all(_positive_int(k) and k % 2 for k in self.kernel):
+            raise ValueError(f"kernel sides must be two positive odd integers, got {self.kernel!r}")
+        if not (_positive_int(self.freq_pool) and _positive_int(self.time_pool)):
+            raise ValueError("pool factors must be positive integers")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout rate must lie in [0, 1)")
 
@@ -118,6 +127,14 @@ class ModelConfig:
     class_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not self.encoder:
+            raise ValueError("the encoder needs at least one block")
+        if not (_positive_int(self.num_classes) and _positive_int(self.num_bands)):
+            raise ValueError("num_classes and num_bands must be positive integers")
+        if not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not 0.0 < self.attention_scale < math.inf:
+            raise ValueError(f"attention_scale must be positive and finite: {self.attention_scale}")
         mains = [b for b in self.branches if b.strategy is MilStrategy.EMBEDDING]
         if len(mains) != 1:
             raise ValueError(
@@ -157,6 +174,15 @@ class ModelConfig:
         for block in self.encoder:
             factor *= block.time_pool
         return factor
+
+    def tiled_frames(self, frames: int) -> int:
+        """The leading frames of a clip of ``frames`` that the encoder reads,
+        as many as time pooling tiles; fewer than one pooled frame's worth
+        is a ValueError."""
+        pool = self.time_pool_total
+        if frames < pool:
+            raise ValueError(f"{frames} frames, fewer than the encoder's time pooling of {pool}")
+        return frames - frames % pool
 
     def to_dict(self) -> dict:
         """JSON-ready fields; a branch is its table name and loss weight."""
@@ -322,13 +348,7 @@ class Model:
             raise ValueError(
                 f"encoder expects (N, T, {self.config.num_bands}) input, got {batch.shape}"
             )
-        pool_total = self.config.time_pool_total
-        if batch.shape[1] < pool_total:
-            raise ValueError(
-                f"clip of {batch.shape[1]} frames shorter than cumulative time pooling"
-            )
-        # trailing frames that time pooling cannot tile are dropped
-        frames = batch.shape[1] - batch.shape[1] % pool_total
+        frames = self.config.tiled_frames(batch.shape[1])
         x = Tensor(batch[:, :frames, :, None])  # N,T,F,1
         for block in self.blocks:
             spec = block.spec
@@ -353,11 +373,12 @@ class Model:
             if train and spec.dropout > 0.0:
                 if self._dropout_rng is None:
                     raise RuntimeError("training pass requires a seeded dropout stream")
-                # masks are drawn in (N, C, T, F) order; a seed's masks, and so
-                # the weights it trains to, depend on that order
-                x = ad.transpose(x, (0, 3, 1, 2))
-                x = ad.dropout(x, spec.dropout, self._dropout_rng)
-                x = ad.transpose(x, (0, 2, 3, 1))
+                # a seed's masks, and so the weights it trains to, depend on
+                # their draw order, (N, C, T, F); the NHWC activation takes
+                # the mask as a transposed view
+                n, h, w, c = x.shape
+                keep = self._dropout_rng.random((n, c, h, w)) >= spec.dropout
+                x = ad.mul(x, (keep / (1.0 - spec.dropout)).transpose(0, 2, 3, 1))
         n, h, w, c = x.shape
         return ad.reshape(ad.transpose(x, (0, 1, 3, 2)), (n, h, c * w))
 

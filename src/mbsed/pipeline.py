@@ -36,7 +36,6 @@ from .events import (
     EventAnnotation,
     read_events_tsv,
     read_weak_labels_tsv,
-    sort_events,
     write_events_tsv,
 )
 from .metrics import EvalReport, event_based_f1, segment_based_f1
@@ -279,8 +278,13 @@ def predict_events(
     """Clip tag probabilities and post-processed events for one clip.
 
     Classes rejected at clip level are gated out of the frame output, so
-    detection never contradicts tagging.
+    detection never contradicts tagging. A clip too short for the
+    encoder's time pooling is a PipelineError.
     """
+    try:
+        model.config.tiled_frames(len(features))
+    except ValueError as exc:
+        raise PipelineError(f"clip {clip_id}: {exc}") from None
     clip_probs, frame_probs = model.predict(features)
     frame_probs = frame_probs * (clip_probs > post.tag_threshold)[None, :]
     hop_out = hop_seconds * model.config.time_pool_total

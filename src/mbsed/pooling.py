@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from . import autodiff as ad
 from .autodiff import Tensor
 

@@ -22,7 +22,6 @@ from mbsed.autodiff import (
     Tensor,
     clamp,
     conv_block,
-    dropout,
     grad_check,
     linear,
     log,
@@ -537,24 +536,6 @@ class TestPointwise:
     def test_log_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             log(Tensor([1.0, 0.0]))
-
-    def test_dropout_p_zero_is_identity(self):
-        x = Tensor([1.0, 2.0, 3.0])
-        out = dropout(x, 0.0, np.random.default_rng(123))
-        np.testing.assert_array_equal(out.data, x.data)
-
-    def test_dropout_scales_survivors(self):
-        x = Tensor(np.ones(10000))
-        out = dropout(x, 0.5, np.random.default_rng(0)).data
-        survivors = out[out != 0.0]
-        np.testing.assert_allclose(survivors, 2.0)
-        assert 0.4 < survivors.size / 10000 < 0.6
-
-    def test_dropout_deterministic_given_seed(self):
-        x = Tensor(np.ones(100))
-        a = dropout(x, 0.3, np.random.default_rng(7)).data
-        b = dropout(x, 0.3, np.random.default_rng(7)).data
-        np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -1394,12 +1375,9 @@ def test_every_op_grad_check(seed):
     checks.append(grad_check(lambda t: reduce_sum(log(t), axis=0), p))
 
     d = Tensor(rng.standard_normal(16), requires_grad=True)
-    # a new generator per call keeps the mask fixed, as finite differences need
-    checks.append(
-        grad_check(
-            lambda t: reduce_sum(dropout(t, 0.4, np.random.default_rng(seed + 1000)), axis=0), d
-        )
-    )
+    # dropout is a product with a fixed keep mask, survivors scaled by 1/(1 - p)
+    keep = (np.random.default_rng(seed + 1000).random(16) >= 0.4) / 0.6
+    checks.append(grad_check(lambda t: reduce_sum(ad.mul(t, keep), axis=0), d))
 
     w = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
     xin = Tensor(rng.standard_normal((4, 6)))

@@ -14,9 +14,10 @@ from mbsed.audio import AudioClip, frame_hop_seconds, write_features, write_wav
 from mbsed.cli import main
 from mbsed.config import load_run_config
 from mbsed.events import read_events_tsv, write_events_tsv
-from mbsed.model import load_checkpoint
+from mbsed.model import CnnBlockSpec, Model, load_checkpoint, save_checkpoint
 from mbsed.pipeline import load_dataset, post_config_from_run, predict_events
 
+from test_model import digest_over, join_checkpoint, split_checkpoint
 from test_pipeline import tiny_model_config
 
 
@@ -59,6 +60,35 @@ def checkpoint(dataset, tmp_path_factory):
     run = parse_run_config(f"[data]\ntrain_dir = {dataset}\n[training]\nepochs = 2\n")
     arts = run_training(run, out, model_config=tiny_model_config(epochs=2))
     return arts[0].checkpoint_path
+
+
+def first_block(key, value):
+    def edit(header):
+        header["config"]["encoder"][0][key] = value
+
+    return edit
+
+
+def even_kernel(header):
+    """A 2x2 first kernel, in the config and in the parameter manifest."""
+    header["config"]["encoder"][0]["kernel"] = [2, 2]
+    entry = next(e for e in header["params"] if e["name"] == "blocks.0.kernel")
+    entry["shape"][2:] = [2, 2]
+
+
+# header edits that give a config no model can be built from
+BAD_MODEL_CONFIGS = {
+    "zero_channels": first_block("out_channels", 0),
+    "negative_channels": first_block("out_channels", -2),
+    "fractional_channels": first_block("out_channels", 2.5),
+    "zero_kernel_side": first_block("kernel", [0, 3]),
+    "even_kernel": even_kernel,
+    "zero_attention_scale": lambda header: header["config"].update(attention_scale=0),
+    "empty_encoder": lambda header: header["config"].update(encoder=[]),
+    "negative_classes": lambda header: header["config"].update(num_classes=-1, class_labels=[]),
+    "zero_bands": lambda header: header["config"].update(num_bands=0),
+    "negative_seed": lambda header: header["config"].update(seed=-1),
+}
 
 
 class TestSynth:
@@ -311,6 +341,40 @@ class TestPredict:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "blip.wav" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", sorted(BAD_MODEL_CONFIGS))
+    def test_bad_model_config_refused(self, checkpoint, dataset, tmp_path, capsys, case):
+        # the digest is taken over the edited config, so only the config's
+        # own checks can refuse it
+        header, params = split_checkpoint(checkpoint.read_bytes())
+        BAD_MODEL_CONFIGS[case](header)
+        header["digest"] = digest_over(header["config"])
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(join_checkpoint(header, params))
+        code = run_cli([
+            "predict", "--checkpoint", bad, "--audio", dataset, "--out", tmp_path / "e.tsv",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "corrupt header" in err and "Traceback" not in err
+
+    def test_wav_shorter_than_time_pooling(self, tmp_path, capsys):
+        pooled = dataclasses.replace(tiny_model_config(), encoder=(
+            CnnBlockSpec(4, (3, 3), freq_pool=8, time_pool=4),
+            CnnBlockSpec(8, (3, 3), freq_pool=8, time_pool=4),
+        ))
+        ckpt = tmp_path / "pooled.ckpt"
+        save_checkpoint(Model(pooled), ckpt)
+        audio = tmp_path / "audio"
+        audio.mkdir()
+        # 0.1 s is 5 frames, fewer than the 16 that time pooling needs
+        write_wav(audio / "blip.wav", AudioClip(np.zeros(2205), 22050))
+        code = run_cli([
+            "predict", "--checkpoint", ckpt, "--audio", audio, "--out", tmp_path / "e.tsv",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: clip blip: 5 frames") and "Traceback" not in err
 
     def test_missing_audio_dir(self, checkpoint, tmp_path, capsys):
         empty = tmp_path / "empty"

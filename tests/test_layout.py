@@ -35,3 +35,27 @@ def sibling_private_uses(path: Path) -> list[str]:
 def test_no_module_takes_a_private_name_from_a_sibling():
     found = [use for path in sorted(PACKAGE.glob("*.py")) for use in sibling_private_uses(path)]
     assert not found, "\n".join(found)
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names that ``path`` binds by an import and never reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [
+        f"{path.name}:{line} imports {name} and never uses it"
+        for name, line in imported.items()
+        if name not in read
+    ]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    found = [use for path in sorted(PACKAGE.glob("*.py")) for use in unused_imports(path)]
+    assert not found, "\n".join(found)

@@ -65,6 +65,14 @@ GATE_COMPACT = (
 )
 
 
+# an encoder with dropout after its first two blocks
+DROPOUT_ENCODER = (
+    CnnBlockSpec(4, (3, 3), freq_pool=8, time_pool=2, dropout=0.3),
+    CnnBlockSpec(6, (3, 3), dropout=0.3),
+    CnnBlockSpec(8, (3, 3), freq_pool=8),
+)
+
+
 def split_checkpoint(blob: bytes) -> tuple[dict, bytes]:
     """A checkpoint's JSON header and the parameter bytes behind it."""
     (size,) = struct.unpack("<I", blob[4:8])
@@ -74,6 +82,13 @@ def split_checkpoint(blob: bytes) -> tuple[dict, bytes]:
 def join_checkpoint(header, params: bytes) -> bytes:
     text = json.dumps(header).encode()
     return CHECKPOINT_MAGIC + struct.pack("<I", len(text)) + text + params
+
+
+def digest_over(config: dict) -> str:
+    """The digest a checkpoint header with ``config`` as its config passes."""
+    payload = {"version": CHECKPOINT_VERSION, "config": config}
+    payload = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def make_clips(n, t=20, f=64, classes=4, seed=0, amp=1.0):
@@ -241,11 +256,7 @@ class TestEncoderRegression:
         elif encoder == "gate_compact":
             cfg = tiny_config(seed=3, encoder=GATE_COMPACT)
         else:
-            cfg = tiny_config(seed=3, encoder=(
-                CnnBlockSpec(4, (3, 3), freq_pool=8, time_pool=2, dropout=0.3),
-                CnnBlockSpec(6, (3, 3), dropout=0.3),
-                CnnBlockSpec(8, (3, 3), freq_pool=8),
-            ))
+            cfg = tiny_config(seed=3, encoder=DROPOUT_ENCODER)
         rng = np.random.default_rng(8)
         batch = rng.standard_normal((2, 500, 64))
         models = [Model(cfg), Model(cfg)]
@@ -264,6 +275,58 @@ class TestEncoderRegression:
                 assert grads[0].tobytes() == grads[1].tobytes(), f"block {i} {name}"
             assert a.running_mean.tobytes() == b.running_mean.tobytes(), f"block {i}"
             assert a.running_var.tobytes() == b.running_var.tobytes(), f"block {i}"
+
+
+class TestDropout:
+    """Dropout in ``Model.encode``: a product with a keep mask drawn from the
+    model's dropout stream, survivors scaled by 1/(1 - p)."""
+
+    @staticmethod
+    def encode(rate, seed, batch):
+        """Training-mode features of a one-block encoder whose output the
+        dropout of ``rate`` acts on, and the dropout stream afterwards. The
+        parameters do not depend on the rate."""
+        model = Model(tiny_config(seed=3, encoder=(CnnBlockSpec(4, freq_pool=8, dropout=rate),)))
+        model._dropout_rng = np.random.default_rng(seed)
+        return model.encode(batch, train=True).data, model._dropout_rng
+
+    def test_zero_rate_draws_no_mask(self):
+        batch = np.random.default_rng(0).standard_normal((2, 20, 64))
+        feats, stream = self.encode(0.0, 7, batch)
+        assert stream.bit_generator.state == np.random.default_rng(7).bit_generator.state
+        plain = Model(tiny_config(seed=3, encoder=(CnnBlockSpec(4, freq_pool=8),)))
+        assert feats.tobytes() == plain.encode(batch, train=True).data.tobytes()
+
+    def test_scales_survivors(self):
+        batch = np.random.default_rng(1).standard_normal((4, 40, 64))
+        dropped, plain = self.encode(0.3, 0, batch)[0], self.encode(0.0, 0, batch)[0]
+        live = plain != 0.0  # relu's zeros stay zero
+        kept = dropped[live] != 0.0
+        assert dropped[~live].tobytes() == np.zeros((~live).sum()).tobytes()
+        assert dropped[live][kept].tobytes() == (plain[live][kept] * (1.0 / 0.7)).tobytes()
+        assert 0.65 < kept.mean() < 0.75
+
+    def test_same_masks_from_one_seed(self):
+        batch = np.random.default_rng(2).standard_normal((2, 20, 64))
+        first, again, other = (self.encode(0.3, seed, batch)[0] for seed in (7, 7, 8))
+        assert first.tobytes() == again.tobytes()
+        assert first.tobytes() != other.tobytes()
+
+    def test_step_runs_no_dropout_op_and_one_transpose(self):
+        # the masks multiply the channels-last activations directly, so the
+        # only transpose is the one that lays out the features
+        model = Model(tiny_config(seed=3, encoder=DROPOUT_ENCODER))
+        model._dropout_rng = np.random.default_rng(5)
+        rng = np.random.default_rng(3)
+        batch = rng.standard_normal((2, 40, 64))
+        with ad.profile() as prof:
+            feats = model.encode(batch, train=True)
+            ad.reduce_sum(ad.mul(feats, rng.standard_normal(feats.shape))).backward()
+        ops = prof.ops
+        assert set(ops) == {"conv_block", "mul", "transpose", "reshape", "reduce_sum"}
+        assert ops["conv_block"].calls == 3 and ops["transpose"].calls == 1
+        # two dropout blocks and the probe
+        assert ops["mul"].calls == 3 and ops["mul"].backward_s > 0.0
 
 
 class TestLosses:
@@ -559,11 +622,6 @@ class TestCheckpoint:
         # branch loss weights come from LOSS_WEIGHTS, not from the header: a
         # header that gives another weight fails the digest check even when
         # its digest was taken over that weight
-        def digest_over(config: dict) -> str:
-            payload = {"version": CHECKPOINT_VERSION, "config": config}
-            payload = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-            return hashlib.sha256(payload.encode()).hexdigest()
-
         path = tmp_path / "model.ckpt"
         save_checkpoint(Model(tiny_config()), path)
         header, params = split_checkpoint(path.read_bytes())
