@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import blas
-
 PIPELINE_RATE = 22050
 # sample rates a run config or a WAV header may give; at the floor a 10 s
 # clip still makes 500 frames, and a WAV resampled to 22050 Hz grows at most 22x
@@ -161,10 +159,10 @@ def logmel(clip: AudioClip, clip_id: str = "") -> LogMelClip:
 
     Frames are centered by reflect padding of half a frame, Hann windowed,
     zero padded to the next power of two for the FFT, and projected onto
-    the mel filterbank at one BLAS thread (``blas.one_thread``), so the
-    bits do not depend on the BLAS thread count. Cells are
-    ln(max(power, 1e-10)); the clamp keeps the exact +ln(4) shift under
-    waveform doubling for above-floor cells.
+    the mel filterbank at one BLAS thread, as every product is once mbsed
+    is imported (``mbsed.blas``), so the bits do not depend on the thread
+    count. Cells are ln(max(power, 1e-10)); the clamp keeps the exact
+    +ln(4) shift under waveform doubling for above-floor cells.
     """
     sr = clip.sample_rate
     frame = int(round(FRAME_MS / 1000.0 * sr))
@@ -184,8 +182,7 @@ def logmel(clip: AudioClip, clip_id: str = "") -> LogMelClip:
     # every clip of a dataset
     power = np.square(spectrum.real)
     power += np.square(spectrum.imag)
-    with blas.one_thread():
-        mel_power = power @ mel_filterbank(sr, n_fft).T
+    mel_power = power @ mel_filterbank(sr, n_fft).T
     features = np.log(np.maximum(mel_power, LOG_FLOOR))
     return LogMelClip(features, frame_hop_seconds=hop / sr, clip_id=clip_id)
 
@@ -209,6 +206,9 @@ def read_features(path) -> np.ndarray:
         if len(head) != 8:
             raise AudioIOError(f"{path}: truncated feature cache header")
         t, f = struct.unpack("<II", head)
+        if t == 0 or f == 0:
+            # logmel writes at least one frame of N_BANDS bands
+            raise AudioIOError(f"{path}: feature cache header claims an empty {t}x{f} matrix")
         raw = fh.read()
     # compare before allocating: a corrupt header can claim ~2**64 values
     if len(raw) != t * f * 8:

@@ -239,7 +239,9 @@ class profile:
     backward rule it records counts when it runs, also after the profile
     has closed. Compositions such as ``linear`` and ``swapaxes`` are not
     ops: they show as the ops they call, so no second counts time twice,
-    and the calls of a step add up to its tape's entries. Each thread adds
+    and the calls of a step add up to its tape's entries. Work done
+    between ops is in no op's row, such as ``Model.encode``'s draw of a
+    dropout mask before the ``mul`` that applies it. Each thread adds
     into a table of its own and ``ops`` merges them, so threads share no
     mutable state. One profile is open at a time. While none is, an op
     pays one test for ``None``, and so does ``_record``.
@@ -360,16 +362,9 @@ def mul(a, b) -> Tensor:
     )
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b at one BLAS thread."""
-    with blas.one_thread():
-        return a @ b
-
-
 @_op
 def matmul(a, b) -> Tensor:
-    """Stacked matrix product over the last two axes, forward and backward
-    at one BLAS thread (``blas.one_thread``)."""
+    """Stacked matrix product over the last two axes."""
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError("matmul operands must have at least 2 dimensions")
@@ -377,10 +372,10 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
     return _recorded(
         (a, b),
-        _product(a.data, b.data),
+        a.data @ b.data,
         (
-            lambda g: _unbroadcast(_product(g, b.data.swapaxes(-1, -2)), a.shape),
-            lambda g: _unbroadcast(_product(a.data.swapaxes(-1, -2), g), b.shape),
+            lambda g: _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape),
+            lambda g: _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape),
         ),
     )
 
@@ -798,7 +793,9 @@ def _pool_of(threads: int) -> ThreadPoolExecutor:
         if _chunk_pool is None or _chunk_pool[0] != key:
             if _chunk_pool is not None and _chunk_pool[0][0] == key[0]:
                 _chunk_pool[1].shutdown(wait=False)
-            _chunk_pool = (key, ThreadPoolExecutor(threads, thread_name_prefix="mbsed-chunk"))
+            _chunk_pool = (key, ThreadPoolExecutor(
+                threads, thread_name_prefix="mbsed-chunk", initializer=blas.init_pool_thread
+            ))
         return _chunk_pool[1]
 
 
@@ -819,14 +816,15 @@ def _run_parts(
     ``total``, and the terms are added into ``total`` in part order on the
     calling thread, as a serial loop would add them.
 
-    Every product in ``fn`` runs at one BLAS thread (``blas.one_thread``),
-    inline or not, and the parts run on a pool of as many threads as
-    numpy's OpenBLAS had at the call, at most one per four parts at once.
-    Where that allows only one at once they run inline: an ablation worker
-    or a ``map_clips`` thread, whose BLAS has one thread, starts none, and
-    a small op skips the hand-off. ``fn`` must only write its own part of a
-    shared output, so the result does not depend on the thread count or on
-    which parts run together.
+    Every product in ``fn`` runs at one BLAS thread, as every product in
+    the process does once mbsed is imported (``mbsed.blas``), and the parts
+    run on a pool of ``blas.threads()`` threads (OpenBLAS's count as read
+    at that import), at most one per four parts at once. Where that allows
+    only one at once they run inline: an ablation worker with one thread,
+    or a pool thread of mbsed's own (a ``map_clips`` clip), starts none,
+    and a small op skips the hand-off. ``fn`` must only write its own part
+    of a shared output, so the result does not depend on the thread count
+    or on which parts run together.
 
     Every buffer is made on the calling thread: ``buffers`` is what
     ``scratch()`` returned, one set per running part, and ``term`` one of
@@ -844,49 +842,48 @@ def _run_parts(
     threads = blas.threads()
     # parts that run at once
     running = min(threads, len(parts) // 4, max(2, SCRATCH_DOUBLES * 8 // max(1, part_bytes)))
-    with blas.one_thread():
-        if running <= 1:
-            term = None if total is None else np.empty_like(total)
-            for part in parts:
-                fn(part, buffers, term)
-                if total is not None:
-                    np.add(total, term, out=total)
-            return
-        pool = _pool_of(threads)
-        free = queue.SimpleQueue()
-        free.put(buffers)
-        for _ in range(running - 1):
-            free.put(scratch())
-
-        def run(part, term: np.ndarray | None) -> np.ndarray | None:
-            buffers = free.get()
-            try:
-                fn(part, buffers, term)
-            finally:
-                free.put(buffers)
-            return term
-
-        spare = [None if total is None else np.empty_like(total) for _ in range(2 * running)]
-        pending = collections.deque()
-
-        def add_oldest() -> None:
-            term = pending.popleft().result()  # re-raises the part's exception
+    if running <= 1:
+        term = None if total is None else np.empty_like(total)
+        for part in parts:
+            fn(part, buffers, term)
             if total is not None:
                 np.add(total, term, out=total)
-            spare.append(term)
+        return
+    pool = _pool_of(threads)
+    free = queue.SimpleQueue()
+    free.put(buffers)
+    for _ in range(running - 1):
+        free.put(scratch())
 
+    def run(part, term: np.ndarray | None) -> np.ndarray | None:
+        buffers = free.get()
         try:
-            for part in parts:
-                if not spare:
-                    add_oldest()
-                pending.append(pool.submit(run, part, spare.pop()))
-            while pending:
+            fn(part, buffers, term)
+        finally:
+            free.put(buffers)
+        return term
+
+    spare = [None if total is None else np.empty_like(total) for _ in range(2 * running)]
+    pending = collections.deque()
+
+    def add_oldest() -> None:
+        term = pending.popleft().result()  # re-raises the part's exception
+        if total is not None:
+            np.add(total, term, out=total)
+        spare.append(term)
+
+    try:
+        for part in parts:
+            if not spare:
                 add_oldest()
-        except BaseException:
-            for future in pending:
-                future.cancel()
-            wait(pending)
-            raise
+            pending.append(pool.submit(run, part, spare.pop()))
+        while pending:
+            add_oldest()
+    except BaseException:
+        for future in pending:
+            future.cancel()
+        wait(pending)
+        raise
 
 
 def _run_chunks(

@@ -1,16 +1,21 @@
-"""numpy's OpenBLAS thread count, and the one rule that keeps bits from
-depending on it: every BLAS product in mbsed (``matmul``'s, the conv's
-gemms and log-mel's filterbank product) runs inside ``one_thread()``,
-where its bits follow from its operands alone. Parallelism comes only
-from mbsed's own threads (the chunk pool of ``autodiff._run_parts`` and
-``pipeline.map_clips``) and the ablation's worker processes, each sized
-by ``threads()``.
+"""mbsed's thread count, and the one rule that keeps bits from depending
+on it: numpy's OpenBLAS runs at one thread.
+
+Importing this module reads numpy's OpenBLAS thread count once
+(``OPENBLAS_NUM_THREADS``, else the CPU count), keeps it as mbsed's own
+(``threads()``), and sets OpenBLAS to one thread for the rest of the
+process, other numpy work in it included. So every BLAS product in mbsed
+(``matmul``'s, the conv's gemms and log-mel's filterbank product) has bits
+that follow from its operands alone, and no call site has to ask for it.
+Parallelism comes only from mbsed's own threads (the chunk pool of
+``autodiff._run_parts`` and ``pipeline.map_clips``) and the ablation's
+worker processes, each sized by ``threads()``. A later change to
+OpenBLAS's thread count no longer reaches mbsed; ``set_threads`` changes
+mbsed's. A numpy without OpenBLAS runs mbsed on one thread.
 """
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import threading
 
 # OpenBLAS's thread-count setters, by the names scipy-openblas, 64-bit and
@@ -22,7 +27,6 @@ _SETTERS = (
 )
 
 
-@functools.lru_cache(maxsize=None)
 def _thread_calls():
     """(setter, getter) of the OpenBLAS numpy links against, or None.
 
@@ -49,50 +53,39 @@ def _thread_calls():
     return None
 
 
-def threads() -> int:
-    """numpy's OpenBLAS thread count, read now; 1 without OpenBLAS."""
-    calls = _thread_calls()
-    return max(1, calls[1]()) if calls is not None else 1
-
-
-def set_threads(n: int) -> int | None:
-    """Give numpy's OpenBLAS n threads; return the previous count.
-
-    Returns None, and changes nothing, when numpy has no OpenBLAS.
-    """
+def _take_openblas_threads() -> int:
+    """OpenBLAS's thread count, after which OpenBLAS has one; 1 without it."""
     calls = _thread_calls()
     if calls is None:
-        return None
+        return 1
     setter, getter = calls
-    previous = getter()
-    setter(n)
+    count = max(1, getter())
+    setter(1)
+    return count
+
+
+_count = _take_openblas_threads()
+
+
+# ``marked`` on mbsed's pool threads
+_pool_thread = threading.local()
+
+
+def threads() -> int:
+    """mbsed's thread count: 1 on its pool threads, else the count read at
+    import or last given to ``set_threads``."""
+    return 1 if getattr(_pool_thread, "marked", False) else _count
+
+
+def set_threads(n: int) -> int:
+    """Give mbsed n threads; return the previous count. OpenBLAS stays at one."""
+    global _count
+    previous, _count = _count, n
     return previous
 
 
-# open one_thread blocks, and the count the last of them restores
-_pins = 0
-_unpinned: int | None = None
-_pin_lock = threading.Lock()
-
-
-@contextlib.contextmanager
-def one_thread():
-    """numpy's OpenBLAS at one thread inside the block.
-
-    The count is process-wide: other work in the process meanwhile also
-    gets one thread. Blocks may overlap, on any threads: the first to open
-    saves the count and the last to close restores it, also when the block
-    raises.
-    """
-    global _pins, _unpinned
-    with _pin_lock:
-        if _pins == 0:
-            _unpinned = set_threads(1)
-        _pins += 1
-    try:
-        yield
-    finally:
-        with _pin_lock:
-            _pins -= 1
-            if _pins == 0 and _unpinned is not None:
-                set_threads(_unpinned)
+def init_pool_thread() -> None:
+    """Initializer of mbsed's thread pools: ``threads()`` is 1 on the calling
+    thread, so the work a pool thread runs (a clip's ``conv_block``) runs its
+    parts inline rather than on threads of its own."""
+    _pool_thread.marked = True

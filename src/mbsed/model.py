@@ -375,10 +375,13 @@ class Model:
                     raise RuntimeError("training pass requires a seeded dropout stream")
                 # a seed's masks, and so the weights it trains to, depend on
                 # their draw order, (N, C, T, F); the NHWC activation takes
-                # the mask as a transposed view
+                # the mask as a transposed view. The draw's buffer becomes the
+                # scaled keep mask in place, the one full-size temporary
                 n, h, w, c = x.shape
-                keep = self._dropout_rng.random((n, c, h, w)) >= spec.dropout
-                x = ad.mul(x, (keep / (1.0 - spec.dropout)).transpose(0, 2, 3, 1))
+                mask = self._dropout_rng.random((n, c, h, w))
+                np.greater_equal(mask, spec.dropout, out=mask)
+                mask /= 1.0 - spec.dropout
+                x = ad.mul(x, mask.transpose(0, 2, 3, 1))
         n, h, w, c = x.shape
         return ad.reshape(ad.transpose(x, (0, 1, 3, 2)), (n, h, c * w))
 

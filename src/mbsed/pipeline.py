@@ -78,15 +78,15 @@ class PipelineError(RuntimeError):
 
 
 def map_clips(fn, items) -> list:
-    """``[fn(item) for item in items]``, with the items spread over as many
-    threads as numpy's OpenBLAS has now.
+    """``[fn(item) for item in items]``, with the items spread over
+    ``blas.threads()`` threads: numpy's OpenBLAS thread count as read once,
+    when mbsed was imported.
 
-    Every BLAS product in mbsed runs at one BLAS thread (``mbsed.blas``),
-    so the cores are used by threads like these, never by OpenBLAS. BLAS
-    is pinned to one thread while the clip threads run
-    (``blas.one_thread``), so each clip keeps to one core and
-    ``conv_block`` runs its conv and chunks inline, and the count is
-    restored afterwards, also when ``fn`` raises. With one BLAS thread (an
+    That import left OpenBLAS at one thread for the whole process
+    (``mbsed.blas``), so the cores are used by threads like these, never
+    by OpenBLAS; without OpenBLAS the count is 1. On a clip thread
+    ``blas.threads()`` is 1, so each clip keeps to one core and
+    ``conv_block`` runs its conv and chunks inline. With one thread (an
     ablation worker, ``OPENBLAS_NUM_THREADS=1``) or one item the map runs
     inline and starts no thread. Results come in item order, and the first
     item to raise, in that order, is the one whose exception propagates, so
@@ -97,7 +97,9 @@ def map_clips(fn, items) -> list:
     threads = min(blas.threads(), len(items))
     if threads <= 1:
         return [fn(item) for item in items]
-    with blas.one_thread(), ThreadPoolExecutor(threads, thread_name_prefix="mbsed-clip") as pool:
+    with ThreadPoolExecutor(
+        threads, thread_name_prefix="mbsed-clip", initializer=blas.init_pool_thread
+    ) as pool:
         return list(pool.map(fn, items))
 
 
@@ -422,7 +424,7 @@ _worker_shared: tuple | None = None
 
 def _init_ablation_worker(shared: tuple, blas_threads: int) -> None:
     """Pool initializer: the shared job inputs, and this worker's share of
-    the CPUs as BLAS threads (results do not depend on the count)."""
+    the CPUs as mbsed's threads (results do not depend on the count)."""
     global _worker_shared
     _worker_shared = shared
     blas.set_threads(blas_threads)

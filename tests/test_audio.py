@@ -327,6 +327,14 @@ class TestFeatureCache:
         with pytest.raises(AudioIOError, match="longer"):
             read_features(path)
 
+    @pytest.mark.parametrize("shape", [(0, 64), (4, 0), (0, 0)])
+    def test_empty_header_rejected(self, tmp_path, shape):
+        # an empty matrix with an exact (empty) payload; logmel never writes one
+        path = tmp_path / "c.mel"
+        path.write_bytes(struct.pack("<II", *shape))
+        with pytest.raises(AudioIOError, match=f"empty {shape[0]}x{shape[1]} matrix"):
+            read_features(path)
+
     def test_rejects_non_2d(self, tmp_path):
         with pytest.raises(ValueError):
             write_features(tmp_path / "x.mel", np.zeros(5))

@@ -5,7 +5,6 @@ independently of the library code; gradients against central finite
 differences via grad_check.
 """
 
-import functools
 import sys
 import threading
 import time
@@ -36,6 +35,7 @@ from mbsed.autodiff import (
 )
 
 from reference import batch_norm, conv2d, max_pool_by_reduce_max, relu
+from test_blas import openblas_threads
 
 
 # ---------------------------------------------------------------------------
@@ -1046,13 +1046,13 @@ def small_slabs(monkeypatch):
 
 @pytest.fixture
 def column_spy(monkeypatch):
-    """Records (thread name, BLAS threads) of every im2col copy, which the
-    part's gemms follow on the same thread."""
+    """Records (thread name, OpenBLAS's own thread count) of every im2col
+    copy, which the part's gemms follow on the same thread."""
     seen = []
     columns = ad._columns
 
     def spy(*args):
-        seen.append((threading.current_thread().name, blas.threads()))
+        seen.append((threading.current_thread().name, openblas_threads()))
         return columns(*args)
 
     monkeypatch.setattr(ad, "_columns", spy)
@@ -1138,7 +1138,6 @@ class TestConvOnThePool:
             conv_step(rng.standard_normal(shape), rng.standard_normal(kernel),
                       rng.standard_normal(shape[:3] + kernel[:1]), True)
         assert blas.threads() == threads
-        assert blas._pins == 0
 
     def test_inside_map_clips_runs_inline(self, blas_threads, small_slabs, column_spy):
         from mbsed.pipeline import map_clips
@@ -1200,35 +1199,11 @@ class TestRunParts:
         seen = []
 
         def fn(part, _, term):
-            seen.append((threading.current_thread().name, blas.threads()))
+            seen.append((threading.current_thread().name, openblas_threads()))
 
         ad._run_parts(fn, [0, 1, 2], object)
         assert seen == [(threading.current_thread().name, 1)] * 3
-        assert blas.threads() == 2 and blas._pins == 0
-
-    def test_overlapping_pins_restore_the_count(self, blas_threads):
-        # eight threads on two cores open and close pins in every order; a
-        # pin that saved and restored the count by itself could restore a
-        # count of one that another pin had set
-        blas_threads(2)
-        rng = np.random.default_rng(79)
-        delays = rng.uniform(0, 0.002, (8, 20))
-        inside = []
-
-        def pinner(row):
-            for delay in row:
-                with blas.one_thread():
-                    inside.append(blas.threads())
-                    time.sleep(delay)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            run_threads(*[functools.partial(pinner, row) for row in delays])
-        finally:
-            sys.setswitchinterval(interval)
-        assert inside == [1] * 160
-        assert blas.threads() == 2 and blas._pins == 0
+        assert blas.threads() == 2
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -238,6 +239,9 @@ class TestTrain:
         assert "clip_0000.mel: feature cache longer than header claims" in train_error()
         write_features(cache, np.zeros((250, 32)))  # well formed, but 32 bands
         assert "clip_0000.mel: 32 bands, expected 64" in train_error()
+        for path in cache.parent.glob("*.mel"):
+            path.write_bytes(struct.pack("<II", 0, 64))  # no frames
+        assert "clip_0000.mel: feature cache header claims an empty 0x64 matrix" in train_error()
 
 
 class TestPredict:

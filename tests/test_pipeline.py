@@ -37,6 +37,8 @@ from mbsed.pipeline import (
 from mbsed.postprocess import PostConfig, adaptive_window
 from mbsed.synth import SynthConfig, generate_dataset
 
+from test_blas import openblas_threads
+
 N_TRAIN = 6
 N_TEST = 3
 
@@ -239,11 +241,11 @@ class TestPrediction:
         _, test = data_dirs
         ckpt = arts[0].checkpoint_path
         blas_threads(threads)
-        seen = []  # (thread name, BLAS threads) of each clip
+        seen = []  # (thread name, OpenBLAS's own thread count) of each clip
         predict = pipeline.predict_events
 
         def spy(*args):
-            seen.append((threading.current_thread().name, blas.threads()))
+            seen.append((threading.current_thread().name, openblas_threads()))
             return predict(*args)
 
         monkeypatch.setattr(pipeline, "predict_events", spy)
@@ -457,10 +459,10 @@ class TestWorkerCount:
 
 
 def report_blas_threads(job):
-    """Stands in for an ablation job in a pool worker: its BLAS thread count."""
-    threads = blas.set_threads(1)
-    blas.set_threads(threads)
-    return float(threads)
+    """Stands in for an ablation job in a pool worker: mbsed's thread count
+    there, or minus OpenBLAS's own count where that is not 1."""
+    openblas = openblas_threads()
+    return float(blas.threads()) if openblas == 1 else -float(openblas)
 
 
 class TestAblation:
