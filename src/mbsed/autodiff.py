@@ -723,30 +723,32 @@ def _check_batch_norm(c: int, gamma: Tensor, beta: Tensor, eps: float) -> None:
         raise ShapeError(f"gamma/beta must have shape ({c},)")
 
 
-def _centered_square_sum(flat: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Per-channel sum of (flat - mean)**2 over the rows of (M, C) ``flat``,
-    in ``_channel_sum``'s order.
+def _centered_square_sum(rows: np.ndarray, mean: np.ndarray, c: int) -> np.ndarray:
+    """Per-channel sum of (x - mean)**2 over the pixels of channels-last
+    (R, W*C) ``rows``, in ``_channel_sum``'s order.
 
-    With two or more channels einsum adds the rows in sequence, so the sum
-    runs slab by slab without an (M, C) temporary: each slab's einsum
-    starts with a row that carries the sum so far, times 1.0.
+    With two or more channels einsum adds the pixels in sequence, so the
+    sum runs over slabs of whole rows without a full-size temporary: each
+    slab's einsum starts with a pixel that carries the sum so far, times
+    1.0. The subtract runs over whole rows, with ``mean`` tiled W times.
     """
-    m, c = flat.shape
     if c == 1:
-        dev = flat - mean
+        dev = rows - mean
         return _channel_sum(dev, 1, dev)
-    step = max(1, SLAB_DOUBLES // c)
-    carried = np.empty((min(step, m) + 1, c))  # the sum so far, then deviations
+    r, width = rows.shape
+    step = max(1, SLAB_DOUBLES // width)
+    mean_w = np.tile(mean, width // c)
+    carried = np.empty(c + min(step, r) * width)  # the sum so far, then deviations
     ones = np.empty_like(carried)  # 1.0, then the same deviations
-    ones[0] = 1.0
+    ones[:c] = 1.0
     total = np.zeros(c)
-    for start in range(0, m, step):
-        slab = flat[start : start + step]
-        dev = carried[1 : len(slab) + 1]
-        np.subtract(slab, mean, out=dev)
-        ones[1 : len(slab) + 1] = dev
-        carried[0] = total
-        total = np.einsum("ij,ij->j", carried[: len(slab) + 1], ones[: len(slab) + 1])
+    for start in range(0, r, step):
+        slab = rows[start : start + step]
+        end = c + slab.size
+        np.subtract(slab, mean_w, out=carried[c:end].reshape(slab.shape))
+        ones[c:end] = carried[c:end]
+        carried[:c] = total
+        total = np.einsum("ij,ij->j", carried[:end].reshape(-1, c), ones[:end].reshape(-1, c))
     return total
 
 
@@ -758,11 +760,11 @@ def _batch_statistics(
     momentum: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batch mean and biased variance of each of the ``c`` channels of
-    channels-last ``rows``, with the running buffers moved toward them in
-    place (unbiased variance for the running estimate)."""
+    channels-last (R, W*C) ``rows``, with the running buffers moved toward
+    them in place (unbiased variance for the running estimate)."""
     m = rows.size // c
     mean = _channel_sum(rows, c) / m
-    var = _centered_square_sum(rows.reshape(m, c), mean) / m
+    var = _centered_square_sum(rows, mean, c) / m
     running_mean *= 1.0 - momentum
     running_mean += momentum * mean
     unbiased = var * (m / (m - 1)) if m > 1 else var
@@ -902,60 +904,51 @@ def _run_chunks(
 
 
 def _pool_windows(x: np.ndarray, time_pool: int, freq_pool: int):
-    """(N*T', q, F', p, C) window view of NHWC ``x`` and the window offsets
-    (a, b) in row-major (time, freq) order: element (a, b) of every window
-    is ``windows[:, a, :, b]``. A window row, ``windows[i]``, is q*W*C
-    contiguous doubles."""
+    """(N*T', q, F', p, C) window view of NHWC ``x``: element (a, b) of
+    every window is ``windows[:, a, :, b]``. A window row, ``windows[i]``,
+    is q*W*C contiguous doubles."""
     if time_pool < 1 or freq_pool < 1:
         raise ValueError(f"pool factors must be >= 1, got {time_pool} and {freq_pool}")
     n, h, w, c = x.shape
     q, p = time_pool, freq_pool
     if h % q or w % p:
         raise ShapeError(f"pool {q}x{p} does not tile input {h}x{w}")
-    windows = x.reshape(n * (h // q), q, w // p, p, c)
-    return windows, [(a, b) for a in range(q) for b in range(p)]
+    return x.reshape(n * (h // q), q, w // p, p, c)
 
 
 def _window_max(
-    windows: np.ndarray, offsets: list, out: np.ndarray, flip: np.ndarray, work: np.ndarray
+    windows: np.ndarray, out: np.ndarray, sign: np.ndarray | None, work: np.ndarray
 ) -> np.ndarray:
-    """Each window's maximum, or its minimum in the channels where ``flip``
-    (as minus the maximum of the negated values, which is exact), written
-    into and returned as ``out``. ``work``, shaped like ``out``, holds the
-    negated values when ``flip`` has a True."""
-    first = windows[:, 0, :, 0]
-    if not flip.any():
-        np.copyto(out, first)
-        for a, b in offsets[1:]:
-            np.maximum(out, windows[:, a, :, b], out=out)
-        return out
-    sign = np.where(flip, -1.0, 1.0)
-    np.multiply(first, sign, out=out)
-    for a, b in offsets[1:]:
-        np.maximum(out, np.multiply(windows[:, a, :, b], sign, out=work), out=out)
-    out *= sign
+    """Each window's maximum, or its minimum in the channels where ``sign``
+    is -1.0 (as minus the maximum of the negated values), written into and
+    returned as (R, F', C) ``out``.
+
+    ``windows`` is a (R, q, F', p, C) view whose window rows are q*W*C
+    contiguous doubles, and ``sign``, when given, is tiled over W pixels.
+    The time offsets go first, over whole rows of W*C doubles, into
+    ``work`` (R, W*C) when q > 1, then the freq offsets over the 1/q as
+    many row maxima. A maximum is one of the values it compares, so this
+    order gives the value the chain's freq-then-time pooling gives; which
+    element it is, the backward finds by the chain's tie rule itself
+    (``conv_block``). ``sign`` negates the windows in place for the search
+    and then restores them: negation is exact, so no bit moves.
+    """
+    r, q, f2, p, c = windows.shape
+    rows = windows.reshape(r, q, f2 * p * c)
+    if sign is not None:
+        rows *= sign
+    best = rows[:, 0] if q == 1 else np.maximum(rows[:, 0], rows[:, 1], out=work)
+    for a in range(2, q):
+        np.maximum(best, rows[:, a], out=best)
+    best = best.reshape(r, f2, p, c)
+    np.copyto(out, best[:, :, 0])
+    for b in range(1, p):
+        np.maximum(out, best[:, :, b], out=out)
+    if sign is not None:
+        rows *= sign
+        flat = out.reshape(r, f2 * c)
+        flat *= sign[: f2 * c]
     return out
-
-
-def _first_max(
-    values: Callable[[int, int], np.ndarray],
-    maxima: np.ndarray,
-    offsets: list,
-    hits: np.ndarray,
-    unclaimed: np.ndarray,
-) -> np.ndarray:
-    """Fill and return ``hits``: ``hits[k]`` marks, for ``(a, b) =
-    offsets[k]``, the windows whose first element, in ``offsets`` order,
-    equal to the window maximum sits at (a, b). ``values(a, b)`` gives the
-    values at offset (a, b) of every window; ``unclaimed`` is a boolean
-    buffer shaped like ``maxima``."""
-    # windows whose maximum has not been claimed by an earlier element
-    unclaimed.fill(True)
-    for k, (a, b) in enumerate(offsets):
-        hit = np.equal(values(a, b), maxima, out=hits[k])
-        hit &= unclaimed
-        unclaimed ^= hit
-    return hits
 
 
 @_op
@@ -1000,20 +993,31 @@ def conv_block(
     to the conv backward.
 
     The per-pixel work runs in chunks of window rows (``_run_chunks``), on
-    as many threads as BLAS has: forward, the window max and the pooled
-    values' normalization and relu; backward, one sweep that recomputes
-    x_hat, marks the winners and gathers them, and after the batch-norm
-    sums a second that writes batch norm's input gradient. Every chunk op
-    is elementwise on its own rows. The order-dependent sums (the batch
-    statistics and the batch-norm sums over the gathered winners) run on
-    the calling thread, and the conv's gemms run at one BLAS thread
-    (``_run_parts``), so no bit depends on the thread count.
+    as many threads as BLAS has: forward, the window max (``_window_max``:
+    time offsets first, over whole rows) and the pooled values'
+    normalization and relu; backward, one sweep that recomputes x_hat and,
+    offset by offset in row-major (time, freq) order, copies the offset's
+    x_hat into a contiguous buffer, marks the winners and gathers them, and
+    after the batch-norm sums a second that builds each time offset's
+    gradient as one row of pixels and writes batch norm's input gradient
+    over whole rows. Every chunk op is elementwise on its own rows. The
+    order-dependent sums (the batch statistics and the batch-norm sums
+    over the gathered winners) run on the calling thread, and the conv's
+    gemms run at one BLAS thread (``_run_parts``), so no bit depends on the
+    thread count.
+
+    A numpy op over a strided window view, or against a (C,) vector, runs
+    an inner loop of C doubles per pixel, which costs several times a
+    contiguous row's per double when C is small (2 in the gate's compact
+    encoder's first block). So every pass runs over rows of whole pixels:
+    per-channel vectors are tiled over a row, and a window offset is read
+    or written as one item of C doubles per pixel (a void view of ``y``).
     """
     x, kernel, gamma, beta = as_tensor(x), as_tensor(kernel), as_tensor(gamma), as_tensor(beta)
     _check_conv(x, kernel, padding)
     _check_batch_norm(kernel.shape[0], gamma, beta, eps)
     y = _conv_forward(_pad(x.data, padding), kernel.data)
-    windows, offsets = _pool_windows(y, time_pool, freq_pool)
+    windows = _pool_windows(y, time_pool, freq_pool)
     n, h, w, c = y.shape
     q, p = time_pool, freq_pool
     h2, w2 = h // q, w // p
@@ -1025,22 +1029,28 @@ def conv_block(
         mean, var = running_mean.copy(), running_var
     inv_sigma = 1.0 / np.sqrt(var + eps)
     flip = gamma.data < 0.0
-    pooled = np.empty((n * h2, w2, c))
+    sign = np.tile(np.where(flip, -1.0, 1.0), w) if flip.any() else None
+    # pooled rows of F'*C doubles, and per-channel vectors tiled over one
+    pooled = np.empty((n * h2, w2 * c))
+    mean_p, inv_sigma_p, gamma_p, beta_p = (
+        np.tile(v, w2) for v in (mean, inv_sigma, gamma.data, beta.data)
+    )
 
-    def pooled_rows(r: int) -> np.ndarray:
-        return np.empty((r, w2, c))
+    def max_rows(r: int) -> np.ndarray:
+        # _window_max's row maxima, which need a buffer when q > 1
+        return np.empty((r, w * c if q > 1 else 0))
 
     def pool(part: slice, work: np.ndarray) -> None:
-        v = _window_max(windows[part], offsets, pooled[part], flip, work[: part.stop - part.start])
-        v -= mean
-        v *= inv_sigma
-        v *= gamma.data
-        v += beta.data
+        v = pooled[part]
+        _window_max(windows[part], v.reshape(-1, w2, c), sign, work[: len(v)])
+        v -= mean_p
+        v *= inv_sigma_p
+        v *= gamma_p
+        v += beta_p
         np.maximum(v, 0.0, out=v)
 
-    _run_chunks(pool, n * h2, q * w * c, pooled_rows)
-    out_data = pooled.reshape(n, h2, w2, c)
-    out = Tensor(out_data)
+    _run_chunks(pool, n * h2, q * w * c, max_rows)
+    out = Tensor(pooled.reshape(n, h2, w2, c))
 
     def backward():
         if out.grad is None:
@@ -1050,43 +1060,50 @@ def conv_block(
         # zero-filled gradient buffers), so the sign changes no bit.
         g_out = out.grad.reshape(pooled.shape)
         g_win = np.empty_like(pooled)  # relu's gradient
-        hits = np.empty((len(offsets),) + pooled.shape, dtype=bool)
+        hits = np.empty((q * p,) + pooled.shape, dtype=bool)
         mean_w, inv_sigma_w = np.tile(mean, w), np.tile(inv_sigma, w)
+        # y's pixels as items of C doubles: reading one window offset then
+        # copies one item per pixel, not C strided doubles
+        pixels = windows.view(np.dtype((np.void, 8 * c)))[..., 0]
         if c == 1:
             # np.sum adds one channel pairwise: the sums run over every pixel
-            g_pix = np.zeros(windows.shape)
+            g_pix = np.zeros(pixels.shape)
             x_pix = windows
         else:
             # einsum adds rows in sequence, so the winners alone, in
             # (N*T', q, F') rows, give the full-size sums' bits
-            x_pix = np.zeros((n * h2, q, w2, c))
+            x_pix = np.zeros((n * h2, q, w2 * c))
             # with q == 1 each window with a nonzero gradient has one winner
             # and the windows are in pixel order already
             g_pix = g_win[:, None] if q == 1 else np.zeros_like(x_pix)
 
         def gather_scratch(r: int) -> tuple:
-            return pooled_rows(r), np.empty((r, w2, c), dtype=bool), np.empty((r, w2, c), dtype=bool)
+            return np.empty((2, r, w2 * c)), np.empty((2, r, w2 * c), dtype=bool)
 
         def gather(part: slice, buffers: tuple) -> None:
-            tmp, live, unclaimed = (b[: part.stop - part.start] for b in buffers)
+            r = part.stop - part.start
+            (x_ab, tmp), (live, unclaimed) = (b[:, :r] for b in buffers)
             # x_hat, recomputed in y's buffer
             x_rows = rows[part.start * q : part.stop * q]
             np.subtract(x_rows, mean_w, out=x_rows)
             np.multiply(x_rows, inv_sigma_w, out=x_rows)
-            x_hat = windows[part]
             live = np.greater(pooled[part], 0.0, out=live)
             g = np.multiply(g_out[part], live, out=g_win[part])
-
-            def normalized(a: int, b: int) -> np.ndarray:
-                np.multiply(x_hat[:, a, :, b], gamma.data, out=tmp)
-                return np.add(tmp, beta.data, out=tmp)
-
-            part_hits = _first_max(normalized, pooled[part], offsets, hits[:, part], unclaimed)
-            for (a, b), hit in zip(offsets, part_hits):
+            # windows whose maximum no earlier offset has claimed
+            unclaimed.fill(True)
+            for k, (a, b) in enumerate(np.ndindex(q, p)):
+                np.copyto(x_ab.view(pixels.dtype), pixels[part, a, :, b])
+                # the forward's normalization of x_hat at (a, b): the first
+                # offset whose value equals the window's output wins
+                np.multiply(x_ab, gamma_p, out=tmp)
+                tmp += beta_p
+                hit = np.equal(tmp, pooled[part], out=hits[k, part])
+                hit &= unclaimed
+                unclaimed ^= hit
                 if c == 1:
                     g_pix[part, a, :, b] += np.multiply(g, hit, out=tmp)
                     continue
-                x_pix[part, a] += np.multiply(x_hat[:, a, :, b], hit, out=tmp)
+                x_pix[part, a] += np.multiply(x_ab, hit, out=tmp)
                 if q > 1:
                     g_pix[part, a] += np.multiply(g, hit, out=tmp)
 
@@ -1100,32 +1117,39 @@ def conv_block(
             _accumulate(beta, sum_g)
         if not (_tracked(x) or _tracked(kernel)):
             return
-        coeff = gamma.data * inv_sigma
-        shift = sum_g / m
-        scale_w, coeff_w = np.tile(sum_gx_hat / m, w), np.tile(coeff, w)
+        shift_p = np.tile(sum_g / m, w2)
+        scale_w, coeff_w = np.tile(sum_gx_hat / m, w), np.tile(gamma.data * inv_sigma, w)
 
-        def scatter(part: slice, work: np.ndarray) -> None:
-            # batch norm's input gradient, written over x_hat in y's buffer
-            x_rows = rows[part.start * q : part.stop * q]
+        def scatter_scratch(r: int) -> tuple:
+            return np.empty((r, w2 * c)), np.empty((r, w * c))
+
+        def scatter(part: slice, buffers: tuple) -> None:
+            # batch norm's input gradient, written over x_hat in y's buffer:
+            # ((g - shift) - x_hat * scale) * coeff in train mode, g * coeff
+            # in eval mode, with g the chain's full-size gradient
+            r = part.stop - part.start
+            g_ab, g_row = (b[:r] for b in buffers)
+            x_windows = rows[part.start * q : part.stop * q].reshape(r, q, w * c)
             if train:
-                np.multiply(x_rows, scale_w, out=x_rows)
-            dx_windows = windows[part]
+                np.multiply(x_windows, scale_w, out=x_windows)
             g = g_win[part]
-            tmp = work[: part.stop - part.start]
-            for k, (a, b) in enumerate(offsets):
-                # the chain's full-size gradient at offset (a, b): the
-                # window's gradient at its winner, 0.0 elsewhere
-                g_ab = np.multiply(g, hits[k, part], out=tmp)
-                dx = dx_windows[:, a, :, b]
+            row_pixels = g_row.view(pixels.dtype).reshape(r, w2, p)
+            for a in range(q):
+                # g at time offset a of each window: the window's gradient
+                # at its winner, 0.0 elsewhere, as one row of W pixels
+                for b in range(p):
+                    np.multiply(g, hits[a * p + b, part], out=g_ab)
+                    if train:
+                        g_ab -= shift_p
+                    np.copyto(row_pixels[:, :, b], g_ab.view(pixels.dtype))
+                dx = x_windows[:, a]
                 if train:
-                    g_ab -= shift
-                    np.subtract(g_ab, dx, out=dx)
+                    np.subtract(g_row, dx, out=dx)
                 else:
-                    np.multiply(g_ab, coeff, out=dx)
-            if train:
-                np.multiply(x_rows, coeff_w, out=x_rows)
+                    np.copyto(dx, g_row)
+            np.multiply(x_windows, coeff_w, out=x_windows)
 
-        _run_chunks(scatter, n * h2, q * w * c, pooled_rows)
+        _run_chunks(scatter, n * h2, q * w * c, scatter_scratch)
         _conv_backward(x, kernel, padding, y)
 
     return _record((x, kernel, gamma, beta), out, backward)

@@ -569,7 +569,8 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 def load_checkpoint(path) -> Model:
-    """Rebuild a model from a checkpoint, refusing on digest mismatch."""
+    """Rebuild a model from a checkpoint, refusing on digest mismatch and
+    on values no training writes: NaN, inf or a negative running variance."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
@@ -627,4 +628,9 @@ def _fill(lookup: dict, data: bytes, name: str, target: np.ndarray, path) -> Non
         raw = np.frombuffer(data, dtype="<f8", count=target.size, offset=start)
     except ValueError:
         raise CheckpointError(f"{path}: truncated checkpoint while reading {name}") from None
+    # the digest covers the config alone, so the values are checked here
+    if not np.isfinite(raw).all():
+        raise CheckpointError(f"{path}: parameter {name} holds NaN or inf")
+    if name.endswith(".running_var") and (raw < 0.0).any():
+        raise CheckpointError(f"{path}: parameter {name} holds a negative variance")
     target[...] = raw.reshape(target.shape)

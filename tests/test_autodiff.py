@@ -638,9 +638,15 @@ def conv_block_chain(x, kernel, gamma, beta, running_mean, running_var, padding,
     return relu(max_pool_by_reduce_max(y, q, p))
 
 
-# per-channel gammas: a zero channel and two negative ones, or a single
-# negative channel (whose batch-norm sums np.sum adds pairwise)
-BLOCK_GAMMAS = {"mixed": [1.2, 0.0, -0.7, 0.6, -0.9], "one_channel": [-0.8]}
+# per-channel gammas: a zero channel and two negative ones; two channels,
+# as in the gate's compact encoder's first block, the first negative (the
+# tests' beta lets relu cut the whole last channel); or a single negative
+# channel (whose batch-norm sums np.sum adds pairwise)
+BLOCK_GAMMAS = {
+    "mixed": [1.2, 0.0, -0.7, 0.6, -0.9],
+    "two_channels": [-1.1, 0.9],
+    "one_channel": [-0.8],
+}
 
 
 class TestConvBlock:

@@ -362,6 +362,26 @@ class TestPredict:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "corrupt header" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("name, value", [
+        ("blocks.0.kernel", np.nan),
+        ("branches.0.classifier.weight", np.inf),
+        ("blocks.0.running_var", -1.0),
+    ], ids=["nan_weight", "inf_weight", "negative_running_var"])
+    def test_bad_value_refused(self, checkpoint, dataset, tmp_path, capsys, name, value):
+        # the digest covers the config alone: these bytes pass it
+        header, params = split_checkpoint(checkpoint.read_bytes())
+        (offset,) = [e["offset"] for e in header["params"] if e["name"] == name]
+        params = bytearray(params)
+        params[offset : offset + 8] = struct.pack("<d", value)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(join_checkpoint(header, bytes(params)))
+        code = run_cli([
+            "predict", "--checkpoint", bad, "--audio", dataset, "--out", tmp_path / "e.tsv",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err and "Traceback" not in err
+
     def test_wav_shorter_than_time_pooling(self, tmp_path, capsys):
         pooled = dataclasses.replace(tiny_model_config(), encoder=(
             CnnBlockSpec(4, (3, 3), freq_pool=8, time_pool=4),
