@@ -9,6 +9,7 @@ Hann-windowed frames with 50% overlap, so a 10 second clip maps to a
 from __future__ import annotations
 
 import functools
+import hashlib
 import struct
 import wave
 from dataclasses import dataclass
@@ -26,9 +27,19 @@ FRAME_OVERLAP = 0.5
 LOG_FLOOR = 1e-10
 
 
+def frame_samples(rate: int) -> int:
+    """Frontend frame length in samples."""
+    return int(round(FRAME_MS / 1000.0 * rate))
+
+
 def hop_samples(rate: int) -> int:
     """Frontend hop in samples: the frame length times one minus the overlap."""
     return int(round(FRAME_MS / 1000.0 * (1.0 - FRAME_OVERLAP) * rate))
+
+
+def fft_size(rate: int) -> int:
+    """FFT length of a frontend frame: the frame's samples, rounded up to a power of two."""
+    return 1 << (frame_samples(rate) - 1).bit_length()
 
 
 def frame_hop_seconds(rate: int) -> float:
@@ -165,7 +176,7 @@ def logmel(clip: AudioClip, clip_id: str = "") -> LogMelClip:
     +ln(4) shift under waveform doubling for above-floor cells.
     """
     sr = clip.sample_rate
-    frame = int(round(FRAME_MS / 1000.0 * sr))
+    frame = frame_samples(sr)
     hop = hop_samples(sr)
     samples = np.asarray(clip.samples, dtype=np.float64)
     n = len(samples)
@@ -174,7 +185,7 @@ def logmel(clip: AudioClip, clip_id: str = "") -> LogMelClip:
     t_frames = -(-n // hop)  # ceil
     padded = np.pad(samples, frame // 2, mode="reflect")
     windows = np.lib.stride_tricks.sliding_window_view(padded, frame)[::hop][:t_frames]
-    n_fft = 1 << (frame - 1).bit_length()
+    n_fft = fft_size(sr)
     hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(frame) / frame)
     spectrum = np.fft.rfft(windows * hann, n=n_fft, axis=1)
     # squaring into one buffer keeps one temporary, which keeps glibc from
@@ -188,24 +199,70 @@ def logmel(clip: AudioClip, clip_id: str = "") -> LogMelClip:
 
 
 # ---------------------------------------------------------------------------
-# feature cache: uint32-LE T and F, then T*F float64-LE row-major
+# feature cache: a 64-byte stamp (magic, format version, the frontend's
+# definition and the SHA-256 of the source WAV's bytes), uint32-LE T and F,
+# then T*F float64-LE row-major
+
+FEATURE_MAGIC = b"MBSEDMEL"
+FEATURE_FORMAT = 1
+# bumped whenever log-mel's bits move, so that every cache file goes stale
+LOGMEL_VERSION = 1
+# magic; format, sample rate, FFT size, hop, bands, log-mel version; then
+# the 32-byte SHA-256 of the WAV's bytes
+_FRONTEND = struct.Struct("<8s6I")
+_STAMP_BYTES = _FRONTEND.size + 32
 
 
-def write_features(path, features: np.ndarray) -> None:
+def feature_stamp(rate: int, wav_path=None) -> bytes:
+    """The stamp that opens a cache file of the log-mel features at ``rate``
+    of the WAV file at ``wav_path``, whose bytes it digests in blocks.
+    Without a path it stops before the digest: the part that a file of this
+    frontend made from any WAV starts with."""
+    frontend = _FRONTEND.pack(
+        FEATURE_MAGIC, FEATURE_FORMAT, rate, fft_size(rate), hop_samples(rate), N_BANDS,
+        LOGMEL_VERSION,
+    )
+    if wav_path is None:
+        return frontend
+    digest = hashlib.sha256()
+    with open(wav_path, "rb") as fh:
+        # in blocks, so that no WAV is held whole
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    return frontend + digest.digest()
+
+
+def write_features(path, features: np.ndarray, stamp: bytes) -> None:
+    """Write a cache file of ``features`` under ``stamp`` (``feature_stamp``)."""
     features = np.ascontiguousarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ValueError(f"feature matrix must be 2-D, got shape {features.shape}")
+    if len(stamp) != _STAMP_BYTES or not stamp.startswith(FEATURE_MAGIC):
+        raise ValueError("a feature cache stamp is what feature_stamp returns for a WAV")
     with open(path, "wb") as fh:
+        fh.write(stamp)
         fh.write(struct.pack("<II", features.shape[0], features.shape[1]))
         fh.write(features.astype("<f8").tobytes())
 
 
-def read_features(path) -> np.ndarray:
+def read_features(path, stamp: bytes = b"") -> np.ndarray | None:
+    """The features of a cache file, or None when the file does not start
+    with ``stamp``, a prefix of a ``feature_stamp``: a file of another
+    frontend, of other audio or in another format is stale, and so is a
+    file cut short inside the stamp. A file that starts with ``stamp`` but
+    is not a well-formed cache file raises AudioIOError."""
     with open(path, "rb") as fh:
-        head = fh.read(8)
-        if len(head) != 8:
+        head = fh.read(_STAMP_BYTES + 8)
+        if not head.startswith(stamp):
+            return None
+        if len(head) != _STAMP_BYTES + 8:
             raise AudioIOError(f"{path}: truncated feature cache header")
-        t, f = struct.unpack("<II", head)
+        magic, version = struct.unpack_from("<8sI", head)
+        if magic != FEATURE_MAGIC:
+            raise AudioIOError(f"{path}: not an mbsed feature cache")
+        if version != FEATURE_FORMAT:
+            raise AudioIOError(f"{path}: feature cache format {version}, expected {FEATURE_FORMAT}")
+        t, f = struct.unpack_from("<II", head, _STAMP_BYTES)
         if t == 0 or f == 0:
             # logmel writes at least one frame of N_BANDS bands
             raise AudioIOError(f"{path}: feature cache header claims an empty {t}x{f} matrix")

@@ -611,16 +611,6 @@ def _check_conv(x: Tensor, kernel: Tensor, padding: tuple[int, int]) -> None:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h + 2 * ph}x{w + 2 * pw}")
 
 
-def _pad(x: np.ndarray, padding: tuple[int, int]) -> np.ndarray:
-    """NHWC ``x`` with ``padding`` (rows, columns) of zeros on both sides of
-    each image axis; a negative count crops that many instead."""
-    ph, pw = padding
-    h, w = x.shape[1:3]
-    x = x[:, max(0, -ph) : h - max(0, -ph), max(0, -pw) : w - max(0, -pw)]
-    ph, pw = max(0, ph), max(0, pw)
-    return np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0))) if (ph or pw) else x
-
-
 def _windows(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """(N, H', W', kh, kw, C) view of the (kh, kw) windows of NHWC ``xp``,
     each in the row order of a (kh*kw*C, ·) kernel matrix."""
@@ -628,91 +618,145 @@ def _windows(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return windows.transpose(0, 1, 2, 4, 5, 3)
 
 
-def _column_buffer(windows: np.ndarray, slab: tuple) -> np.ndarray:
-    """A buffer for the im2col columns of ``slab``, the largest slab."""
-    return np.empty((math.prod(windows[slab].shape[:3]), math.prod(windows.shape[3:])))
-
-
-def _columns(windows: np.ndarray, slab: tuple, buf: np.ndarray) -> np.ndarray:
-    """The first rows of ``buf`` (see ``_column_buffer``), holding one
-    im2col row per pixel of ``slab``: its window."""
-    src = windows[slab]
-    cols = buf[: math.prod(src.shape[:3])]
+def _columns(windows: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """The first rows of ``buf`` holding one im2col row per pixel of
+    (N, H', W', kh, kw, C) ``windows``: its window."""
+    cols = buf[: math.prod(windows.shape[:3])]
     # the reshape only splits rows and window columns, so it is a view of buf
-    np.copyto(cols.reshape(src.shape), src)
+    np.copyto(cols.reshape(windows.shape), windows)
     return cols
 
 
-def _conv_forward(xp: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """(N, H', W', K) cross-correlation of the padded NHWC input ``xp`` with
-    a (K, C, kh, kw) kernel: unit stride, no bias (batch norm's beta is the
-    shift). It is im2col over slabs of output pixels (``_slabs``), whole
-    clips when one fits in ``SLAB_DOUBLES`` and rows of one clip otherwise:
-    one ``np.copyto`` fills a slab's columns and one gemm writes its output
+def _im2col(
+    a: np.ndarray, padding: tuple[int, int], kh: int, kw: int, parts: list[tuple[slice, slice]]
+) -> tuple[Callable[[], object], Callable[[tuple, object], np.ndarray]]:
+    """``(scratch, columns)`` for the im2col rows of NHWC ``a`` with
+    ``padding`` (rows, columns) of zeros on both sides of each image axis
+    (a negative count crops that many instead), over ``parts``: (clips,
+    rows) slices of the output of a (kh, kw) conv over it, the first the
+    largest (``_slabs``). ``scratch()`` makes one part's buffers, on the
+    calling thread as ``_run_parts`` requires, and ``columns(part,
+    buffers)`` returns the part's (pixels, kh*kw*C) im2col rows.
+
+    Each part pads its own rows, padded rows ``start`` to ``stop + kh - 1``,
+    so nothing of ``a``'s size is copied. Where the padding adds no zeros
+    they are a view of ``a``. Otherwise they are copied into a buffer whose
+    border columns are zero from the start, and only the halo rows that a
+    part at a clip's edge reads from outside the clip are zeroed again.
+    """
+    n, h, w, c = a.shape
+    ph, pw = padding
+    crop_h, crop_w = max(0, -ph), max(0, -pw)  # rows and columns cropped on each side
+    wp = w + 2 * pw
+    clips, rows = parts[0]
+    shape = (clips.stop - clips.start, rows.stop - rows.start + kh - 1, wp, c)
+    pixels = shape[0] * (rows.stop - rows.start) * (wp - kw + 1)
+    if ph <= 0 and pw <= 0:
+        windows = _windows(a[:, crop_h : h - crop_h, crop_w : w - crop_w], kh, kw)
+
+        def scratch() -> np.ndarray:
+            return np.empty((pixels, kh * kw * c))
+
+        def columns(part: tuple, cols: np.ndarray) -> np.ndarray:
+            return _columns(windows[part], cols)
+
+        return scratch, columns
+
+    def scratch() -> tuple:
+        padded = np.zeros(shape)
+        return np.empty((pixels, kh * kw * c)), padded, _windows(padded, kh, kw)
+
+    def columns(part: tuple, buffers: tuple) -> np.ndarray:
+        cols, padded, windows = buffers
+        clips, rows = part
+        nb = clips.stop - clips.start
+        # the rows of ``a`` that the part's windows cover, and those of them
+        # inside the clip
+        top, bottom = rows.start - ph, rows.stop + kh - 1 - ph
+        lo = min(max(top, 0), bottom)
+        hi = max(min(bottom, h), lo)
+        if lo > top:
+            padded[:nb, : lo - top] = 0.0
+        if hi < bottom:
+            padded[:nb, hi - top : bottom - top] = 0.0
+        inner = padded[:nb, lo - top : hi - top, max(0, pw) : wp - max(0, pw)]
+        inner[...] = a[clips, lo:hi, crop_w : w - crop_w]
+        return _columns(windows[:nb, : rows.stop - rows.start], cols)
+
+    return scratch, columns
+
+
+def _conv_forward(x: np.ndarray, kernel: np.ndarray, padding: tuple[int, int]) -> np.ndarray:
+    """(N, H', W', K) cross-correlation of NHWC ``x``, zero-padded by
+    ``padding``, with a (K, C, kh, kw) kernel: unit stride, no bias (batch
+    norm's beta is the shift). It is im2col over slabs of output pixels
+    (``_slabs``), whole clips when one fits in ``SLAB_DOUBLES`` and rows of
+    one clip otherwise: each slab pads its own input rows (``_im2col``),
+    one ``np.copyto`` fills its columns and one gemm writes its output
     rows, so no temporary grows with the batch."""
-    n, hp, wp, c = xp.shape
+    n, h, w, c = x.shape
     k, _, kh, kw = kernel.shape
-    h2, w2 = hp - kh + 1, wp - kw + 1
+    h2, w2 = h + 2 * padding[0] - kh + 1, w + 2 * padding[1] - kw + 1
     width = kh * kw * c
     slabs = _slabs(n, h2, w2, SLAB_DOUBLES // width)
-    windows = _windows(xp, kh, kw)
+    scratch, columns = _im2col(x, padding, kh, kw, slabs)
     kmat = kernel.transpose(2, 3, 1, 0).reshape(width, k)
     out = np.empty((n, h2, w2, k))
 
-    def slab_gemm(slab: tuple, buf: np.ndarray, _) -> None:
-        np.dot(_columns(windows, slab, buf), kmat, out=out[slab].reshape(-1, k))
+    def slab_gemm(slab: tuple, buffers, _) -> None:
+        np.dot(columns(slab, buffers), kmat, out=out[slab].reshape(-1, k))
 
-    # the first slab is the largest
-    _run_parts(slab_gemm, slabs, lambda: _column_buffer(windows, slabs[0]))
+    _run_parts(slab_gemm, slabs, scratch)
     return out
 
 
 def _conv_backward(x: Tensor, kernel: Tensor, padding: tuple[int, int], g: np.ndarray) -> None:
     """Accumulate the kernel and input gradients of a conv whose contiguous
-    output gradient is ``g``, over pieces of rows of one clip. With the
-    input tracked, a piece of at most ``PIECE_PIXELS`` pixels takes one
-    im2col copy of ``g`` padded by (kh - 1 - ph, kw - 1 - pw) (cropped where
+    output gradient is ``g``, over pieces of rows of one clip, each of which
+    pads its own rows (``_im2col``). With the input tracked, a piece of at
+    most ``PIECE_PIXELS`` pixels of the input takes one im2col copy of its
+    rows of ``g`` padded by (kh - 1 - ph, kw - 1 - pw) (cropped where
     negative), whose columns feed two gemms: with the flipped kernel into
     the piece's input-gradient rows, and with its input rows into its
     kernel-gradient term. With the input untracked (an encoder's first
     block), im2col pieces of the padded input, as many times
-    ``PIECE_PIXELS`` pixels as fit in ``SLAB_DOUBLES``, give the terms
-    alone. ``_run_parts`` adds the terms in piece order."""
+    ``PIECE_PIXELS`` pixels of the output as fit in ``SLAB_DOUBLES``, give
+    the terms alone. ``_run_parts`` adds the terms in piece order."""
     k, c, kh, kw = kernel.shape
     if _tracked(x):
         # row (i, j, k) of an x pixel's column of the padded g meets that
         # pixel through kernel offset (kh - 1 - i, kw - 1 - j)
-        windows = _windows(_pad(g, (kh - 1 - padding[0], kw - 1 - padding[1])), kh, kw)
-        gx = np.empty(x.shape)
         pieces = _slabs(*x.shape[:3], PIECE_PIXELS, whole_clips=False)
+        scratch, columns = _im2col(g, (kh - 1 - padding[0], kw - 1 - padding[1]), kh, kw, pieces)
+        gx = np.empty(x.shape)
         width = kh * kw * k
         kflip = kernel.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(width, c)
         # the kernel gradient's sum over pieces, in piece order
         total = np.zeros((max(2, width), max(2, c))) if _tracked(kernel) else None
 
-        def piece_grads(piece: tuple, buf: np.ndarray, term: np.ndarray | None) -> None:
-            cols = _columns(windows, piece, buf)
+        def piece_grads(piece: tuple, buffers, term: np.ndarray | None) -> None:
+            cols = columns(piece, buffers)
             np.dot(cols, kflip, out=gx[piece].reshape(-1, c))
             if term is not None:
                 np.dot(_gemm_rows(cols).T, _gemm_rows(x.data[piece].reshape(-1, c)), out=term)
 
-        _run_parts(piece_grads, pieces, lambda: _column_buffer(windows, pieces[0]), total)
+        _run_parts(piece_grads, pieces, scratch, total)
         _accumulate(x, gx, owned=True)
         if total is not None:
             gk = total[:width, :c].reshape(kh, kw, k, c)[::-1, ::-1].transpose(2, 3, 0, 1)
             _accumulate(kernel, gk)
     elif _tracked(kernel):
-        windows = _windows(_pad(x.data, padding), kh, kw)
         width = kh * kw * c
         many = max(1, SLAB_DOUBLES // width // PIECE_PIXELS)
         pieces = _slabs(*g.shape[:3], many * PIECE_PIXELS, whole_clips=False)
+        scratch, columns = _im2col(x.data, padding, kh, kw, pieces)
         total = np.zeros((max(2, k), max(2, width)))
 
-        def piece_grad(piece: tuple, buf: np.ndarray, term: np.ndarray) -> None:
-            cols = _gemm_rows(_columns(windows, piece, buf))
+        def piece_grad(piece: tuple, buffers, term: np.ndarray) -> None:
+            cols = _gemm_rows(columns(piece, buffers))
             np.dot(_gemm_rows(g[piece].reshape(-1, k)).T, cols, out=term)
 
-        _run_parts(piece_grad, pieces, lambda: _column_buffer(windows, pieces[0]), total)
+        _run_parts(piece_grad, pieces, scratch, total)
         _accumulate(kernel, total[:k, :width].reshape(k, kh, kw, c).transpose(0, 3, 1, 2))
 
 
@@ -802,9 +846,10 @@ def _pool_of(threads: int) -> ThreadPoolExecutor:
 
 
 def _nbytes(buffers) -> int:
-    """Bytes of the arrays in ``buffers``, an array or a tuple of them."""
+    """Bytes that the arrays in ``buffers``, an array or a tuple of them,
+    own: a view of another array's memory adds none."""
     items = buffers if isinstance(buffers, tuple) else (buffers,)
-    return sum(b.nbytes for b in items if isinstance(b, np.ndarray))
+    return sum(b.nbytes for b in items if isinstance(b, np.ndarray) and b.base is None)
 
 
 def _run_parts(
@@ -977,7 +1022,8 @@ def conv_block(
     the window's largest conv output (its smallest where gamma < 0), and
     the forward pools the conv output ``y`` first and normalizes only the
     pooled values. The tape keeps ``y`` and the pooled output, nothing
-    else at full resolution.
+    else at full resolution; the conv pads each slab's rows itself
+    (``_im2col``), so no padded copy of the input is made either.
 
     The backward recomputes batch norm's x_hat in ``y``'s buffer with the
     forward's ops. Each window's gradient goes to its first element, in
@@ -988,16 +1034,27 @@ def conv_block(
     the winners in full-resolution pixel order: (N, T', q, F', C) rows,
     which einsum adds in the sequence the chain's full-size sum does, the
     other pixels' zeros changing nothing. (With one channel np.sum adds
-    pairwise, so the sums then run over a full-size gradient.) The input
+    pairwise, so the sums then still run over a full-size gradient, until
+    the per-channel sums get an order of their own; see ROADMAP.) The input
     gradient of batch norm is written into ``y``'s buffer, which then goes
     to the conv backward.
+
+    Beyond the tape, the backward allocates relu's gradient (pooled-size)
+    and each window's winning offset as one byte (q*p where no offset won,
+    as where relu cut the window), then, for the batch-norm sums, the
+    winners' x_hat in (N*T', q, F'*C) rows, and their gradients likewise
+    when q > 1; these go once the sums are taken. Once the second sweep has
+    read them, relu's gradient, the winners and the op's own output
+    gradient are dropped, so the conv backward, which pads each piece of
+    ``y``'s rows itself, adds only the input gradient and its pieces'
+    scratch.
 
     The per-pixel work runs in chunks of window rows (``_run_chunks``), on
     as many threads as BLAS has: forward, the window max (``_window_max``:
     time offsets first, over whole rows) and the pooled values'
     normalization and relu; backward, one sweep that recomputes x_hat and,
     offset by offset in row-major (time, freq) order, copies the offset's
-    x_hat into a contiguous buffer, marks the winners and gathers them, and
+    x_hat into a contiguous buffer, finds the winners and gathers them, and
     after the batch-norm sums a second that builds each time offset's
     gradient as one row of pixels and writes batch norm's input gradient
     over whole rows. Every chunk op is elementwise on its own rows. The
@@ -1016,7 +1073,7 @@ def conv_block(
     x, kernel, gamma, beta = as_tensor(x), as_tensor(kernel), as_tensor(gamma), as_tensor(beta)
     _check_conv(x, kernel, padding)
     _check_batch_norm(kernel.shape[0], gamma, beta, eps)
-    y = _conv_forward(_pad(x.data, padding), kernel.data)
+    y = _conv_forward(x.data, kernel.data, padding)
     windows = _pool_windows(y, time_pool, freq_pool)
     n, h, w, c = y.shape
     q, p = time_pool, freq_pool
@@ -1060,7 +1117,9 @@ def conv_block(
         # zero-filled gradient buffers), so the sign changes no bit.
         g_out = out.grad.reshape(pooled.shape)
         g_win = np.empty_like(pooled)  # relu's gradient
-        hits = np.empty((q * p,) + pooled.shape, dtype=bool)
+        # each window's winning offset, in row-major (time, freq) order, or
+        # q*p where no offset won (relu cut the window)
+        winner = np.zeros(pooled.shape, dtype=np.min_scalar_type(q * p))
         mean_w, inv_sigma_w = np.tile(mean, w), np.tile(inv_sigma, w)
         # y's pixels as items of C doubles: reading one window offset then
         # copies one item per pixel, not C strided doubles
@@ -1082,24 +1141,27 @@ def conv_block(
 
         def gather(part: slice, buffers: tuple) -> None:
             r = part.stop - part.start
-            (x_ab, tmp), (live, unclaimed) = (b[:, :r] for b in buffers)
+            (x_ab, tmp), (hit, unclaimed) = (b[:, :r] for b in buffers)
             # x_hat, recomputed in y's buffer
             x_rows = rows[part.start * q : part.stop * q]
             np.subtract(x_rows, mean_w, out=x_rows)
             np.multiply(x_rows, inv_sigma_w, out=x_rows)
-            live = np.greater(pooled[part], 0.0, out=live)
+            live = np.greater(pooled[part], 0.0, out=hit)
             g = np.multiply(g_out[part], live, out=g_win[part])
             # windows whose maximum no earlier offset has claimed
             unclaimed.fill(True)
-            for k, (a, b) in enumerate(np.ndindex(q, p)):
+            idx = winner[part]
+            for a, b in np.ndindex(q, p):
                 np.copyto(x_ab.view(pixels.dtype), pixels[part, a, :, b])
                 # the forward's normalization of x_hat at (a, b): the first
                 # offset whose value equals the window's output wins
                 np.multiply(x_ab, gamma_p, out=tmp)
                 tmp += beta_p
-                hit = np.equal(tmp, pooled[part], out=hits[k, part])
+                np.equal(tmp, pooled[part], out=hit)
                 hit &= unclaimed
                 unclaimed ^= hit
+                # one more offset passed for every window still unclaimed
+                idx += unclaimed
                 if c == 1:
                     g_pix[part, a, :, b] += np.multiply(g, hit, out=tmp)
                     continue
@@ -1121,14 +1183,14 @@ def conv_block(
         scale_w, coeff_w = np.tile(sum_gx_hat / m, w), np.tile(gamma.data * inv_sigma, w)
 
         def scatter_scratch(r: int) -> tuple:
-            return np.empty((r, w2 * c)), np.empty((r, w * c))
+            return np.empty((r, w2 * c)), np.empty((r, w * c)), np.empty((r, w2 * c), dtype=bool)
 
         def scatter(part: slice, buffers: tuple) -> None:
             # batch norm's input gradient, written over x_hat in y's buffer:
             # ((g - shift) - x_hat * scale) * coeff in train mode, g * coeff
             # in eval mode, with g the chain's full-size gradient
             r = part.stop - part.start
-            g_ab, g_row = (b[:r] for b in buffers)
+            g_ab, g_row, hit = (b[:r] for b in buffers)
             x_windows = rows[part.start * q : part.stop * q].reshape(r, q, w * c)
             if train:
                 np.multiply(x_windows, scale_w, out=x_windows)
@@ -1138,7 +1200,8 @@ def conv_block(
                 # g at time offset a of each window: the window's gradient
                 # at its winner, 0.0 elsewhere, as one row of W pixels
                 for b in range(p):
-                    np.multiply(g, hits[a * p + b, part], out=g_ab)
+                    np.equal(winner[part], a * p + b, out=hit)
+                    np.multiply(g, hit, out=g_ab)
                     if train:
                         g_ab -= shift_p
                     np.copyto(row_pixels[:, :, b], g_ab.view(pixels.dtype))
@@ -1150,6 +1213,9 @@ def conv_block(
             np.multiply(x_windows, coeff_w, out=x_windows)
 
         _run_chunks(scatter, n * h2, q * w * c, scatter_scratch)
+        # spent: free them before the conv allocates its input gradient
+        del g_out, g_win, winner
+        out.grad = None
         _conv_backward(x, kernel, padding, y)
 
     return _record((x, kernel, gamma, beta), out, backward)

@@ -25,6 +25,7 @@ from . import blas
 from .audio import (
     N_BANDS,
     AudioIOError,
+    feature_stamp,
     frame_hop_seconds,
     load_audio,
     logmel,
@@ -139,15 +140,23 @@ class Dataset:
 
 
 def clip_features(dataset_dir: Path, clip_id: str, cache: bool, rate: int) -> np.ndarray:
-    """Log-mel features for one clip, cached beside the audio per rate when asked."""
+    """Log-mel features for one clip, cached beside the audio per rate when asked.
+
+    A cache file is read only when its stamp names this frontend and the
+    bytes of the clip's WAV, or any WAV once the WAV is gone; otherwise the
+    features are computed and the file is written again.
+    """
     cache_path = dataset_dir / FEATURE_DIR / str(rate) / f"{clip_id}.mel"
-    if cache and cache_path.exists():
-        feats = read_features(cache_path)
-        if feats.shape[1] != N_BANDS:
-            raise AudioIOError(f"{cache_path}: {feats.shape[1]} bands, expected {N_BANDS}")
-        return feats
     wav_path = dataset_dir / f"{clip_id}.wav"
-    if not wav_path.exists():
+    have_wav = wav_path.exists()
+    if cache:
+        stamp = feature_stamp(rate, wav_path if have_wav else None)
+        feats = read_features(cache_path, stamp) if cache_path.exists() else None
+        if feats is not None:
+            if feats.shape[1] != N_BANDS:
+                raise AudioIOError(f"{cache_path}: {feats.shape[1]} bands, expected {N_BANDS}")
+            return feats
+    if not have_wav:
         raise PipelineError(f"missing audio file {wav_path}")
     clip = load_audio(wav_path, rate)
     try:
@@ -156,7 +165,7 @@ def clip_features(dataset_dir: Path, clip_id: str, cache: bool, rate: int) -> np
         raise AudioIOError(f"{wav_path}: {exc}") from None
     if cache:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
-        write_features(cache_path, feats)
+        write_features(cache_path, feats, stamp)
     return feats
 
 

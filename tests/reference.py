@@ -22,7 +22,6 @@ from mbsed.autodiff import (
     _check_conv,
     _conv_backward,
     _conv_forward,
-    _pad,
     _record,
     _tracked,
     as_tensor,
@@ -36,7 +35,7 @@ def conv2d(x: Tensor, kernel: Tensor, padding: tuple[int, int] = (0, 0)) -> Tens
     zero padding, unit stride, no bias."""
     x, kernel = as_tensor(x), as_tensor(kernel)
     _check_conv(x, kernel, padding)
-    out = Tensor(_conv_forward(_pad(x.data, padding), kernel.data))
+    out = Tensor(_conv_forward(x.data, kernel.data, padding))
 
     def backward():
         if out.grad is not None:

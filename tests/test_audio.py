@@ -1,5 +1,6 @@
 """Tests for WAV I/O, resampling, and the log-mel frontend."""
 
+import hashlib
 import math
 import struct
 
@@ -13,6 +14,7 @@ from mbsed.audio import (
     PIPELINE_RATE,
     AudioClip,
     AudioIOError,
+    feature_stamp,
     hz_to_mel,
     load_audio,
     load_wav,
@@ -288,53 +290,110 @@ class TestLogmel:
         assert same_bits(feats[0], feats[1]) and same_bits(feats[0], feats[2])
 
 
+def stamp_of(wav: bytes, rate: int = 22050) -> bytes:
+    """The stamp of a cache file of the features at ``rate`` of a WAV file
+    whose bytes are ``wav``."""
+    return feature_stamp(rate) + hashlib.sha256(wav).digest()
+
+
+STAMP = stamp_of(b"wav")
+
+
 class TestFeatureCache:
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(5)
         feats = rng.standard_normal((17, 64))
         path = tmp_path / "c.mel"
-        write_features(path, feats)
-        back = read_features(path)
-        assert np.array_equal(feats, back)
+        write_features(path, feats, STAMP)
+        for stamp in (STAMP, feature_stamp(22050), b""):
+            assert np.array_equal(feats, read_features(path, stamp))
+
+    def test_stamp_digests_the_wav_file(self, tmp_path):
+        wav = tmp_path / "a.wav"
+        wav.write_bytes(b"wav")
+        assert feature_stamp(22050, wav) == STAMP
 
     def test_header_layout(self, tmp_path):
         feats = np.arange(6.0).reshape(2, 3)
         path = tmp_path / "c.mel"
-        write_features(path, feats)
+        write_features(path, feats, STAMP)
         blob = path.read_bytes()
-        assert blob[:8] == (2).to_bytes(4, "little") + (3).to_bytes(4, "little")
-        assert len(blob) == 8 + 6 * 8
-        assert np.frombuffer(blob[8:], dtype="<f8")[3] == 3.0
+        # magic; format, rate, FFT size, hop, bands, log-mel version; SHA-256 of the WAV
+        fields = struct.unpack("<8s6I32s", blob[:64])
+        assert fields == (
+            b"MBSEDMEL", 1, 22050, 1024, 441, 64, audio.LOGMEL_VERSION,
+            hashlib.sha256(b"wav").digest(),
+        )
+        assert blob[64:72] == (2).to_bytes(4, "little") + (3).to_bytes(4, "little")
+        assert len(blob) == 72 + 6 * 8
+        assert np.frombuffer(blob[72:], dtype="<f8")[3] == 3.0
+
+    @pytest.mark.parametrize(
+        "other",
+        ["wav", "rate", "logmel_version", "format", "headerless", "cut_in_stamp"],
+    )
+    def test_other_source_is_stale(self, tmp_path, monkeypatch, other):
+        # a file whose stamp names other audio, another frontend or another
+        # format reads as None under this stamp, never as features
+        path = tmp_path / "c.mel"
+        feats = np.zeros((4, 64))
+        if other == "wav":
+            write_features(path, feats, stamp_of(b"other wav"))
+        elif other == "rate":
+            write_features(path, feats, stamp_of(b"wav", 16000))
+        elif other == "logmel_version":
+            monkeypatch.setattr(audio, "LOGMEL_VERSION", audio.LOGMEL_VERSION + 1)
+            write_features(path, feats, stamp_of(b"wav"))
+            monkeypatch.undo()
+        elif other == "format":
+            write_features(path, feats, STAMP)
+            blob = bytearray(path.read_bytes())
+            blob[8:12] = (2).to_bytes(4, "little")
+            path.write_bytes(bytes(blob))
+        elif other == "headerless":
+            # the format before the stamp: uint32 T and F, then the values
+            path.write_bytes(struct.pack("<II", 4, 64) + feats.tobytes())
+        else:
+            write_features(path, feats, STAMP)
+            path.write_bytes(path.read_bytes()[:40])
+        assert read_features(path, STAMP) is None
+        if other == "wav":
+            # a file of this frontend, from any WAV
+            assert np.array_equal(read_features(path, feature_stamp(22050)), feats)
 
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "c.mel"
-        write_features(path, np.zeros((4, 4)))
+        write_features(path, np.zeros((4, 4)), STAMP)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(AudioIOError, match="shorter"):
-            read_features(path)
+            read_features(path, STAMP)
         # a header claiming (2**32 - 1) x (2**32 - 1) values over 8 bytes of data
-        path.write_bytes(b"\xff" * 8 + bytes(8))
+        path.write_bytes(STAMP + b"\xff" * 8 + bytes(8))
         with pytest.raises(AudioIOError, match="shorter"):
-            read_features(path)
+            read_features(path, STAMP)
+        # the stamp, and no matrix shape
+        path.write_bytes(STAMP + bytes(4))
+        with pytest.raises(AudioIOError, match="truncated feature cache header"):
+            read_features(path, STAMP)
 
     def test_longer_payload_rejected(self, tmp_path):
         # a header rewritten from (4, 64) to (4, 32) leaves twice the values it claims
         path = tmp_path / "c.mel"
-        write_features(path, np.zeros((4, 64)))
+        write_features(path, np.zeros((4, 64)), STAMP)
         blob = bytearray(path.read_bytes())
-        blob[4:8] = (32).to_bytes(4, "little")
+        blob[68:72] = (32).to_bytes(4, "little")
         path.write_bytes(bytes(blob))
         with pytest.raises(AudioIOError, match="longer"):
-            read_features(path)
+            read_features(path, STAMP)
 
     @pytest.mark.parametrize("shape", [(0, 64), (4, 0), (0, 0)])
     def test_empty_header_rejected(self, tmp_path, shape):
         # an empty matrix with an exact (empty) payload; logmel never writes one
         path = tmp_path / "c.mel"
-        path.write_bytes(struct.pack("<II", *shape))
+        path.write_bytes(STAMP + struct.pack("<II", *shape))
         with pytest.raises(AudioIOError, match=f"empty {shape[0]}x{shape[1]} matrix"):
-            read_features(path)
+            read_features(path, STAMP)
 
     def test_rejects_non_2d(self, tmp_path):
         with pytest.raises(ValueError):
-            write_features(tmp_path / "x.mel", np.zeros(5))
+            write_features(tmp_path / "x.mel", np.zeros(5), STAMP)

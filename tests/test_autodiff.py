@@ -302,15 +302,19 @@ class TestConv2d:
             ("pieces", (0, 2)),
             ("pieces", (3, 2)),
             ("short_clip", (1, 1)),
+            ("two_clips", (1, 1)),
+            ("two_clips", (3, 2)),
         ],
     )
     def test_backward_pieces_match_oracle(self, case, padding):
         # the backward walks pieces of PIECE_PIXELS // 8 rows of one 8-wide
-        # clip: two full pieces and a ragged third, or a second clip shorter
-        # than one piece; padding 3 > kernel - 1 crops the output gradient
+        # clip: two full pieces and a ragged third, of one clip or of two,
+        # so that each clip has a piece at its top and at its bottom edge,
+        # or a second clip shorter than one piece; padding 3 > kernel - 1
+        # crops the output gradient
         w, c = 8, 2
         rows = ad.PIECE_PIXELS // w
-        n, h = (1, 2 * rows + 5) if case == "pieces" else (2, rows - 7)
+        n, h = {"pieces": (1, 2 * rows + 5), "two_clips": (2, 2 * rows + 5)}.get(case, (2, rows - 7))
         rng = np.random.default_rng(37)
         x = rng.standard_normal((n, h, w, c))
         k = rng.standard_normal((3, c, 3, 3))
@@ -329,6 +333,38 @@ class TestConv2d:
         assert grad_check(lambda t: loss(Tensor(x), t), kt, eps=1e-3) <= 1e-6
         xt = Tensor(x, requires_grad=True)
         assert grad_check(lambda t: loss(t, Tensor(k)), xt, eps=1e-3) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "padding", [(1, 1), (3, 2), (2, 0), (0, 2), (-1, 1), (1, -1), (-1, -1), (0, 0)]
+    )
+    @pytest.mark.parametrize("whole_clips", [False, True], ids=["rows", "clips"])
+    def test_parts_pad_their_own_rows(self, padding, whole_clips):
+        # each part pads its own rows (_im2col): pieces of 3 rows at each
+        # clip's top edge, inside it and at its bottom edge, or two whole
+        # clips and then one, run in order and then in reverse through one
+        # set of buffers, give the im2col rows of a padded copy of the
+        # input; a negative padding crops, and padding 3 > kernel - 1 reads
+        # three halo rows
+        kh, kw = 3, 3
+        rng = np.random.default_rng(47)
+        a = rng.standard_normal((3, 11, 6, 2))
+        ph, pw = padding
+        crop_h, crop_w = max(0, -ph), max(0, -pw)
+        xp = np.pad(
+            a[:, crop_h : 11 - crop_h, crop_w : 6 - crop_w],
+            ((0, 0), (max(0, ph),) * 2, (max(0, pw),) * 2, (0, 0)),
+        )
+        windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+        windows = windows.transpose(0, 1, 2, 4, 5, 3)
+        h2, w2 = windows.shape[1:3]
+        parts = ad._slabs(3, h2, w2, (2 * h2 if whole_clips else 3) * w2, whole_clips=whole_clips)
+        assert len(parts) == (2 if whole_clips else 3 * -(-h2 // 3))
+        scratch, columns = ad._im2col(a, padding, kh, kw, parts)
+        buffers = scratch()
+        for order in (parts, parts[::-1]):
+            for part in order:
+                want = windows[part].reshape(-1, kh * kw * 2)
+                assert same_bits(columns(part, buffers), want), part
 
     def test_wide_columns_match_oracle(self):
         # 48 channels in and out: 432 im2col columns, an inner sum past 384
@@ -379,25 +415,28 @@ class TestConv2d:
         k = Tensor(rng.standard_normal((40, 40, 3, 3)) * 0.1, requires_grad=True)
         probe = rng.standard_normal((2, 500, 16, 40))
         in_bytes = x.data.nbytes
-        padded_bytes = 2 * 502 * 18 * 40 * 8
         out_bytes = probe.nbytes
-        # slab buffers and bookkeeping; an (N*H*W, K) or (N*H*W, kh*kw*C)
-        # temporary is larger than this
+        # slab buffers and bookkeeping; a padded copy of the input or of the
+        # output gradient is larger than this
         slack = 3 * ad.SLAB_DOUBLES * 8
+        # the padded rows of the output gradient that the two backward
+        # pieces running at once read: PIECE_PIXELS // 16 rows and a halo
+        # row at each end, each of 18 pixels
+        piece_rows_bytes = 2 * (ad.PIECE_PIXELS // 16 + 2) * 18 * 40 * 8
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             out = conv2d(x, k, padding=(1, 1))
             current, peak = tracemalloc.get_traced_memory()
-            # the forward holds the padded input and the output
-            assert peak - start <= padded_bytes + out_bytes + slack
+            # the forward holds the output
+            assert peak - start <= out_bytes + slack
             out.grad = probe
             tracemalloc.reset_peak()
             for rule in reversed(out.tape._resolve().entries):
                 rule()
             peak = tracemalloc.get_traced_memory()[1]
-            # backward adds the padded output gradient and the input gradient
-            assert peak - current <= padded_bytes + in_bytes + slack
+            # backward adds the input gradient
+            assert peak - current <= in_bytes + piece_rows_bytes + slack
         finally:
             tracemalloc.stop()
         assert x.grad is not None and k.grad is not None
@@ -747,6 +786,34 @@ class TestConvBlock:
             tracemalloc.stop()
         assert retained <= y_bytes + 4 * out.data.nbytes
         reduce_sum(ad.mul(out, 1.0)).backward()
+        assert x.grad is not None and kernel.grad is not None
+
+    @pytest.mark.parametrize("w", [16, 8], ids=["block1", "block2"])
+    def test_backward_holds_input_gradient_and_two_pooled_arrays(self, w):
+        # the small preset's blocks 1 and 2 at batch 2: 40 -> 40 channels,
+        # 3x3, freq pool 2, on 16 and 8 bins. Beyond the tape, the backward
+        # holds relu's gradient and the winners' x_hat, each as large as the
+        # pooled output, and then the input gradient: it copies no padded
+        # output gradient, keeps one byte per window for the winners, and
+        # frees its pooled-size arrays before the conv's backward
+        rng = np.random.default_rng(34)
+        x = Tensor(rng.standard_normal((2, 500, w, 40)), requires_grad=True)
+        kernel = Tensor(rng.standard_normal((40, 40, 3, 3)) * 0.1, requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 1.5, 40) * np.where(np.arange(40) % 3, 1.0, -1.0),
+                       requires_grad=True)
+        beta = Tensor(rng.standard_normal(40) * 0.1, requires_grad=True)
+        out = conv_block(x, kernel, gamma, beta, np.zeros(40), np.ones(40), (1, 1), 1, 2)
+        out.grad = rng.standard_normal(out.shape)
+        # chunk and piece buffers and bookkeeping
+        slack = 3 * ad.SLAB_DOUBLES * 8
+        tracemalloc.start()
+        try:
+            for rule in reversed(out.tape._resolve().entries):
+                rule()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= x.data.nbytes + 2 * out.data.nbytes + slack
         assert x.grad is not None and kernel.grad is not None
 
     @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])

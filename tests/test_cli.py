@@ -140,15 +140,23 @@ class TestTrain:
         stdout = capsys.readouterr().out
         assert "seed 5" in stdout and "seed 7" in stdout
 
-    def test_same_checkpoint_at_any_blas_thread_count(self, tmp_path):
-        # WAVs to log-mel features to the small preset's training, without
-        # the feature cache, in a fresh process at one and at two BLAS threads
+    @pytest.mark.parametrize(
+        "preset, clips, epochs, batch",
+        [("small", 4, 2, 4), ("large", 2, 1, 2)],
+        ids=["small", "large"],
+    )
+    def test_same_checkpoint_at_any_blas_thread_count(
+        self, tmp_path, preset, clips, epochs, batch
+    ):
+        # WAVs to log-mel features to a preset's training, without the
+        # feature cache, in a fresh process at one and at two BLAS threads
         data = tmp_path / "data"
-        assert run_cli(["synth", "--clips", 4, "--seed", 3, "--out", data]) == 0
+        assert run_cli(["synth", "--clips", clips, "--seed", 3, "--out", data]) == 0
         config = tmp_path / "run.ini"
         config.write_text(
             f"[data]\ntrain_dir = {data}\ncache_features = false\n"
-            "[training]\nepochs = 2\nbatch_size = 4\n",
+            f"[model]\npreset = {preset}\n"
+            f"[training]\nepochs = {epochs}\nbatch_size = {batch}\n",
             encoding="utf-8",
         )
         src = Path(mbsed.__file__).resolve().parent.parent
@@ -233,14 +241,17 @@ class TestTrain:
             assert err.startswith("error: ") and "Traceback" not in err
             return err
 
+        # files whose stamp names the clip's WAV and this frontend, so they
+        # are read, not recomputed
         blob = bytearray(cache.read_bytes())
-        blob[4:8] = (32).to_bytes(4, "little")  # header (250, 64) now claims (250, 32)
+        stamp = bytes(blob[:64])
+        blob[68:72] = (32).to_bytes(4, "little")  # header (250, 64) now claims (250, 32)
         cache.write_bytes(bytes(blob))
         assert "clip_0000.mel: feature cache longer than header claims" in train_error()
-        write_features(cache, np.zeros((250, 32)))  # well formed, but 32 bands
+        write_features(cache, np.zeros((250, 32)), stamp)  # well formed, but 32 bands
         assert "clip_0000.mel: 32 bands, expected 64" in train_error()
         for path in cache.parent.glob("*.mel"):
-            path.write_bytes(struct.pack("<II", 0, 64))  # no frames
+            path.write_bytes(path.read_bytes()[:64] + struct.pack("<II", 0, 64))  # no frames
         assert "clip_0000.mel: feature cache header claims an empty 0x64 matrix" in train_error()
 
 

@@ -7,6 +7,7 @@ predict, evaluate loop stays fast.
 import copy
 import dataclasses
 import shutil
+import struct
 import sys
 import threading
 
@@ -15,7 +16,14 @@ import pytest
 
 from mbsed import autodiff as ad
 from mbsed import blas, pipeline
-from mbsed.audio import AudioIOError, frame_hop_seconds
+from mbsed.audio import (
+    AudioIOError,
+    feature_stamp,
+    frame_hop_seconds,
+    load_audio,
+    logmel,
+    read_features,
+)
 from mbsed.config import RunConfig, parse_branches, parse_run_config
 from mbsed.events import EventAnnotation, read_events_tsv
 from mbsed.metrics import segment_based_f1
@@ -153,6 +161,39 @@ class TestLoadDataset:
         with pytest.raises(PipelineError, match="missing audio"):
             load_dataset(dataset, cache=False)
 
+
+    def test_cache_follows_resynthesized_wavs(self, tmp_path):
+        # new WAVs written over the old ones in the same directory: the
+        # cache is recomputed, not served as the old clips' features
+        dataset = tmp_path / "tiny"
+        generate_dataset(SynthConfig(n_clips=4, seed=1), dataset)
+        old = load_dataset(dataset, cache=True)
+        generate_dataset(SynthConfig(n_clips=4, seed=2), dataset)
+        new = load_dataset(dataset, cache=True)
+        fresh = load_dataset(dataset, cache=False)
+        for clip_id, a, b, c in zip(new.clip_ids, old.features, new.features, fresh.features):
+            wav = dataset / f"{clip_id}.wav"
+            want = logmel(load_audio(wav)).features
+            assert np.array_equal(b, want) and np.array_equal(c, want)
+            assert not np.array_equal(a, want)
+            # rewritten under the new WAV's stamp
+            cached = dataset / "features" / "22050" / f"{clip_id}.mel"
+            assert np.array_equal(read_features(cached, feature_stamp(22050, wav)), want)
+
+    def test_headerless_cache_file_recomputed(self, tmp_path):
+        # a file in the format before cache files carried a stamp (uint32 T
+        # and F, then the values) is recomputed and rewritten, not read
+        dataset = tmp_path / "tiny"
+        generate_dataset(SynthConfig(n_clips=2, seed=5), dataset)
+        want = load_dataset(dataset, cache=False).features[0]
+        path = dataset / "features" / "22050" / "clip_0000.mel"
+        path.parent.mkdir(parents=True)
+        path.write_bytes(struct.pack("<II", *want.shape) + np.zeros(want.shape).tobytes())
+        got = load_dataset(dataset, cache=True).features[0]
+        assert np.array_equal(got, want)
+        stamp = feature_stamp(22050, dataset / "clip_0000.wav")
+        assert path.read_bytes()[:64] == stamp
+        assert np.array_equal(read_features(path, stamp), want)
 
     def test_cache_keyed_by_rate(self, tmp_path):
         # features cached at one rate are not served at another

@@ -11,7 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbsed.audio import AudioClip, AudioIOError, load_wav, read_features, write_features, write_wav
+from mbsed.audio import (
+    AudioClip,
+    AudioIOError,
+    feature_stamp,
+    load_wav,
+    read_features,
+    write_features,
+    write_wav,
+)
 from mbsed.config import ConfigError, RunConfig, load_run_config, resolved_text
 from mbsed.events import (
     AnnotationError,
@@ -72,7 +80,10 @@ def originals(tmp_path_factory):
     ]
     return {
         "checkpoint": _write(tmp, "m.ckpt", lambda p: save_checkpoint(Model(tiny_config()), p)),
-        "features": _write(tmp, "f.mel", lambda p: write_features(p, rng.standard_normal((6, 4)))),
+        "features": _write(
+            tmp, "f.mel",
+            lambda p: write_features(p, rng.standard_normal((6, 4)), feature_stamp(22050) + bytes(32)),
+        ),
         "wav": _write(
             tmp, "a.wav", lambda p: write_wav(p, AudioClip(0.1 * rng.standard_normal(64), 22050))
         ),
@@ -88,7 +99,7 @@ def originals(tmp_path_factory):
     "key, head, reader, error",
     [
         ("checkpoint", 400, load_checkpoint, CheckpointError),
-        ("features", 8, read_features, AudioIOError),
+        ("features", 72, read_features, AudioIOError),
         ("wav", 44, load_wav, AudioIOError),
         ("strong", 64, read_events_tsv, AnnotationError),
         ("weak", 32, read_weak_labels_tsv, AnnotationError),
