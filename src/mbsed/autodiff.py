@@ -541,33 +541,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return add(matmul(x, weight), bias)
 
 
-def _channel_sum(rows: np.ndarray, c: int, other: np.ndarray | None = None) -> np.ndarray:
-    """Per-channel sum of ``rows`` (or of ``rows * other``) in np.sum's order.
-
-    ``rows`` holds channels-last data whose last axis ends in ``c``
-    channels. With two or more channels np.sum adds the pixels in sequence,
-    as einsum does without a temporary for the product; with one channel
-    np.sum adds pairwise, so that case stays with np.sum.
-    """
-    flat = rows.reshape(-1, c)
-    if c == 1:
-        return (flat if other is None else flat * other.reshape(-1, c)).sum(axis=0)
-    if other is None:
-        return np.einsum("ij->j", flat)
-    return np.einsum("ij,ij->j", flat, other.reshape(-1, c))
-
-
-def _gemm_rows(rows: np.ndarray) -> np.ndarray:
-    """(M, K) ``rows``, with a zero column appended when K == 1.
-
-    numpy computes a product with a one-column operand as a gemv, which
-    adds in another order than a gemm even at one BLAS thread; the zero
-    column keeps the bits of one-channel convs, such as the gate's compact
-    encoder's 1x1 front block, as its checkpoints have always had them.
-    """
-    return rows if rows.shape[1] > 1 else np.concatenate([rows, np.zeros_like(rows)], axis=1)
-
-
 # Doubles in one conv slab buffer (1 MiB). The conv fills and multiplies
 # one slab of output pixels at a time, so no temporary grows with the batch.
 SLAB_DOUBLES = 1 << 17
@@ -732,32 +705,31 @@ def _conv_backward(x: Tensor, kernel: Tensor, padding: tuple[int, int], g: np.nd
         width = kh * kw * k
         kflip = kernel.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(width, c)
         # the kernel gradient's sum over pieces, in piece order
-        total = np.zeros((max(2, width), max(2, c))) if _tracked(kernel) else None
+        total = np.zeros((width, c)) if _tracked(kernel) else None
 
         def piece_grads(piece: tuple, buffers, term: np.ndarray | None) -> None:
             cols = columns(piece, buffers)
             np.dot(cols, kflip, out=gx[piece].reshape(-1, c))
             if term is not None:
-                np.dot(_gemm_rows(cols).T, _gemm_rows(x.data[piece].reshape(-1, c)), out=term)
+                np.dot(cols.T, x.data[piece].reshape(-1, c), out=term)
 
         _run_parts(piece_grads, pieces, scratch, total)
         _accumulate(x, gx, owned=True)
         if total is not None:
-            gk = total[:width, :c].reshape(kh, kw, k, c)[::-1, ::-1].transpose(2, 3, 0, 1)
+            gk = total.reshape(kh, kw, k, c)[::-1, ::-1].transpose(2, 3, 0, 1)
             _accumulate(kernel, gk)
     elif _tracked(kernel):
         width = kh * kw * c
         many = max(1, SLAB_DOUBLES // width // PIECE_PIXELS)
         pieces = _slabs(*g.shape[:3], many * PIECE_PIXELS, whole_clips=False)
         scratch, columns = _im2col(x.data, padding, kh, kw, pieces)
-        total = np.zeros((max(2, k), max(2, width)))
+        total = np.zeros((k, width))
 
         def piece_grad(piece: tuple, buffers, term: np.ndarray) -> None:
-            cols = _gemm_rows(columns(piece, buffers))
-            np.dot(_gemm_rows(g[piece].reshape(-1, k)).T, cols, out=term)
+            np.dot(g[piece].reshape(-1, k).T, columns(piece, buffers), out=term)
 
         _run_parts(piece_grad, pieces, scratch, total)
-        _accumulate(kernel, total[:k, :width].reshape(k, kh, kw, c).transpose(0, 3, 1, 2))
+        _accumulate(kernel, total.reshape(k, kh, kw, c).transpose(0, 3, 1, 2))
 
 
 def _check_batch_norm(c: int, gamma: Tensor, beta: Tensor, eps: float) -> None:
@@ -765,56 +737,6 @@ def _check_batch_norm(c: int, gamma: Tensor, beta: Tensor, eps: float) -> None:
         raise ValueError(f"batch norm eps must be positive, got {eps}")
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"gamma/beta must have shape ({c},)")
-
-
-def _centered_square_sum(rows: np.ndarray, mean: np.ndarray, c: int) -> np.ndarray:
-    """Per-channel sum of (x - mean)**2 over the pixels of channels-last
-    (R, W*C) ``rows``, in ``_channel_sum``'s order.
-
-    With two or more channels einsum adds the pixels in sequence, so the
-    sum runs over slabs of whole rows without a full-size temporary: each
-    slab's einsum starts with a pixel that carries the sum so far, times
-    1.0. The subtract runs over whole rows, with ``mean`` tiled W times.
-    """
-    if c == 1:
-        dev = rows - mean
-        return _channel_sum(dev, 1, dev)
-    r, width = rows.shape
-    step = max(1, SLAB_DOUBLES // width)
-    mean_w = np.tile(mean, width // c)
-    carried = np.empty(c + min(step, r) * width)  # the sum so far, then deviations
-    ones = np.empty_like(carried)  # 1.0, then the same deviations
-    ones[:c] = 1.0
-    total = np.zeros(c)
-    for start in range(0, r, step):
-        slab = rows[start : start + step]
-        end = c + slab.size
-        np.subtract(slab, mean_w, out=carried[c:end].reshape(slab.shape))
-        ones[c:end] = carried[c:end]
-        carried[:c] = total
-        total = np.einsum("ij,ij->j", carried[:end].reshape(-1, c), ones[:end].reshape(-1, c))
-    return total
-
-
-def _batch_statistics(
-    rows: np.ndarray,
-    c: int,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    momentum: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batch mean and biased variance of each of the ``c`` channels of
-    channels-last (R, W*C) ``rows``, with the running buffers moved toward
-    them in place (unbiased variance for the running estimate)."""
-    m = rows.size // c
-    mean = _channel_sum(rows, c) / m
-    var = _centered_square_sum(rows, mean, c) / m
-    running_mean *= 1.0 - momentum
-    running_mean += momentum * mean
-    unbiased = var * (m / (m - 1)) if m > 1 else var
-    running_var *= 1.0 - momentum
-    running_var += momentum * unbiased
-    return mean, var
 
 
 # Doubles of conv output in one chunk of conv_block's per-pixel work (2 MiB),
@@ -934,18 +856,64 @@ def _run_parts(
 
 
 def _run_chunks(
-    fn: Callable[[slice, object], None],
+    fn: Callable[[slice, object, np.ndarray | None], None],
     rows: int,
     row_doubles: int,
     scratch: Callable[[int], object],
+    total: np.ndarray | None = None,
 ) -> None:
-    """``fn(part, buffers)`` through ``_run_parts``, for slices ``part``
-    that tile ``range(rows)`` in chunks of about ``CHUNK_DOUBLES``
+    """``fn(part, buffers, term)`` through ``_run_parts``, for slices
+    ``part`` that tile ``range(rows)`` in chunks of about ``CHUNK_DOUBLES``
     (``row_doubles`` per row, at least one row); ``buffers`` is what
-    ``scratch(rows_per_chunk)`` returned."""
+    ``scratch(rows_per_chunk)`` returned; with ``total`` the terms are added
+    in chunk order (``_run_parts``). The chunks never follow the thread count."""
     step = min(rows, max(1, CHUNK_DOUBLES // row_doubles))
     parts = [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
-    _run_parts(lambda part, buffers, _: fn(part, buffers), parts, lambda: scratch(step))
+    _run_parts(fn, parts, lambda: scratch(step), total)
+
+
+def _column_sums(rows: np.ndarray, out: np.ndarray) -> None:
+    """The column sums of 2-D ``rows`` into ``out``, each added in row order
+    (numpy's reduce adds a single column pairwise, an accumulate does not)."""
+    if rows.shape[1] > 1:
+        np.add.reduce(rows, axis=0, out=out)
+    else:
+        out[...] = np.add.accumulate(rows[:, 0])[-1:]
+
+
+def _partial_sum(rows: np.ndarray, pix: np.ndarray, term: np.ndarray) -> None:
+    """A chunk's term of ``_channel_sums``: the column sums of (k, W*C)
+    ``rows`` into (W, C) ``pix``, whose column sums go into (C,) ``term``."""
+    _column_sums(rows, pix.reshape(-1))
+    _column_sums(pix, term)
+
+
+def _channel_sums(rows: np.ndarray, c: int, window: int = 1) -> np.ndarray:
+    """Per-channel sums of channels-last (R, W*C) ``rows`` in the order of
+    every batch-norm sum: one term per chunk of ``_run_chunks`` over groups
+    of ``window`` rows (a pooling window's rows in ``conv_block``), each the
+    chunk's column sums in row order folded over the W pixels in order
+    (``_partial_sum``), the terms added in chunk order to 0.0. Every add is
+    in sequence, so exact zeros anywhere change no bit: x + 0.0 is x, and a
+    zero's sign shows only in a sum of zeros, which the 0.0 makes +0.0."""
+    r, width = rows.shape
+
+    def partial(part: slice, pix: np.ndarray, term: np.ndarray) -> None:
+        _partial_sum(rows[part.start * window : part.stop * window], pix, term)
+
+    total = np.zeros(c)
+    _run_chunks(partial, r // window, window * width, lambda _: np.empty((width // c, c)), total)
+    return total
+
+
+def _move_running(running_mean, running_var, mean, var, m: int, momentum: float) -> None:
+    """Move the running buffers in place toward a batch's mean and biased
+    variance over ``m`` values (unbiased variance for the running estimate)."""
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mean
+    unbiased = var * (m / (m - 1)) if m > 1 else var
+    running_var *= 1.0 - momentum
+    running_var += momentum * unbiased
 
 
 def _pool_windows(x: np.ndarray, time_pool: int, freq_pool: int):
@@ -1013,7 +981,9 @@ def conv_block(
 ) -> Tensor:
     """conv2d, then batch norm, max-pooling and relu as one op, with the
     same bits as that chain of ops in its output, gradients and running
-    buffers (the chain is in the tests' ``reference`` module).
+    buffers (the chain is in the tests' ``reference`` module, whose batch
+    norm takes the time pool as its sums' ``window``, so that they have
+    this op's chunks of whole window rows).
 
     Batch norm maps each channel through (((y - mean) * inv_sigma) * gamma)
     + beta, and every step of that chain, rounding included, is monotone:
@@ -1025,50 +995,44 @@ def conv_block(
     else at full resolution; the conv pads each slab's rows itself
     (``_im2col``), so no padded copy of the input is made either.
 
-    The backward recomputes batch norm's x_hat in ``y``'s buffer with the
-    forward's ops. Each window's gradient goes to its first element, in
-    row-major (time, freq) order, whose recomputed normalized value equals
-    the window's output: the chain's tie rule. (Where relu cut a window
-    the gradient is zero and the choice does not matter, so the pooled
-    output stands in for the pre-relu maximum.) The batch-norm sums take
-    the winners in full-resolution pixel order: (N, T', q, F', C) rows,
-    which einsum adds in the sequence the chain's full-size sum does, the
-    other pixels' zeros changing nothing. (With one channel np.sum adds
-    pairwise, so the sums then still run over a full-size gradient, until
-    the per-channel sums get an order of their own; see ROADMAP.) The input
-    gradient of batch norm is written into ``y``'s buffer, which then goes
-    to the conv backward.
+    Every per-channel sum of batch norm (the mean, the centered square sum,
+    and the backward's sums of g and g * x_hat) is a ``_channel_sums``: one
+    term per chunk of whole window rows, the chunks fixed by
+    ``CHUNK_DOUBLES`` and the row width, each term a plain axis-0
+    reduction of the chunk's W*C-wide rows folded over the W pixels, the
+    terms added in chunk order. Each term is taken in the chunk sweep that
+    reads those rows: forward, the mean in a pass of its own, then the
+    centered squares beside the raw window max (``_window_max``), after
+    which train mode normalizes and relus the pooled values (eval mode in
+    that sweep). Backward, one sweep recomputes x_hat in ``y``'s buffer
+    with the forward's ops and, offset by offset in row-major (time, freq)
+    order, copies the offset's x_hat into a contiguous buffer and finds the
+    winners: each window's gradient goes to its first element whose
+    recomputed normalized value equals the window's output, the chain's
+    tie rule (where relu cut a window the gradient is zero, so the pooled
+    output stands in for the pre-relu maximum). The chain sums a full-size
+    gradient that is zero off the winners; this sweep sums, per column of
+    a window row, the one winner the chain's q rows hold there, and exact
+    zeros change no bit of a ``_channel_sums``. A second sweep writes batch
+    norm's input gradient over ``y``'s buffer, which goes to the conv
+    backward.
 
-    Beyond the tape, the backward allocates relu's gradient (pooled-size)
-    and each window's winning offset as one byte (q*p where no offset won,
-    as where relu cut the window), then, for the batch-norm sums, the
-    winners' x_hat in (N*T', q, F'*C) rows, and their gradients likewise
-    when q > 1; these go once the sums are taken. Once the second sweep has
-    read them, relu's gradient, the winners and the op's own output
-    gradient are dropped, so the conv backward, which pads each piece of
-    ``y``'s rows itself, adds only the input gradient and its pieces'
-    scratch.
+    Beyond the tape, the backward allocates each window's winning offset
+    as one byte (q*p where no offset won, as where relu cut the window),
+    writes relu's gradient over the op's own output gradient, and drops
+    both before the conv backward, which adds only the input gradient and
+    its pieces' scratch.
 
-    The per-pixel work runs in chunks of window rows (``_run_chunks``), on
-    as many threads as BLAS has: forward, the window max (``_window_max``:
-    time offsets first, over whole rows) and the pooled values'
-    normalization and relu; backward, one sweep that recomputes x_hat and,
-    offset by offset in row-major (time, freq) order, copies the offset's
-    x_hat into a contiguous buffer, finds the winners and gathers them, and
-    after the batch-norm sums a second that builds each time offset's
-    gradient as one row of pixels and writes batch norm's input gradient
-    over whole rows. Every chunk op is elementwise on its own rows. The
-    order-dependent sums (the batch statistics and the batch-norm sums
-    over the gathered winners) run on the calling thread, and the conv's
-    gemms run at one BLAS thread (``_run_parts``), so no bit depends on the
-    thread count.
-
-    A numpy op over a strided window view, or against a (C,) vector, runs
-    an inner loop of C doubles per pixel, which costs several times a
-    contiguous row's per double when C is small (2 in the gate's compact
-    encoder's first block). So every pass runs over rows of whole pixels:
-    per-channel vectors are tiled over a row, and a window offset is read
-    or written as one item of C doubles per pixel (a void view of ``y``).
+    The chunks run on as many threads as BLAS has (``_run_chunks``). Every
+    chunk op is elementwise on its own rows, the sums' terms are added in
+    chunk order, and the conv's gemms run at one BLAS thread
+    (``_run_parts``), so no bit depends on the thread count. A numpy op
+    over a strided window view, or against a (C,) vector, runs an inner
+    loop of C doubles per pixel, which costs several times a contiguous
+    row's per double when C is small (2 in the gate's compact encoder's
+    first block). So every pass runs over rows of whole pixels: per-channel
+    vectors are tiled over a row, and a window offset is read or written as
+    one item of C doubles per pixel (a void view of ``y``).
     """
     x, kernel, gamma, beta = as_tensor(x), as_tensor(kernel), as_tensor(gamma), as_tensor(beta)
     _check_conv(x, kernel, padding)
@@ -1081,73 +1045,94 @@ def conv_block(
     m = n * h * w
     rows = y.reshape(n * h, w * c)  # window row i is rows[i * q : (i + 1) * q]
     if train:
-        mean, var = _batch_statistics(rows, c, running_mean, running_var, momentum)
+        mean = _channel_sums(rows, c, q) / m
     else:
         mean, var = running_mean.copy(), running_var
-    inv_sigma = 1.0 / np.sqrt(var + eps)
+    mean_w = np.tile(mean, w)
     flip = gamma.data < 0.0
     sign = np.tile(np.where(flip, -1.0, 1.0), w) if flip.any() else None
-    # pooled rows of F'*C doubles, and per-channel vectors tiled over one
+    # pooled rows of F'*C doubles
     pooled = np.empty((n * h2, w2 * c))
-    mean_p, inv_sigma_p, gamma_p, beta_p = (
-        np.tile(v, w2) for v in (mean, inv_sigma, gamma.data, beta.data)
-    )
 
-    def max_rows(r: int) -> np.ndarray:
-        # _window_max's row maxima, which need a buffer when q > 1
-        return np.empty((r, w * c if q > 1 else 0))
+    def normalizer(var: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], None]]:
+        # inv_sigma, and normalize-and-relu in place for pooled rows
+        inv_sigma = 1.0 / np.sqrt(var + eps)
+        mean_p, inv_sigma_p, gamma_p, beta_p = (
+            np.tile(v, w2) for v in (mean, inv_sigma, gamma.data, beta.data)
+        )
 
-    def pool(part: slice, work: np.ndarray) -> None:
+        def normalize(v: np.ndarray) -> None:
+            v -= mean_p
+            v *= inv_sigma_p
+            v *= gamma_p
+            v += beta_p
+            np.maximum(v, 0.0, out=v)
+
+        return inv_sigma, normalize
+
+    if not train:
+        inv_sigma, normalize = normalizer(var)
+
+    def pool_scratch(r: int) -> tuple:
+        # _window_max's row maxima, which need a buffer when q > 1, and in
+        # train mode the chunk's squared deviations and its pixels' sums
+        return (np.empty((r, w * c if q > 1 else 0)), np.empty((r * q if train else 0, w * c)),
+                np.empty((w, c)))
+
+    def pool(part: slice, buffers: tuple, term: np.ndarray | None) -> None:
+        work, dev, pix = buffers
         v = pooled[part]
         _window_max(windows[part], v.reshape(-1, w2, c), sign, work[: len(v)])
-        v -= mean_p
-        v *= inv_sigma_p
-        v *= gamma_p
-        v += beta_p
-        np.maximum(v, 0.0, out=v)
+        if not train:
+            normalize(v)
+            return
+        dev = dev[: len(v) * q]
+        np.subtract(rows[part.start * q : part.stop * q], mean_w, out=dev)
+        np.multiply(dev, dev, out=dev)
+        _partial_sum(dev, pix, term)
 
-    _run_chunks(pool, n * h2, q * w * c, max_rows)
+    square_sum = np.zeros(c) if train else None
+    _run_chunks(pool, n * h2, q * w * c, pool_scratch, square_sum)
+    if train:
+        var = square_sum / m
+        _move_running(running_mean, running_var, mean, var, m, momentum)
+        inv_sigma, normalize = normalizer(var)
+        _run_chunks(lambda part, *_: normalize(pooled[part]), n * h2, q * w * c, lambda _: None)
     out = Tensor(pooled.reshape(n, h2, w2, c))
 
     def backward():
         if out.grad is None:
             return
         # Zero signs: the chain's gradients are 0.0 where these can be -0.0,
-        # but every sum that reads them starts from 0.0 (einsum, BLAS and the
-        # zero-filled gradient buffers), so the sign changes no bit.
+        # but every sum that reads them starts from 0.0 (the batch-norm
+        # sums' totals, BLAS and the zero-filled gradient buffers), so the
+        # sign changes no bit.
         g_out = out.grad.reshape(pooled.shape)
-        g_win = np.empty_like(pooled)  # relu's gradient
         # each window's winning offset, in row-major (time, freq) order, or
         # q*p where no offset won (relu cut the window)
         winner = np.zeros(pooled.shape, dtype=np.min_scalar_type(q * p))
-        mean_w, inv_sigma_w = np.tile(mean, w), np.tile(inv_sigma, w)
+        inv_sigma_w = np.tile(inv_sigma, w)
+        gamma_p, beta_p = np.tile(gamma.data, w2), np.tile(beta.data, w2)
         # y's pixels as items of C doubles: reading one window offset then
         # copies one item per pixel, not C strided doubles
         pixels = windows.view(np.dtype((np.void, 8 * c)))[..., 0]
-        if c == 1:
-            # np.sum adds one channel pairwise: the sums run over every pixel
-            g_pix = np.zeros(pixels.shape)
-            x_pix = windows
-        else:
-            # einsum adds rows in sequence, so the winners alone, in
-            # (N*T', q, F') rows, give the full-size sums' bits
-            x_pix = np.zeros((n * h2, q, w2 * c))
-            # with q == 1 each window with a nonzero gradient has one winner
-            # and the windows are in pixel order already
-            g_pix = g_win[:, None] if q == 1 else np.zeros_like(x_pix)
 
         def gather_scratch(r: int) -> tuple:
-            return np.empty((2, r, w2 * c)), np.empty((2, r, w2 * c), dtype=bool)
+            return (np.empty((2, r, w2 * c)), np.empty((2, p if q > 1 else 1, r, w2 * c)),
+                    np.empty((2, r, w2 * c), dtype=bool), np.empty((2, p, w2 * c)),
+                    np.empty((w, c)))
 
-        def gather(part: slice, buffers: tuple) -> None:
+        def gather(part: slice, buffers: tuple, term: np.ndarray) -> None:
             r = part.stop - part.start
-            (x_ab, tmp), (hit, unclaimed) = (b[:, :r] for b in buffers)
+            (x_ab, tmp), acc, (hit, unclaimed) = (b[..., :r, :] for b in buffers[:3])
+            cols, pix = buffers[3:]
             # x_hat, recomputed in y's buffer
             x_rows = rows[part.start * q : part.stop * q]
             np.subtract(x_rows, mean_w, out=x_rows)
             np.multiply(x_rows, inv_sigma_w, out=x_rows)
-            live = np.greater(pooled[part], 0.0, out=hit)
-            g = np.multiply(g_out[part], live, out=g_win[part])
+            # relu's gradient, over the op's own output gradient
+            g = g_out[part]
+            np.multiply(g, np.greater(pooled[part], 0.0, out=hit), out=g)
             # windows whose maximum no earlier offset has claimed
             unclaimed.fill(True)
             idx = winner[part]
@@ -1162,17 +1147,27 @@ def conv_block(
                 unclaimed ^= hit
                 # one more offset passed for every window still unclaimed
                 idx += unclaimed
-                if c == 1:
-                    g_pix[part, a, :, b] += np.multiply(g, hit, out=tmp)
-                    continue
-                x_pix[part, a] += np.multiply(x_ab, hit, out=tmp)
-                if q > 1:
-                    g_pix[part, a] += np.multiply(g, hit, out=tmp)
+                # the window's gradient where it wins at freq offset b, and
+                # its product with x_hat, over the window's time offsets (one
+                # wins at most): column (f*p + b, c) of the chain's q rows
+                g_b, gx_b = acc[:, b if q > 1 else 0]
+                if a == 0:
+                    np.multiply(g, hit, out=g_b)
+                    np.multiply(g_b, x_ab, out=gx_b)
+                else:
+                    g_b += np.multiply(g, hit, out=tmp)
+                    gx_b += np.multiply(tmp, x_ab, out=tmp)
+                if a == q - 1:
+                    _column_sums(g_b, cols[0, b])
+                    _column_sums(gx_b, cols[1, b])
+            # the two sums' column sums, in pixel order, summed over the pixels
+            for k in range(2):
+                np.copyto(pix.reshape(w2, p, c), cols[k].reshape(p, w2, c).transpose(1, 0, 2))
+                _column_sums(pix, term[k])
 
-        _run_chunks(gather, n * h2, q * w * c, gather_scratch)
-        sum_g = _channel_sum(g_pix, c)
-        sum_gx_hat = _channel_sum(g_pix, c, x_pix)
-        del g_pix, x_pix
+        sums = np.zeros((2, c))
+        _run_chunks(gather, n * h2, q * w * c, gather_scratch, sums)
+        sum_g, sum_gx_hat = sums
         if _tracked(gamma):
             _accumulate(gamma, sum_gx_hat)
         if _tracked(beta):
@@ -1185,7 +1180,7 @@ def conv_block(
         def scatter_scratch(r: int) -> tuple:
             return np.empty((r, w2 * c)), np.empty((r, w * c)), np.empty((r, w2 * c), dtype=bool)
 
-        def scatter(part: slice, buffers: tuple) -> None:
+        def scatter(part: slice, buffers: tuple, _) -> None:
             # batch norm's input gradient, written over x_hat in y's buffer:
             # ((g - shift) - x_hat * scale) * coeff in train mode, g * coeff
             # in eval mode, with g the chain's full-size gradient
@@ -1194,7 +1189,7 @@ def conv_block(
             x_windows = rows[part.start * q : part.stop * q].reshape(r, q, w * c)
             if train:
                 np.multiply(x_windows, scale_w, out=x_windows)
-            g = g_win[part]
+            g = g_out[part]
             row_pixels = g_row.view(pixels.dtype).reshape(r, w2, p)
             for a in range(q):
                 # g at time offset a of each window: the window's gradient
@@ -1214,7 +1209,7 @@ def conv_block(
 
         _run_chunks(scatter, n * h2, q * w * c, scatter_scratch)
         # spent: free them before the conv allocates its input gradient
-        del g_out, g_win, winner
+        del g_out, winner
         out.grad = None
         _conv_backward(x, kernel, padding, y)
 

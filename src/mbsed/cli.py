@@ -79,13 +79,10 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     run = _load_config(args)
     post = model_post_config(run, load_checkpoint(args.checkpoint).config)
+    # features are cached beside the audio only where a config's [data] asks
+    cache = {"cache": run.data.cache_features} if args.config else {}
     events_path, tags_path = run_prediction(
-        args.checkpoint,
-        args.audio,
-        args.out,
-        post=post,
-        rate=run.data.sample_rate,
-        cache=run.data.cache_features,
+        args.checkpoint, args.audio, args.out, post=post, rate=run.data.sample_rate, **cache
     )
     with open(events_path, encoding="utf-8") as fh:
         n_events = sum(1 for _ in fh)

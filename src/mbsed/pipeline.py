@@ -144,7 +144,8 @@ def clip_features(dataset_dir: Path, clip_id: str, cache: bool, rate: int) -> np
 
     A cache file is read only when its stamp names this frontend and the
     bytes of the clip's WAV, or any WAV once the WAV is gone; otherwise the
-    features are computed and the file is written again.
+    features are computed and the file is written again. A cache file that
+    cannot be written raises PipelineError.
     """
     cache_path = dataset_dir / FEATURE_DIR / str(rate) / f"{clip_id}.mel"
     wav_path = dataset_dir / f"{clip_id}.wav"
@@ -164,8 +165,11 @@ def clip_features(dataset_dir: Path, clip_id: str, cache: bool, rate: int) -> np
     except ValueError as exc:  # a clip shorter than one hop
         raise AudioIOError(f"{wav_path}: {exc}") from None
     if cache:
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        write_features(cache_path, feats, stamp)
+        try:
+            cache_path.parent.mkdir(parents=True, exist_ok=True)
+            write_features(cache_path, feats, stamp)
+        except OSError as exc:
+            raise PipelineError(f"cannot write feature cache {cache_path}: {exc}") from None
     return feats
 
 

@@ -4,10 +4,15 @@
 relu in its output, gradients and running buffers. All four live here,
 because the model calls only the fused op; ``conv2d`` wraps the conv that
 ``conv_block`` runs (``_conv_forward`` and ``_conv_backward``). Batch norm
-takes its statistics and sums with the helpers ``conv_block`` uses, in the
-same order, so the two can agree bit for bit. Pooling is reshape then
-``reduce_max`` over freq, then over time, whose gradient goes to the first
-maximal element of each window in row-major (time, freq) order.
+takes every per-channel sum (its mean, centered square sum, and the sums
+of g and g * x_hat) with ``_channel_sums``, whose chunks hold whole groups
+of ``window`` rows. The chain passes its time pool as ``window``, so the
+chunks are ``conv_block``'s chunks of whole pooling windows, and the two
+agree bit for bit: ``_channel_sums`` ignores exact zeros, such as those of
+the full-size gradient the chain sums where ``conv_block`` sums only the
+winners. Pooling is reshape then ``reduce_max`` over freq, then over time,
+whose gradient goes to the first maximal element of each window in
+row-major (time, freq) order.
 """
 
 import numpy as np
@@ -16,12 +21,12 @@ from mbsed.autodiff import (
     ShapeError,
     Tensor,
     _accumulate,
-    _batch_statistics,
-    _channel_sum,
+    _channel_sums,
     _check_batch_norm,
     _check_conv,
     _conv_backward,
     _conv_forward,
+    _move_running,
     _record,
     _tracked,
     as_tensor,
@@ -64,12 +69,15 @@ def batch_norm(
     eps: float = 1e-5,
     momentum: float = 0.1,
     train: bool = True,
+    window: int = 1,
 ) -> Tensor:
     """Per-channel normalization of NHWC input over the (N, H, W) axes.
 
     Train mode normalizes with batch statistics and updates the running
     buffers in place (unbiased variance for the running estimate); eval
-    mode applies the running statistics as constants.
+    mode applies the running statistics as constants. Each sum's chunks
+    hold whole groups of ``window`` rows of x (``_channel_sums``; N*H must
+    be a multiple): a conv_block's time pool gives its sums' chunks.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.ndim != 4:
@@ -85,7 +93,10 @@ def batch_norm(
         return np.tile(v, w)
 
     if train:
-        mean, var = _batch_statistics(rows, c, running_mean, running_var, momentum)
+        mean = _channel_sums(rows, c, window) / m
+        dev = rows - tiled(mean)
+        var = _channel_sums(np.multiply(dev, dev, out=dev), c, window) / m
+        _move_running(running_mean, running_var, mean, var, m, momentum)
     else:
         mean, var = running_mean, running_var
     x_hat = rows - tiled(mean)
@@ -99,8 +110,8 @@ def batch_norm(
         if out.grad is None:
             return
         g = np.ascontiguousarray(out.grad).reshape(n * h, w * c)
-        sum_g = _channel_sum(g, c)
-        sum_gx_hat = _channel_sum(g, c, x_hat)
+        sum_g = _channel_sums(g, c, window)
+        sum_gx_hat = _channel_sums(g * x_hat, c, window)
         if _tracked(gamma):
             _accumulate(gamma, sum_gx_hat)
         if _tracked(beta):

@@ -98,23 +98,46 @@ def batch_norm_loops(x, gamma, beta, eps):
     return out
 
 
+def chunked_channel_sums(rows, c, chunk_rows):
+    """Per-channel sums of channels-last (R, W*C) ``rows``, one add at a
+    time: per chunk of ``chunk_rows`` rows, the rows in sequence, then the
+    W pixels of their sum in sequence; the chunks' terms added in order to
+    0.0."""
+    total = np.zeros(c)
+    for start in range(0, len(rows), chunk_rows):
+        chunk = rows[start : start + chunk_rows]
+        col = chunk[0]
+        for row in chunk[1:]:
+            col = col + row
+        pixels = col.reshape(-1, c)
+        term = pixels[0]
+        for pixel in pixels[1:]:
+            term = term + pixel
+        total = total + term
+    return total
+
+
 def batch_norm_textbook(x, gamma, beta, running_mean, running_var, g, eps, momentum):
-    """np.mean/np.var batch norm in train mode: output, running stats and
-    the gradients of sum(out * g) with respect to x, gamma and beta."""
-    axes = (0, 1, 2)
-    m = x.shape[0] * x.shape[1] * x.shape[2]
-    mean = np.mean(x, axis=axes)
-    var = np.var(x, axis=axes)
+    """Batch norm in train mode with its sums in ``_channel_sums``'s chunks
+    of (N*H, W*C) rows (``chunked_channel_sums``): output, running stats
+    and the gradients of sum(out * g) with respect to x, gamma and beta."""
+    n, h, w, c = x.shape
+    m = n * h * w
+    chunk_rows = max(1, ad.CHUNK_DOUBLES // (w * c))
+
+    def sums(a):
+        return chunked_channel_sums(a.reshape(n * h, w * c), c, chunk_rows)
+
+    mean = sums(x) / m
+    var = sums((x - mean) ** 2) / m
     running_mean = running_mean * (1.0 - momentum) + momentum * mean
     running_var = running_var * (1.0 - momentum) + momentum * (var * (m / (m - 1)))
     inv_sigma = 1.0 / np.sqrt(var + eps)
     x_hat = (x - mean) * inv_sigma
     out = gamma * x_hat + beta
-    grad_gamma = (g * x_hat).sum(axis=axes)
-    grad_beta = g.sum(axis=axes)
-    grad_x = (gamma * inv_sigma) * (
-        g - np.mean(g, axis=axes) - x_hat * np.mean(g * x_hat, axis=axes)
-    )
+    grad_gamma = sums(g * x_hat)
+    grad_beta = sums(g)
+    grad_x = (gamma * inv_sigma) * (g - grad_beta / m - x_hat * (grad_gamma / m))
     return out, running_mean, running_var, grad_x, grad_gamma, grad_beta
 
 
@@ -453,6 +476,77 @@ class TestConv2d:
 # batch_norm
 
 
+def wide_range(rng, shape):
+    """Normal draws scaled over many orders of magnitude, so that adding
+    them in another order moves bits."""
+    return rng.standard_normal(shape) * np.exp(rng.uniform(-20.0, 20.0, shape))
+
+
+class TestChannelSums:
+    """``_channel_sums``, the one order of every batch-norm sum: per chunk
+    of whole groups of ``window`` rows, the rows in sequence, then the
+    row's pixels; the chunks in order."""
+
+    # (W, C): rows one double wide are a single column, which numpy's
+    # reduce would add pairwise
+    @pytest.mark.parametrize("window", [1, 3])
+    @pytest.mark.parametrize("w, c", [(7, 1), (7, 2), (7, 5), (1, 1)])
+    def test_matches_chunk_loop_oracle(self, monkeypatch, w, c, window):
+        monkeypatch.setattr(ad, "CHUNK_DOUBLES", 1 << 10)
+        groups = max(1, ad.CHUNK_DOUBLES // (window * w * c))
+        rng = np.random.default_rng(10 * c + window)
+        # five full chunks and a partial sixth
+        rows = wide_range(rng, ((5 * groups + 2) * window, w * c))
+        want = chunked_channel_sums(rows, c, groups * window)
+        assert same_bits(ad._channel_sums(rows, c, window), want)
+
+    def test_one_chunk_up_to_chunk_doubles(self):
+        rng = np.random.default_rng(11)
+        w, c = 16, 4
+        rows = wide_range(rng, (ad.CHUNK_DOUBLES // (w * c) + 1, w * c))
+        want = chunked_channel_sums(rows, c, ad.CHUNK_DOUBLES // (w * c))
+        assert same_bits(ad._channel_sums(rows, c), want)
+        assert not same_bits(ad._channel_sums(rows, c), chunked_channel_sums(rows, c, len(rows)))
+
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_same_bits_at_any_thread_count(self, blas_threads, monkeypatch, c):
+        # 33 chunks, so 2 and 4 threads run them on the pool
+        monkeypatch.setattr(ad, "CHUNK_DOUBLES", 1 << 9)
+        w, window = 8, 2
+        groups = ad.CHUNK_DOUBLES // (window * w * c)
+        rows = wide_range(np.random.default_rng(12 + c), ((32 * groups + 1) * window, w * c))
+        sums = []
+        for threads in (1, 2, 4):
+            blas_threads(threads)
+            sums.append(ad._channel_sums(rows, c, window))
+        assert all(same_bits(sums[0], other) for other in sums[1:])
+        assert same_bits(sums[0], chunked_channel_sums(rows, c, groups * window))
+
+    @pytest.mark.parametrize("w, c", [(6, 1), (6, 2), (6, 5), (1, 1)])
+    def test_exact_zeros_change_no_bit(self, monkeypatch, w, c):
+        # each row of ``dense`` spread over a group of q rows: every column
+        # of a group holds the row's value in one of its q rows, chosen at
+        # random, and exact zeros of random sign in the others, as the
+        # chain's full-size gradient holds a window row's winners
+        monkeypatch.setattr(ad, "CHUNK_DOUBLES", 1 << 10)
+        q = 4
+        rng = np.random.default_rng(13 + c + w)
+        groups = ad.CHUNK_DOUBLES // (q * w * c)
+        dense = wide_range(rng, (3 * groups + 1, w * c))
+        dense[rng.random(dense.shape) < 0.2] = 0.0
+        spread = np.where(rng.random((len(dense), q, w * c)) < 0.5, 0.0, -0.0)
+        at = rng.integers(0, q, dense.shape)
+        np.put_along_axis(spread, at[:, None], dense[:, None], axis=1)
+        spread = spread.reshape(-1, w * c)
+        want = chunked_channel_sums(dense, c, groups)
+        assert same_bits(ad._channel_sums(spread, c, q), want)
+        # and no zero's sign moves a bit either
+        flipped = np.where(spread == 0.0, -np.copysign(0.0, spread), spread)
+        assert same_bits(ad._channel_sums(flipped, c, q), want)
+        assert same_bits(ad._channel_sums(spread + 0.0, c, q), want)
+        assert same_bits(ad._channel_sums(np.zeros((8, w * c)) * -1.0, c), np.zeros(c))
+
+
 class TestBatchNorm:
     def test_normalizes_each_channel(self):
         rng = np.random.default_rng(1)
@@ -534,9 +628,12 @@ class TestBatchNorm:
         assert grad_check(lambda t: loss_wrt(t, "gamma"), gamma) <= 1e-6
         assert grad_check(lambda t: loss_wrt(t, "beta"), beta) <= 1e-6
 
-    # the last two span several variance slabs (SLAB_DOUBLES // C rows each)
+    # (2, 300, 20, 40) and (2, 700, 200, 1) span two chunks
+    # (CHUNK_DOUBLES // (W*C) rows each)
     @pytest.mark.parametrize(
-        "shape", [(4, 7, 6, 3), (2, 9, 5, 1), (3, 10, 8, 40), (2, 300, 20, 40), (2, 200, 120, 3)]
+        "shape",
+        [(4, 7, 6, 3), (2, 9, 5, 1), (3, 10, 8, 40), (2, 300, 20, 40), (2, 200, 120, 3),
+         (2, 700, 200, 1)],
     )
     def test_train_mode_matches_textbook_bit_for_bit(self, shape):
         rng = np.random.default_rng(sum(shape))
@@ -553,6 +650,14 @@ class TestBatchNorm:
         got = (out.data, rm, rv, x.grad, gamma.grad, beta.grad)
         for name, a, b in zip(("out", "mean", "var", "x", "gamma", "beta"), got, want):
             assert same_bits(a, b), name
+        # the chunked sums' statistics are np.mean's and np.var's to a
+        # relative 1e-10 (each adds about 3e5 values at most here)
+        rows = x.data.reshape(-1, shape[2] * c)
+        m = rows.size // c
+        mean = ad._channel_sums(rows, c) / m
+        var = ad._channel_sums(np.square(rows - np.tile(mean, shape[2])), c) / m
+        np.testing.assert_allclose(mean, np.mean(x.data, axis=(0, 1, 2)), rtol=1e-10)
+        np.testing.assert_allclose(var, np.var(x.data, axis=(0, 1, 2)), rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -671,9 +776,12 @@ class TestReduce:
 
 
 def conv_block_chain(x, kernel, gamma, beta, running_mean, running_var, padding, q, p, train=True):
-    """conv_block as the four ops it fuses, in the encoder's order."""
+    """conv_block as the four ops it fuses, in the encoder's order; batch
+    norm's sums take chunks of whole pooling windows, as conv_block's do."""
     y = conv2d(x, kernel, padding)
-    y = batch_norm(y, gamma, beta, running_mean, running_var, eps=1e-5, momentum=0.1, train=train)
+    y = batch_norm(
+        y, gamma, beta, running_mean, running_var, eps=1e-5, momentum=0.1, train=train, window=q
+    )
     return relu(max_pool_by_reduce_max(y, q, p))
 
 
@@ -720,6 +828,32 @@ class TestConvBlock:
         for name, a, b in zip(names, *results):
             assert same_bits(a, b), name
         assert np.any(results[0][0] == 0.0)  # relu cut some windows
+
+    # (q, p, W): one channel pooled to one freq bin, so the gather's column
+    # sums run over rows one double wide, at q = 1 and 4; and one channel
+    # one bin wide, so the chain's sums do too
+    @pytest.mark.parametrize("pools", [(4, 4, 4), (1, 4, 4), (4, 1, 1)])
+    def test_one_double_wide_rows_match_chain(self, pools):
+        q, p, w = pools
+        rng = np.random.default_rng(35)
+        # values over many orders of magnitude, so that a sum in another
+        # order moves bits
+        x_data = np.maximum(rng.standard_normal((2, 64 * q, w, 3)), 0.0)
+        x_data *= np.exp(rng.uniform(-3.0, 3.0, x_data.shape))
+        k_data = rng.standard_normal((1, 3, 3, 3))
+        probe = rng.standard_normal((2, 64, w // p, 1))
+        probe *= np.exp(rng.uniform(-5.0, 5.0, probe.shape))
+        results = []
+        for op in (conv_block, conv_block_chain):
+            tensors = [
+                Tensor(a.copy(), requires_grad=True)
+                for a in (x_data, k_data, np.array([0.9]), np.array([0.3]))
+            ]
+            out = op(*tensors, np.zeros(1), np.ones(1), (1, 1), q, p)
+            reduce_sum(ad.mul(out, probe)).backward()
+            results.append([out.data] + [t.grad for t in tensors])
+        for name, a, b in zip(("out", "x", "kernel", "gamma", "beta"), *results):
+            assert same_bits(a, b), name
 
     @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
     @pytest.mark.parametrize("gammas", list(BLOCK_GAMMAS))
@@ -789,13 +923,13 @@ class TestConvBlock:
         assert x.grad is not None and kernel.grad is not None
 
     @pytest.mark.parametrize("w", [16, 8], ids=["block1", "block2"])
-    def test_backward_holds_input_gradient_and_two_pooled_arrays(self, w):
+    def test_backward_holds_input_gradient_and_winner_bytes(self, w):
         # the small preset's blocks 1 and 2 at batch 2: 40 -> 40 channels,
         # 3x3, freq pool 2, on 16 and 8 bins. Beyond the tape, the backward
-        # holds relu's gradient and the winners' x_hat, each as large as the
-        # pooled output, and then the input gradient: it copies no padded
-        # output gradient, keeps one byte per window for the winners, and
-        # frees its pooled-size arrays before the conv's backward
+        # holds one byte per window for the winners, and then the input
+        # gradient: it writes relu's gradient over its own output gradient,
+        # takes the batch-norm sums in its chunks' scratch, copies no padded
+        # output gradient, and frees the winners before the conv's backward
         rng = np.random.default_rng(34)
         x = Tensor(rng.standard_normal((2, 500, w, 40)), requires_grad=True)
         kernel = Tensor(rng.standard_normal((40, 40, 3, 3)) * 0.1, requires_grad=True)
@@ -813,7 +947,7 @@ class TestConvBlock:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= x.data.nbytes + 2 * out.data.nbytes + slack
+        assert peak <= x.data.nbytes + out.data.size + slack
         assert x.grad is not None and kernel.grad is not None
 
     @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
@@ -859,7 +993,7 @@ class TestConvBlock:
         lock = threading.Lock()
         active, most, buffers, names = [0], [0], set(), set()
 
-        def fn(part, buf):
+        def fn(part, buf, term):
             with lock:
                 active[0] += 1
                 most[0] = max(most[0], active[0])
@@ -1076,10 +1210,11 @@ class TestNoGrad:
 # (input shape, kernel shape, input tracked): with SLAB_DOUBLES at 2**12,
 # each has 8 or more forward slabs and backward pieces, so 2 and 4 BLAS
 # threads run them on the pool: a tracked input (im2col of the padded
-# output gradient), one input channel and one output channel (the
-# kernel-gradient operands widened by _gemm_rows), a 1x1 kernel with one
-# output channel (one im2col column), and untracked inputs at a width of 32
-# (the kernel gradient alone, over im2col pieces of the padded input)
+# output gradient), one input channel and one output channel (one-column
+# kernel-gradient operands, which numpy multiplies as a gemv), a 1x1
+# kernel with one output channel (one im2col column), and untracked inputs
+# at a width of 32 (the kernel gradient alone, over im2col pieces of the
+# padded input)
 THREADED_CONVS = {
     "tracked": ((4, 60, 16, 8), (8, 8, 3, 3), True),
     "tracked_one_channel": ((4, 60, 16, 1), (1, 1, 3, 3), True),

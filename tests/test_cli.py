@@ -254,8 +254,28 @@ class TestTrain:
             path.write_bytes(path.read_bytes()[:64] + struct.pack("<II", 0, 64))  # no frames
         assert "clip_0000.mel: feature cache header claims an empty 0x64 matrix" in train_error()
 
+    def test_unwritable_feature_cache(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run_cli(["synth", "--clips", 2, "--clip-seconds", 5, "--out", data]) == 0
+        (data / "features").write_text("not a directory", encoding="utf-8")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[data]\ntrain_dir = {data}\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli(["train", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"cannot write feature cache {data / 'features' / '22050' / 'clip_0000.mel'}" in err
+
 
 class TestPredict:
+    def test_writes_no_feature_cache_without_config(self, checkpoint, tmp_path):
+        audio = tmp_path / "audio"
+        assert run_cli(["synth", "--clips", 2, "--clip-seconds", 5, "--out", audio]) == 0
+        assert run_cli([
+            "predict", "--checkpoint", checkpoint, "--audio", audio, "--out", tmp_path / "e.tsv",
+        ]) == 0
+        assert not (audio / "features").exists()
+
     def test_outputs(self, checkpoint, dataset, tmp_path, capsys):
         out = tmp_path / "pred" / "events.tsv"
         code = run_cli([

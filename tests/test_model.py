@@ -222,7 +222,8 @@ class TestModelShape:
 def relu_then_pool_encode(model, batch, rng):
     """Model.encode rebuilt from generic ops in conv, BN, relu, pool, dropout
     order, pooling by reshape -> reduce_max over freq, then over time, and
-    dropout masks drawn from ``rng`` over (N, C, T, F)."""
+    dropout masks drawn from ``rng`` over (N, C, T, F); batch norm's sums
+    take chunks of whole pooling windows, as conv_block's do."""
     x = Tensor(batch[:, :, :, None])
     for block in model.blocks:
         spec = block.spec
@@ -230,7 +231,7 @@ def relu_then_pool_encode(model, batch, rng):
         x = conv2d(x, block.kernel, padding=(kh // 2, kw // 2))
         x = batch_norm(
             x, block.gamma, block.beta, block.running_mean, block.running_var,
-            eps=BN_EPS, momentum=BN_MOMENTUM, train=True,
+            eps=BN_EPS, momentum=BN_MOMENTUM, train=True, window=spec.time_pool,
         )
         x = relu(x)
         n, h, w, c = x.shape
