@@ -63,15 +63,6 @@ class AudioClip:
         return len(self.samples) / self.sample_rate
 
 
-@dataclass
-class LogMelClip:
-    """T x F log-mel matrix plus the hop that maps frames to seconds."""
-
-    features: np.ndarray
-    frame_hop_seconds: float
-    clip_id: str = ""
-
-
 def load_wav(path) -> AudioClip:
     """Read a PCM-16 RIFF/WAVE file; stereo is averaged to mono.
 
@@ -165,8 +156,9 @@ def mel_filterbank(sample_rate: int, n_fft: int, n_bands: int = N_BANDS) -> np.n
     return fb
 
 
-def logmel(clip: AudioClip, clip_id: str = "") -> LogMelClip:
-    """Log-power mel features: T = ceil(n_samples / hop) frames, one row each.
+def logmel(clip: AudioClip) -> np.ndarray:
+    """Log-power mel features, a (T, N_BANDS) array: T = ceil(n_samples /
+    hop) frames, one row each, ``frame_hop_seconds(rate)`` apart.
 
     Frames are centered by reflect padding of half a frame, Hann windowed,
     zero padded to the next power of two for the FFT, and projected onto
@@ -194,8 +186,7 @@ def logmel(clip: AudioClip, clip_id: str = "") -> LogMelClip:
     power = np.square(spectrum.real)
     power += np.square(spectrum.imag)
     mel_power = power @ mel_filterbank(sr, n_fft).T
-    features = np.log(np.maximum(mel_power, LOG_FLOOR))
-    return LogMelClip(features, frame_hop_seconds=hop / sr, clip_id=clip_id)
+    return np.log(np.maximum(mel_power, LOG_FLOOR))
 
 
 # ---------------------------------------------------------------------------

@@ -572,16 +572,17 @@ def _slabs(
     ]
 
 
-def _check_conv(x: Tensor, kernel: Tensor, padding: tuple[int, int]) -> None:
+def _check_conv(x: Tensor, kernel: Tensor) -> None:
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv expects 4-D input and kernel, got {x.shape} and {kernel.shape}")
     _, h, w, c = x.shape
     _, ck, kh, kw = kernel.shape
     if ck != c:
         raise ShapeError(f"kernel channels {ck} do not match input channels {c}")
-    ph, pw = padding
-    if kh > h + 2 * ph or kw > w + 2 * pw:
-        raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h + 2 * ph}x{w + 2 * pw}")
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ShapeError(f"kernel {kh}x{kw} has an even side, which no padding centres")
+    if h == 0 or w == 0:
+        raise ShapeError(f"conv input {h}x{w} has no rows or no columns")
 
 
 def _windows(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
@@ -601,34 +602,33 @@ def _columns(windows: np.ndarray, buf: np.ndarray) -> np.ndarray:
 
 
 def _im2col(
-    a: np.ndarray, padding: tuple[int, int], kh: int, kw: int, parts: list[tuple[slice, slice]]
+    a: np.ndarray, kh: int, kw: int, parts: list[tuple[slice, slice]]
 ) -> tuple[Callable[[], object], Callable[[tuple, object], np.ndarray]]:
-    """``(scratch, columns)`` for the im2col rows of NHWC ``a`` with
-    ``padding`` (rows, columns) of zeros on both sides of each image axis
-    (a negative count crops that many instead), over ``parts``: (clips,
-    rows) slices of the output of a (kh, kw) conv over it, the first the
-    largest (``_slabs``). ``scratch()`` makes one part's buffers, on the
-    calling thread as ``_run_parts`` requires, and ``columns(part,
-    buffers)`` returns the part's (pixels, kh*kw*C) im2col rows.
+    """``(scratch, columns)`` for the im2col rows of the "same" (kh, kw)
+    conv of NHWC ``a``, whose odd sides pad (kh // 2, kw // 2) zeros on
+    both sides of each image axis, over ``parts``: (clips, rows) slices of
+    the output, which is ``a``'s size, the first the largest (``_slabs``).
+    ``scratch()`` makes one part's buffers, on the calling thread as
+    ``_run_parts`` requires, and ``columns(part, buffers)`` returns the
+    part's (pixels, kh*kw*C) im2col rows.
 
     Each part pads its own rows, padded rows ``start`` to ``stop + kh - 1``,
-    so nothing of ``a``'s size is copied. Where the padding adds no zeros
-    they are a view of ``a``. Otherwise they are copied into a buffer whose
-    border columns are zero from the start, and only the halo rows that a
-    part at a clip's edge reads from outside the clip are zeroed again.
+    so nothing of ``a``'s size is copied. A 1x1 kernel pads nothing, and
+    its rows are a view of ``a``. Otherwise they are copied into a buffer
+    whose border columns are zero from the start, and only the halo rows
+    that a part at a clip's edge reads from outside the clip are zeroed
+    again.
     """
     n, h, w, c = a.shape
-    ph, pw = padding
-    crop_h, crop_w = max(0, -ph), max(0, -pw)  # rows and columns cropped on each side
-    wp = w + 2 * pw
+    ph, pw = kh // 2, kw // 2
     clips, rows = parts[0]
-    shape = (clips.stop - clips.start, rows.stop - rows.start + kh - 1, wp, c)
-    pixels = shape[0] * (rows.stop - rows.start) * (wp - kw + 1)
-    if ph <= 0 and pw <= 0:
-        windows = _windows(a[:, crop_h : h - crop_h, crop_w : w - crop_w], kh, kw)
+    shape = (clips.stop - clips.start, rows.stop - rows.start + kh - 1, w + 2 * pw, c)
+    pixels = shape[0] * (rows.stop - rows.start) * w
+    if kh == kw == 1:
+        windows = _windows(a, 1, 1)
 
         def scratch() -> np.ndarray:
-            return np.empty((pixels, kh * kw * c))
+            return np.empty((pixels, c))
 
         def columns(part: tuple, cols: np.ndarray) -> np.ndarray:
             return _columns(windows[part], cols)
@@ -645,36 +645,31 @@ def _im2col(
         nb = clips.stop - clips.start
         # the rows of ``a`` that the part's windows cover, and those of them
         # inside the clip
-        top, bottom = rows.start - ph, rows.stop + kh - 1 - ph
-        lo = min(max(top, 0), bottom)
-        hi = max(min(bottom, h), lo)
-        if lo > top:
-            padded[:nb, : lo - top] = 0.0
-        if hi < bottom:
-            padded[:nb, hi - top : bottom - top] = 0.0
-        inner = padded[:nb, lo - top : hi - top, max(0, pw) : wp - max(0, pw)]
-        inner[...] = a[clips, lo:hi, crop_w : w - crop_w]
+        top, bottom = rows.start - ph, rows.stop + ph
+        lo, hi = max(top, 0), min(bottom, h)
+        padded[:nb, : lo - top] = 0.0
+        padded[:nb, hi - top : bottom - top] = 0.0
+        padded[:nb, lo - top : hi - top, pw : pw + w] = a[clips, lo:hi]
         return _columns(windows[:nb, : rows.stop - rows.start], cols)
 
     return scratch, columns
 
 
-def _conv_forward(x: np.ndarray, kernel: np.ndarray, padding: tuple[int, int]) -> np.ndarray:
-    """(N, H', W', K) cross-correlation of NHWC ``x``, zero-padded by
-    ``padding``, with a (K, C, kh, kw) kernel: unit stride, no bias (batch
-    norm's beta is the shift). It is im2col over slabs of output pixels
-    (``_slabs``), whole clips when one fits in ``SLAB_DOUBLES`` and rows of
-    one clip otherwise: each slab pads its own input rows (``_im2col``),
-    one ``np.copyto`` fills its columns and one gemm writes its output
-    rows, so no temporary grows with the batch."""
+def _conv_forward(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """(N, H, W, K) "same" cross-correlation of NHWC ``x`` with a (K, C,
+    kh, kw) kernel of odd sides, zero-padded by (kh // 2, kw // 2): unit
+    stride, no bias (batch norm's beta is the shift). It is im2col over
+    slabs of output pixels (``_slabs``), whole clips when one fits in
+    ``SLAB_DOUBLES`` and rows of one clip otherwise: each slab pads its own
+    input rows (``_im2col``), one ``np.copyto`` fills its columns and one
+    gemm writes its output rows, so no temporary grows with the batch."""
     n, h, w, c = x.shape
     k, _, kh, kw = kernel.shape
-    h2, w2 = h + 2 * padding[0] - kh + 1, w + 2 * padding[1] - kw + 1
     width = kh * kw * c
-    slabs = _slabs(n, h2, w2, SLAB_DOUBLES // width)
-    scratch, columns = _im2col(x, padding, kh, kw, slabs)
+    slabs = _slabs(n, h, w, SLAB_DOUBLES // width)
+    scratch, columns = _im2col(x, kh, kw, slabs)
     kmat = kernel.transpose(2, 3, 1, 0).reshape(width, k)
-    out = np.empty((n, h2, w2, k))
+    out = np.empty((n, h, w, k))
 
     def slab_gemm(slab: tuple, buffers, _) -> None:
         np.dot(columns(slab, buffers), kmat, out=out[slab].reshape(-1, k))
@@ -683,24 +678,24 @@ def _conv_forward(x: np.ndarray, kernel: np.ndarray, padding: tuple[int, int]) -
     return out
 
 
-def _conv_backward(x: Tensor, kernel: Tensor, padding: tuple[int, int], g: np.ndarray) -> None:
-    """Accumulate the kernel and input gradients of a conv whose contiguous
-    output gradient is ``g``, over pieces of rows of one clip, each of which
-    pads its own rows (``_im2col``). With the input tracked, a piece of at
-    most ``PIECE_PIXELS`` pixels of the input takes one im2col copy of its
-    rows of ``g`` padded by (kh - 1 - ph, kw - 1 - pw) (cropped where
-    negative), whose columns feed two gemms: with the flipped kernel into
-    the piece's input-gradient rows, and with its input rows into its
-    kernel-gradient term. With the input untracked (an encoder's first
-    block), im2col pieces of the padded input, as many times
-    ``PIECE_PIXELS`` pixels of the output as fit in ``SLAB_DOUBLES``, give
-    the terms alone. ``_run_parts`` adds the terms in piece order."""
+def _conv_backward(x: Tensor, kernel: Tensor, g: np.ndarray) -> None:
+    """Accumulate the kernel and input gradients of a "same" conv whose
+    contiguous output gradient is ``g``, over pieces of rows of one clip,
+    each of which pads its own rows (``_im2col``). With the input tracked,
+    a piece of at most ``PIECE_PIXELS`` pixels of the input takes one
+    im2col copy of its rows of ``g``, "same"-padded like the input, whose
+    columns feed two gemms: with the flipped kernel into the piece's
+    input-gradient rows, and with its input rows into its kernel-gradient
+    term. With the input untracked (an encoder's first block), im2col
+    pieces of the input, as many times ``PIECE_PIXELS`` pixels of the
+    output as fit in ``SLAB_DOUBLES``, give the terms alone. ``_run_parts``
+    adds the terms in piece order."""
     k, c, kh, kw = kernel.shape
     if _tracked(x):
         # row (i, j, k) of an x pixel's column of the padded g meets that
         # pixel through kernel offset (kh - 1 - i, kw - 1 - j)
         pieces = _slabs(*x.shape[:3], PIECE_PIXELS, whole_clips=False)
-        scratch, columns = _im2col(g, (kh - 1 - padding[0], kw - 1 - padding[1]), kh, kw, pieces)
+        scratch, columns = _im2col(g, kh, kw, pieces)
         gx = np.empty(x.shape)
         width = kh * kw * k
         kflip = kernel.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(width, c)
@@ -722,7 +717,7 @@ def _conv_backward(x: Tensor, kernel: Tensor, padding: tuple[int, int], g: np.nd
         width = kh * kw * c
         many = max(1, SLAB_DOUBLES // width // PIECE_PIXELS)
         pieces = _slabs(*g.shape[:3], many * PIECE_PIXELS, whole_clips=False)
-        scratch, columns = _im2col(x.data, padding, kh, kw, pieces)
+        scratch, columns = _im2col(x.data, kh, kw, pieces)
         total = np.zeros((k, width))
 
         def piece_grad(piece: tuple, buffers, term: np.ndarray) -> None:
@@ -732,9 +727,13 @@ def _conv_backward(x: Tensor, kernel: Tensor, padding: tuple[int, int], g: np.nd
         _accumulate(kernel, total.reshape(k, kh, kw, c).transpose(0, 3, 1, 2))
 
 
-def _check_batch_norm(c: int, gamma: Tensor, beta: Tensor, eps: float) -> None:
-    if eps <= 0.0:
-        raise ValueError(f"batch norm eps must be positive, got {eps}")
+# Batch norm's variance floor and running-buffer momentum, the same in
+# every encoder block.
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
+
+
+def _check_batch_norm(c: int, gamma: Tensor, beta: Tensor) -> None:
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"gamma/beta must have shape ({c},)")
 
@@ -906,14 +905,15 @@ def _channel_sums(rows: np.ndarray, c: int, window: int = 1) -> np.ndarray:
     return total
 
 
-def _move_running(running_mean, running_var, mean, var, m: int, momentum: float) -> None:
-    """Move the running buffers in place toward a batch's mean and biased
-    variance over ``m`` values (unbiased variance for the running estimate)."""
-    running_mean *= 1.0 - momentum
-    running_mean += momentum * mean
+def _move_running(running_mean, running_var, mean, var, m: int) -> None:
+    """Move the running buffers in place by ``BN_MOMENTUM`` toward a batch's
+    mean and biased variance over ``m`` values (unbiased variance for the
+    running estimate)."""
+    running_mean *= 1.0 - BN_MOMENTUM
+    running_mean += BN_MOMENTUM * mean
     unbiased = var * (m / (m - 1)) if m > 1 else var
-    running_var *= 1.0 - momentum
-    running_var += momentum * unbiased
+    running_var *= 1.0 - BN_MOMENTUM
+    running_var += BN_MOMENTUM * unbiased
 
 
 def _pool_windows(x: np.ndarray, time_pool: int, freq_pool: int):
@@ -972,18 +972,17 @@ def conv_block(
     beta: Tensor,
     running_mean: np.ndarray,
     running_var: np.ndarray,
-    padding: tuple[int, int] = (0, 0),
-    time_pool: int = 1,
-    freq_pool: int = 1,
-    eps: float = 1e-5,
-    momentum: float = 0.1,
+    time_pool: int,
+    freq_pool: int,
     train: bool = True,
 ) -> Tensor:
-    """conv2d, then batch norm, max-pooling and relu as one op, with the
-    same bits as that chain of ops in its output, gradients and running
-    buffers (the chain is in the tests' ``reference`` module, whose batch
-    norm takes the time pool as its sums' ``window``, so that they have
-    this op's chunks of whole window rows).
+    """One encoder block: a "same" conv (odd kernel sides, padded by
+    (kh // 2, kw // 2), unit stride, no bias), then batch norm (``BN_EPS``,
+    ``BN_MOMENTUM``), max-pooling and relu as one op, with the same bits as
+    that chain of ops in its output, gradients and running buffers (the
+    chain is in the tests' ``reference`` module, whose batch norm takes the
+    time pool as its sums' ``window``, so that they have this op's chunks
+    of whole window rows).
 
     Batch norm maps each channel through (((y - mean) * inv_sigma) * gamma)
     + beta, and every step of that chain, rounding included, is monotone:
@@ -995,27 +994,32 @@ def conv_block(
     else at full resolution; the conv pads each slab's rows itself
     (``_im2col``), so no padded copy of the input is made either.
 
-    Every per-channel sum of batch norm (the mean, the centered square sum,
-    and the backward's sums of g and g * x_hat) is a ``_channel_sums``: one
-    term per chunk of whole window rows, the chunks fixed by
-    ``CHUNK_DOUBLES`` and the row width, each term a plain axis-0
+    Train and eval mode differ only in where mean and var come from: the
+    batch, with the running buffers moved toward it, or the running
+    buffers. Every per-channel sum of batch norm (the mean, the centered
+    square sum, and the backward's sums of g and g * x_hat) is a
+    ``_channel_sums``: one term per chunk of whole window rows, the chunks
+    fixed by ``CHUNK_DOUBLES`` and the row width, each term a plain axis-0
     reduction of the chunk's W*C-wide rows folded over the W pixels, the
     terms added in chunk order. Each term is taken in the chunk sweep that
-    reads those rows: forward, the mean in a pass of its own, then the
-    centered squares beside the raw window max (``_window_max``), after
-    which train mode normalizes and relus the pooled values (eval mode in
-    that sweep). Backward, one sweep recomputes x_hat in ``y``'s buffer
-    with the forward's ops and, offset by offset in row-major (time, freq)
-    order, copies the offset's x_hat into a contiguous buffer and finds the
-    winners: each window's gradient goes to its first element whose
-    recomputed normalized value equals the window's output, the chain's
-    tie rule (where relu cut a window the gradient is zero, so the pooled
-    output stands in for the pre-relu maximum). The chain sums a full-size
-    gradient that is zero off the winners; this sweep sums, per column of
-    a window row, the one winner the chain's q rows hold there, and exact
-    zeros change no bit of a ``_channel_sums``. A second sweep writes batch
-    norm's input gradient over ``y``'s buffer, which goes to the conv
-    backward.
+    reads those rows. Forward: the mean in a pass of its own (train mode),
+    then the raw window max (``_window_max``) with, in train mode, the
+    centered squares beside it, then one pass that normalizes and relus
+    the pooled values. Backward, one sweep recomputes x_hat in ``y``'s
+    buffer with the forward's ops and, offset by offset in row-major
+    (time, freq) order, copies the offset's x_hat into a contiguous buffer
+    and finds the winners: each window's gradient goes to its first
+    element whose recomputed normalized value equals the window's output,
+    the chain's tie rule (where relu cut a window the gradient is zero, so
+    the pooled output stands in for the pre-relu maximum). The chain sums
+    a full-size gradient that is zero off the winners; this sweep sums,
+    per column of a window row, the one winner the chain's q rows hold
+    there, and exact zeros change no bit of a ``_channel_sums``. A second
+    sweep writes batch norm's input gradient, ((g - shift) - x_hat *
+    scale) * coeff, over ``y``'s buffer, which goes to the conv backward.
+    In eval mode the statistics are constants, so shift and scale are
+    zero: the formula gives g * coeff up to the sign of a zero, which the
+    conv backward's zero-started sums make +0.0.
 
     Beyond the tape, the backward allocates each window's winning offset
     as one byte (q*p where no offset won, as where relu cut the window),
@@ -1035,9 +1039,9 @@ def conv_block(
     one item of C doubles per pixel (a void view of ``y``).
     """
     x, kernel, gamma, beta = as_tensor(x), as_tensor(kernel), as_tensor(gamma), as_tensor(beta)
-    _check_conv(x, kernel, padding)
-    _check_batch_norm(kernel.shape[0], gamma, beta, eps)
-    y = _conv_forward(x.data, kernel.data, padding)
+    _check_conv(x, kernel)
+    _check_batch_norm(kernel.shape[0], gamma, beta)
+    y = _conv_forward(x.data, kernel.data)
     windows = _pool_windows(y, time_pool, freq_pool)
     n, h, w, c = y.shape
     q, p = time_pool, freq_pool
@@ -1047,31 +1051,12 @@ def conv_block(
     if train:
         mean = _channel_sums(rows, c, q) / m
     else:
-        mean, var = running_mean.copy(), running_var
+        mean, var = running_mean, running_var
     mean_w = np.tile(mean, w)
     flip = gamma.data < 0.0
     sign = np.tile(np.where(flip, -1.0, 1.0), w) if flip.any() else None
     # pooled rows of F'*C doubles
     pooled = np.empty((n * h2, w2 * c))
-
-    def normalizer(var: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], None]]:
-        # inv_sigma, and normalize-and-relu in place for pooled rows
-        inv_sigma = 1.0 / np.sqrt(var + eps)
-        mean_p, inv_sigma_p, gamma_p, beta_p = (
-            np.tile(v, w2) for v in (mean, inv_sigma, gamma.data, beta.data)
-        )
-
-        def normalize(v: np.ndarray) -> None:
-            v -= mean_p
-            v *= inv_sigma_p
-            v *= gamma_p
-            v += beta_p
-            np.maximum(v, 0.0, out=v)
-
-        return inv_sigma, normalize
-
-    if not train:
-        inv_sigma, normalize = normalizer(var)
 
     def pool_scratch(r: int) -> tuple:
         # _window_max's row maxima, which need a buffer when q > 1, and in
@@ -1083,21 +1068,31 @@ def conv_block(
         work, dev, pix = buffers
         v = pooled[part]
         _window_max(windows[part], v.reshape(-1, w2, c), sign, work[: len(v)])
-        if not train:
-            normalize(v)
-            return
-        dev = dev[: len(v) * q]
-        np.subtract(rows[part.start * q : part.stop * q], mean_w, out=dev)
-        np.multiply(dev, dev, out=dev)
-        _partial_sum(dev, pix, term)
+        if term is not None:
+            dev = dev[: len(v) * q]
+            np.subtract(rows[part.start * q : part.stop * q], mean_w, out=dev)
+            np.multiply(dev, dev, out=dev)
+            _partial_sum(dev, pix, term)
 
     square_sum = np.zeros(c) if train else None
     _run_chunks(pool, n * h2, q * w * c, pool_scratch, square_sum)
     if train:
         var = square_sum / m
-        _move_running(running_mean, running_var, mean, var, m, momentum)
-        inv_sigma, normalize = normalizer(var)
-        _run_chunks(lambda part, *_: normalize(pooled[part]), n * h2, q * w * c, lambda _: None)
+        _move_running(running_mean, running_var, mean, var, m)
+    inv_sigma = 1.0 / np.sqrt(var + BN_EPS)
+    mean_p, inv_sigma_p, gamma_p, beta_p = (
+        np.tile(v, w2) for v in (mean, inv_sigma, gamma.data, beta.data)
+    )
+
+    def normalize(part: slice, *_) -> None:
+        v = pooled[part]
+        v -= mean_p
+        v *= inv_sigma_p
+        v *= gamma_p
+        v += beta_p
+        np.maximum(v, 0.0, out=v)
+
+    _run_chunks(normalize, n * h2, q * w * c, lambda _: None)
     out = Tensor(pooled.reshape(n, h2, w2, c))
 
     def backward():
@@ -1112,7 +1107,6 @@ def conv_block(
         # q*p where no offset won (relu cut the window)
         winner = np.zeros(pooled.shape, dtype=np.min_scalar_type(q * p))
         inv_sigma_w = np.tile(inv_sigma, w)
-        gamma_p, beta_p = np.tile(gamma.data, w2), np.tile(beta.data, w2)
         # y's pixels as items of C doubles: reading one window offset then
         # copies one item per pixel, not C strided doubles
         pixels = windows.view(np.dtype((np.void, 8 * c)))[..., 0]
@@ -1174,44 +1168,41 @@ def conv_block(
             _accumulate(beta, sum_g)
         if not (_tracked(x) or _tracked(kernel)):
             return
-        shift_p = np.tile(sum_g / m, w2)
-        scale_w, coeff_w = np.tile(sum_gx_hat / m, w), np.tile(gamma.data * inv_sigma, w)
+        # eval mode's statistics are constants, so they pass no gradient on
+        shift, scale = sums / m if train else np.zeros((2, c))
+        shift_p = np.tile(shift, w2)
+        scale_w, coeff_w = np.tile(scale, w), np.tile(gamma.data * inv_sigma, w)
 
         def scatter_scratch(r: int) -> tuple:
             return np.empty((r, w2 * c)), np.empty((r, w * c)), np.empty((r, w2 * c), dtype=bool)
 
         def scatter(part: slice, buffers: tuple, _) -> None:
-            # batch norm's input gradient, written over x_hat in y's buffer:
-            # ((g - shift) - x_hat * scale) * coeff in train mode, g * coeff
-            # in eval mode, with g the chain's full-size gradient
+            # batch norm's input gradient, ((g - shift) - x_hat * scale) *
+            # coeff with g the chain's full-size gradient, written over
+            # x_hat in y's buffer
             r = part.stop - part.start
             g_ab, g_row, hit = (b[:r] for b in buffers)
             x_windows = rows[part.start * q : part.stop * q].reshape(r, q, w * c)
-            if train:
-                np.multiply(x_windows, scale_w, out=x_windows)
+            np.multiply(x_windows, scale_w, out=x_windows)
             g = g_out[part]
             row_pixels = g_row.view(pixels.dtype).reshape(r, w2, p)
             for a in range(q):
-                # g at time offset a of each window: the window's gradient
-                # at its winner, 0.0 elsewhere, as one row of W pixels
+                # g - shift at time offset a of each window: the window's
+                # gradient at its winner, 0.0 elsewhere, as one row of W pixels
                 for b in range(p):
                     np.equal(winner[part], a * p + b, out=hit)
                     np.multiply(g, hit, out=g_ab)
-                    if train:
-                        g_ab -= shift_p
+                    g_ab -= shift_p
                     np.copyto(row_pixels[:, :, b], g_ab.view(pixels.dtype))
                 dx = x_windows[:, a]
-                if train:
-                    np.subtract(g_row, dx, out=dx)
-                else:
-                    np.copyto(dx, g_row)
+                np.subtract(g_row, dx, out=dx)
             np.multiply(x_windows, coeff_w, out=x_windows)
 
         _run_chunks(scatter, n * h2, q * w * c, scatter_scratch)
         # spent: free them before the conv allocates its input gradient
         del g_out, winner
         out.grad = None
-        _conv_backward(x, kernel, padding, y)
+        _conv_backward(x, kernel, y)
 
     return _record((x, kernel, gamma, beta), out, backward)
 

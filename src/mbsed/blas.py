@@ -9,7 +9,9 @@ process, other numpy work in it included. So every BLAS product in mbsed
 that follow from its operands alone, and no call site has to ask for it.
 Parallelism comes only from mbsed's own threads (the chunk pool of
 ``autodiff._run_parts`` and ``pipeline.map_clips``) and the ablation's
-worker processes, each sized by ``threads()``. A later change to
+worker processes: ``run_ablation`` starts ``worker_count()`` of them (one
+per CPU, or ``MBSED_WORKERS``), and each gets ``cpu_count() // workers``
+threads (at least one) as its ``threads()``. A later change to
 OpenBLAS's thread count no longer reaches mbsed; ``set_threads`` changes
 mbsed's. A numpy without OpenBLAS runs mbsed on one thread.
 """

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 from typing import get_origin
 
 from .audio import MAX_SAMPLE_RATE, MIN_SAMPLE_RATE
-from .model import BranchSpec
+from .model import PRESETS, BranchSpec
 from .pooling import MilStrategy
 
 
@@ -75,8 +75,10 @@ class RunConfig:
         # the float checks are written so that NaN fails them
         if not MIN_SAMPLE_RATE <= self.data.sample_rate <= MAX_SAMPLE_RATE:
             raise ConfigError(f"sample_rate must lie in [{MIN_SAMPLE_RATE}, {MAX_SAMPLE_RATE}] Hz")
-        if self.model.preset not in ("small", "large"):
-            raise ConfigError(f"model preset must be small or large, got {self.model.preset!r}")
+        if self.model.preset not in PRESETS:
+            raise ConfigError(
+                f"model preset must be one of {', '.join(PRESETS)}, got {self.model.preset!r}"
+            )
         self.branch_specs()
         if self.training.batch_size < 1 or self.training.epochs < 1:
             raise ConfigError("batch_size and epochs must be positive")

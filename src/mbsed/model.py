@@ -31,8 +31,6 @@ from .pooling import (
 CHECKPOINT_MAGIC = b"MBL1"
 CHECKPOINT_VERSION = 1
 
-BN_EPS = 1e-5
-BN_MOMENTUM = 0.1
 PROB_CLAMP = 1e-7
 
 
@@ -237,6 +235,10 @@ def large_config(num_classes: int, branches: tuple[BranchSpec, ...], seed: int =
     )
 
 
+# the presets a run config names, each a factory of (num_classes, branches)
+PRESETS = {"small": small_config, "large": large_config}
+
+
 @dataclass
 class ConvBlock:
     # no conv bias: batch norm right after would cancel it, beta shifts instead
@@ -352,7 +354,6 @@ class Model:
         x = Tensor(batch[:, :frames, :, None])  # N,T,F,1
         for block in self.blocks:
             spec = block.spec
-            kh, kw = spec.kernel
             # conv, batch norm, max pooling and relu in one op that pools the
             # conv output before normalizing it and keeps only that output
             # at full resolution (see ad.conv_block)
@@ -363,11 +364,8 @@ class Model:
                 block.beta,
                 block.running_mean,
                 block.running_var,
-                padding=(kh // 2, kw // 2),
                 time_pool=spec.time_pool,
                 freq_pool=spec.freq_pool,
-                eps=BN_EPS,
-                momentum=BN_MOMENTUM,
                 train=train,
             )
             if train and spec.dropout > 0.0:

@@ -41,13 +41,12 @@ from .events import (
 )
 from .metrics import EvalReport, event_based_f1, segment_based_f1
 from .model import (
+    PRESETS,
     BranchSpec,
     Model,
     ModelConfig,
-    large_config,
     load_checkpoint,
     save_checkpoint,
-    small_config,
     train_model,
 )
 from .postprocess import DEFAULT_WINDOW, PostConfig, adaptive_window, probs_to_events
@@ -161,7 +160,7 @@ def clip_features(dataset_dir: Path, clip_id: str, cache: bool, rate: int) -> np
         raise PipelineError(f"missing audio file {wav_path}")
     clip = load_audio(wav_path, rate)
     try:
-        feats = logmel(clip, clip_id=clip_id).features
+        feats = logmel(clip)
     except ValueError as exc:  # a clip shorter than one hop
         raise AudioIOError(f"{wav_path}: {exc}") from None
     if cache:
@@ -232,9 +231,8 @@ def build_model_config(
     and class labels are the ones passed here.
     """
     if model_config is None:
-        factory = small_config if run.model.preset == "small" else large_config
         model_config = dataclasses.replace(
-            factory(len(class_labels), branches),
+            PRESETS[run.model.preset](len(class_labels), branches),
             learning_rate=run.training.learning_rate,
             batch_size=run.training.batch_size,
             epochs=run.training.epochs,

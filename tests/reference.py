@@ -2,22 +2,28 @@
 
 ``conv_block`` must give the same bits as conv2d → batch norm → max-pool →
 relu in its output, gradients and running buffers. All four live here,
-because the model calls only the fused op; ``conv2d`` wraps the conv that
-``conv_block`` runs (``_conv_forward`` and ``_conv_backward``). Batch norm
-takes every per-channel sum (its mean, centered square sum, and the sums
-of g and g * x_hat) with ``_channel_sums``, whose chunks hold whole groups
-of ``window`` rows. The chain passes its time pool as ``window``, so the
-chunks are ``conv_block``'s chunks of whole pooling windows, and the two
-agree bit for bit: ``_channel_sums`` ignores exact zeros, such as those of
-the full-size gradient the chain sums where ``conv_block`` sums only the
-winners. Pooling is reshape then ``reduce_max`` over freq, then over time,
-whose gradient goes to the first maximal element of each window in
-row-major (time, freq) order.
+because the model calls only the fused op. ``conv2d`` wraps the "same"
+conv that ``conv_block`` runs (``_conv_forward`` and ``_conv_backward``):
+odd kernel sides, padded by (kh // 2, kw // 2), so the output is the
+input's size. Batch norm uses the op's ``BN_EPS`` and moves the running
+buffers by its ``_move_running``. In train mode its input gradient is
+((g - shift) - x_hat * scale) * coeff; in eval mode it is g * coeff, the
+textbook form that ``conv_block``'s one formula reaches with zero shift
+and scale. It takes every per-channel sum (its mean, centered square sum,
+and the sums of g and g * x_hat) with ``_channel_sums``, whose chunks hold
+whole groups of ``window`` rows. The chain passes its time pool as
+``window``, so the chunks are ``conv_block``'s chunks of whole pooling
+windows, and the two agree bit for bit: ``_channel_sums`` ignores exact
+zeros, such as those of the full-size gradient the chain sums where
+``conv_block`` sums only the winners. Pooling is reshape then
+``reduce_max`` over freq, then over time, whose gradient goes to the first
+maximal element of each window in row-major (time, freq) order.
 """
 
 import numpy as np
 
 from mbsed.autodiff import (
+    BN_EPS,
     ShapeError,
     Tensor,
     _accumulate,
@@ -35,16 +41,17 @@ from mbsed.autodiff import (
 )
 
 
-def conv2d(x: Tensor, kernel: Tensor, padding: tuple[int, int] = (0, 0)) -> Tensor:
-    """2-D cross-correlation of NHWC input with a KCkhkw kernel, NHWC out:
-    zero padding, unit stride, no bias."""
+def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
+    """2-D "same" cross-correlation of NHWC input with a KCkhkw kernel of
+    odd sides, NHWC out of the input's size: zero padding, unit stride, no
+    bias."""
     x, kernel = as_tensor(x), as_tensor(kernel)
-    _check_conv(x, kernel, padding)
-    out = Tensor(_conv_forward(x.data, kernel.data, padding))
+    _check_conv(x, kernel)
+    out = Tensor(_conv_forward(x.data, kernel.data))
 
     def backward():
         if out.grad is not None:
-            _conv_backward(x, kernel, padding, np.ascontiguousarray(out.grad))
+            _conv_backward(x, kernel, np.ascontiguousarray(out.grad))
 
     return _record((x, kernel), out, backward)
 
@@ -66,24 +73,23 @@ def batch_norm(
     beta: Tensor,
     running_mean: np.ndarray,
     running_var: np.ndarray,
-    eps: float = 1e-5,
-    momentum: float = 0.1,
     train: bool = True,
     window: int = 1,
 ) -> Tensor:
     """Per-channel normalization of NHWC input over the (N, H, W) axes.
 
-    Train mode normalizes with batch statistics and updates the running
-    buffers in place (unbiased variance for the running estimate); eval
-    mode applies the running statistics as constants. Each sum's chunks
-    hold whole groups of ``window`` rows of x (``_channel_sums``; N*H must
-    be a multiple): a conv_block's time pool gives its sums' chunks.
+    Train mode normalizes with batch statistics and moves the running
+    buffers in place by ``BN_MOMENTUM`` (unbiased variance for the running
+    estimate); eval mode applies the running statistics as constants. Each
+    sum's chunks hold whole groups of ``window`` rows of x
+    (``_channel_sums``; N*H must be a multiple): a conv_block's time pool
+    gives its sums' chunks.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.ndim != 4:
         raise ShapeError(f"batch_norm expects 4-D NHWC input, got {x.shape}")
     n, h, w, c = x.shape
-    _check_batch_norm(c, gamma, beta, eps)
+    _check_batch_norm(c, gamma, beta)
     m = n * h * w
     # Elementwise work runs on (N*H, W*C) rows against per-channel vectors
     # tiled W times, so the inner loops stay long when C is small.
@@ -96,11 +102,11 @@ def batch_norm(
         mean = _channel_sums(rows, c, window) / m
         dev = rows - tiled(mean)
         var = _channel_sums(np.multiply(dev, dev, out=dev), c, window) / m
-        _move_running(running_mean, running_var, mean, var, m, momentum)
+        _move_running(running_mean, running_var, mean, var, m)
     else:
         mean, var = running_mean, running_var
     x_hat = rows - tiled(mean)
-    inv_sigma = 1.0 / np.sqrt(var + eps)
+    inv_sigma = 1.0 / np.sqrt(var + BN_EPS)
     x_hat *= tiled(inv_sigma)
     out_rows = x_hat * tiled(gamma.data)
     out_rows += tiled(beta.data)

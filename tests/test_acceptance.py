@@ -120,8 +120,8 @@ def op_checks(rng):
         ("reduce_mean", lambda x: proj(ad.reduce_mean(x, axis=1, keepdims=True), w31), t(3, 4)),
         ("reduce_max", lambda x: proj(ad.reduce_max(x, axis=1), w4), x_max),
         ("softmax", lambda x: proj(ad.softmax(x, scale=3.0, axis=-1), w34), t(3, 4)),
-        ("conv2d_kernel", lambda k: proj(conv2d(img, k, padding=(1, 1)), w_conv), kern),
-        ("conv2d_input", lambda x: proj(conv2d(x, kern, padding=(1, 1)), w_conv), img),
+        ("conv2d_kernel", lambda k: proj(conv2d(img, k), w_conv), kern),
+        ("conv2d_input", lambda x: proj(conv2d(x, kern), w_conv), img),
         ("batch_norm_train", bn_train, x_bn),
         ("batch_norm_gamma", lambda g: proj(batch_norm(x_bn, g, beta, np.zeros(3), np.ones(3), train=True), w_bn), gamma),
         ("batch_norm_beta", lambda b: proj(batch_norm(x_bn, gamma, b, np.zeros(3), np.ones(3), train=True), w_bn), beta),
@@ -143,7 +143,7 @@ def op_checks(rng):
         def fn(t):
             args = block[:i] + [t] + block[i + 1 :]
             # fresh buffers per call, as for bn_train
-            out = ad.conv_block(*args, np.zeros(3), np.ones(3), (1, 1), time_pool=2, freq_pool=3)
+            out = ad.conv_block(*args, np.zeros(3), np.ones(3), time_pool=2, freq_pool=3)
             return proj(out, w_block)
 
         return fn
@@ -259,7 +259,7 @@ def test_frontend_shape():
     ]
     for samples in clips:
         t0 = time.monotonic()
-        feats = logmel(AudioClip(samples, PIPELINE_RATE)).features
+        feats = logmel(AudioClip(samples, PIPELINE_RATE))
         elapsed = time.monotonic() - t0
         assert feats.shape == (500, 64)
         assert np.all(np.isfinite(feats))

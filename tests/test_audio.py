@@ -15,6 +15,7 @@ from mbsed.audio import (
     AudioClip,
     AudioIOError,
     feature_stamp,
+    frame_hop_seconds,
     hz_to_mel,
     load_audio,
     load_wav,
@@ -116,7 +117,7 @@ class TestWavIO:
         # a lower header rate is refused (see test_rejects_malformed_chunks)
         path = tmp_path / "r.wav"
         write_wav(path, AudioClip(np.full(10 * MIN_SAMPLE_RATE, 0.1), MIN_SAMPLE_RATE))
-        assert logmel(load_wav(path)).features.shape == (500, 64)
+        assert logmel(load_wav(path)).shape == (500, 64)
 
     def test_rejects_malformed_chunks(self, tmp_path):
         path = tmp_path / "ok.wav"
@@ -204,34 +205,30 @@ class TestMelScale:
     def test_features_match_an_uncached_filterbank(self, monkeypatch):
         rng = np.random.default_rng(3)
         clip = AudioClip(rng.uniform(-1, 1, 22050), PIPELINE_RATE)
-        cached = logmel(clip).features
+        cached = logmel(clip)
         monkeypatch.setattr(audio, "mel_filterbank", mel_filterbank.__wrapped__)
-        assert same_bits(cached, logmel(clip).features)
+        assert same_bits(cached, logmel(clip))
 
 
 class TestLogmel:
     def test_ten_second_clip_is_500_by_64(self):
         clip = tone(1000.0, seconds=10.0)
-        feats = logmel(clip)
-        assert feats.features.shape == (500, 64)
-        assert feats.frame_hop_seconds == pytest.approx(0.02)
+        assert logmel(clip).shape == (500, 64)
+        assert frame_hop_seconds(PIPELINE_RATE) == pytest.approx(0.02)
 
     def test_frame_count_is_ceil(self):
         for n in (441, 442, 881, 882, 1000, 22050):
             clip = AudioClip(np.zeros(n), PIPELINE_RATE)
-            feats = logmel(clip)
-            assert feats.features.shape[0] == math.ceil(n / 441), n
+            assert logmel(clip).shape[0] == math.ceil(n / 441), n
 
     def test_silence_hits_log_floor_everywhere(self):
         clip = AudioClip(np.zeros(22050), PIPELINE_RATE)
-        feats = logmel(clip)
-        np.testing.assert_array_equal(feats.features, math.log(LOG_FLOOR))
+        np.testing.assert_array_equal(logmel(clip), math.log(LOG_FLOOR))
 
     def test_all_values_finite(self):
         rng = np.random.default_rng(0)
         clip = AudioClip(rng.uniform(-1, 1, 22050), PIPELINE_RATE)
-        feats = logmel(clip)
-        assert np.all(np.isfinite(feats.features))
+        assert np.all(np.isfinite(logmel(clip)))
 
     def test_rejects_sub_hop_clip(self):
         with pytest.raises(ValueError, match="shorter than one hop"):
@@ -239,7 +236,7 @@ class TestLogmel:
 
     def test_tone_peaks_in_band_containing_frequency(self):
         clip = tone(1000.0, seconds=2.0)
-        feats = logmel(clip).features
+        feats = logmel(clip)
         fb = mel_filterbank(PIPELINE_RATE, 1024, 64)
         nearest_bin = int(round(1000.0 / (PIPELINE_RATE / 1024)))
         expected_band = int(np.argmax(fb[:, nearest_bin]))
@@ -249,8 +246,8 @@ class TestLogmel:
     def test_doubling_waveform_adds_ln4_above_floor(self):
         rng = np.random.default_rng(1)
         base = 0.25 * rng.standard_normal(22050)
-        a = logmel(AudioClip(base, PIPELINE_RATE)).features
-        b = logmel(AudioClip(2.0 * base, PIPELINE_RATE)).features
+        a = logmel(AudioClip(base, PIPELINE_RATE))
+        b = logmel(AudioClip(2.0 * base, PIPELINE_RATE))
         above = a > math.log(LOG_FLOOR)
         np.testing.assert_allclose(
             (b - a)[above], math.log(4.0), atol=1e-12, rtol=0
@@ -260,21 +257,17 @@ class TestLogmel:
         # near-silence with one loud region: floored cells must not move
         samples = np.zeros(22050)
         samples[5000:6000] = 0.5
-        a = logmel(AudioClip(samples, PIPELINE_RATE)).features
-        b = logmel(AudioClip(2.0 * samples, PIPELINE_RATE)).features
+        a = logmel(AudioClip(samples, PIPELINE_RATE))
+        b = logmel(AudioClip(2.0 * samples, PIPELINE_RATE))
         floored = a == math.log(LOG_FLOOR)
         assert floored.any()
         assert np.array_equal(b[floored], a[floored])
 
     def test_deterministic(self):
         clip = tone(523.25, seconds=1.0)
-        x = logmel(clip).features
-        y = logmel(clip).features
+        x = logmel(clip)
+        y = logmel(clip)
         assert np.array_equal(x, y)
-
-    def test_carries_clip_id(self):
-        feats = logmel(tone(200.0, seconds=0.1), clip_id="clip_0007")
-        assert feats.clip_id == "clip_0007"
 
     @pytest.mark.parametrize("rate", [PIPELINE_RATE, 44100])
     def test_same_bits_at_any_blas_thread_count(self, blas_threads, rate):
@@ -286,7 +279,7 @@ class TestLogmel:
         feats = []
         for threads in (1, 2, 4):
             blas_threads(threads)
-            feats.append(logmel(clip).features)
+            feats.append(logmel(clip))
         assert same_bits(feats[0], feats[1]) and same_bits(feats[0], feats[2])
 
 

@@ -15,7 +15,7 @@ from mbsed.audio import AudioClip, frame_hop_seconds, write_features, write_wav
 from mbsed.cli import main
 from mbsed.config import load_run_config
 from mbsed.events import read_events_tsv, write_events_tsv
-from mbsed.model import CnnBlockSpec, Model, load_checkpoint, save_checkpoint
+from mbsed.model import PRESETS, CnnBlockSpec, Model, load_checkpoint, save_checkpoint
 from mbsed.pipeline import load_dataset, post_config_from_run, predict_events
 
 from test_model import digest_over, join_checkpoint, split_checkpoint
@@ -126,7 +126,7 @@ class TestTrain:
     def test_repeats_write_seed_suffixed_checkpoints(
         self, run_config_path, tmp_path, capsys, monkeypatch
     ):
-        monkeypatch.setattr("mbsed.pipeline.small_config", tiny_preset)
+        monkeypatch.setitem(PRESETS, "small", tiny_preset)
         out = tmp_path / "run"
         code = run_cli([
             "train", "--config", run_config_path, "--seed", 5, "--repeats", 3, "--out", out,
@@ -481,7 +481,7 @@ class TestEvaluate:
 class TestAblate:
     def test_table_on_stdout(self, run_config_path, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("mbsed.pipeline.ABLATION_ROWS", [("E-GMP",), ("E-GMP", "I-GAP")])
-        monkeypatch.setattr("mbsed.pipeline.small_config", tiny_preset)
+        monkeypatch.setitem(PRESETS, "small", tiny_preset)
         out = tmp_path / "abl"
         code = run_cli([
             "ablate", "--config", run_config_path, "--repeats", 2, "--out", out,

@@ -1,6 +1,7 @@
 """Checks on how the modules of ``mbsed`` depend on each other."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import mbsed
@@ -59,3 +60,33 @@ def unused_imports(path: Path) -> list[str]:
 def test_no_module_imports_a_name_it_never_uses():
     found = [use for path in sorted(PACKAGE.glob("*.py")) for use in unused_imports(path)]
     assert not found, "\n".join(found)
+
+
+def names_read(path: Path) -> set[str]:
+    """Every name ``path`` reads, imports or takes as an attribute."""
+    tree = ast.parse(path.read_text(), str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_public_autodiff_function_has_a_caller_in_mbsed():
+    # an op that loses its last caller in the package goes with it; the
+    # tensor coercion and the gradient checker serve the tests
+    from mbsed import autodiff
+
+    used = set().union(*(
+        names_read(path) for path in PACKAGE.glob("*.py") if path.name != "autodiff.py"
+    ))
+    public = {
+        name for name, value in vars(autodiff).items()
+        if inspect.isfunction(value) and value.__module__ == autodiff.__name__
+        and not name.startswith("_")
+    }
+    assert public - used - {"as_tensor", "grad_check"} == set()

@@ -12,8 +12,6 @@ import pytest
 from mbsed import autodiff as ad
 from mbsed.autodiff import Tensor
 from mbsed.model import (
-    BN_EPS,
-    BN_MOMENTUM,
     Adam,
     BranchSpec,
     CheckpointError,
@@ -227,11 +225,10 @@ def relu_then_pool_encode(model, batch, rng):
     x = Tensor(batch[:, :, :, None])
     for block in model.blocks:
         spec = block.spec
-        kh, kw = spec.kernel
-        x = conv2d(x, block.kernel, padding=(kh // 2, kw // 2))
+        x = conv2d(x, block.kernel)
         x = batch_norm(
             x, block.gamma, block.beta, block.running_mean, block.running_var,
-            eps=BN_EPS, momentum=BN_MOMENTUM, train=True, window=spec.time_pool,
+            train=True, window=spec.time_pool,
         )
         x = relu(x)
         n, h, w, c = x.shape

@@ -173,7 +173,7 @@ class TestLoadDataset:
         fresh = load_dataset(dataset, cache=False)
         for clip_id, a, b, c in zip(new.clip_ids, old.features, new.features, fresh.features):
             wav = dataset / f"{clip_id}.wav"
-            want = logmel(load_audio(wav)).features
+            want = logmel(load_audio(wav))
             assert np.array_equal(b, want) and np.array_equal(c, want)
             assert not np.array_equal(a, want)
             # rewritten under the new WAV's stamp
@@ -583,7 +583,7 @@ class TestAblation:
         x = ad.Tensor(rng.standard_normal((2, 500, 64, 1)), requires_grad=True)
         kernel = ad.Tensor(rng.standard_normal((8, 1, 3, 3)), requires_grad=True)
         gamma, beta = ad.Tensor(np.ones(8)), ad.Tensor(np.zeros(8))
-        out = ad.conv_block(x, kernel, gamma, beta, np.zeros(8), np.ones(8), (1, 1), 1, 4)
+        out = ad.conv_block(x, kernel, gamma, beta, np.zeros(8), np.ones(8), 1, 4)
         ad.reduce_sum(out).backward()
         assert any(t.name.startswith("mbsed-chunk") for t in threading.enumerate())
 
