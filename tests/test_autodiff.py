@@ -1328,7 +1328,7 @@ class TestConvOnThePool:
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     @pytest.mark.parametrize("phase", ["forward", "backward"])
-    def test_raising_piece_propagates_and_the_pool_still_works(
+    def test_blas_count_restored_when_a_piece_raises(
         self, blas_threads, small_slabs, monkeypatch, threads, phase
     ):
         # the copy of a middle slab or piece raises; the error reaches the
@@ -1355,6 +1355,7 @@ class TestConvOnThePool:
         monkeypatch.setattr(ad, "_columns", failing)
         with pytest.raises(RuntimeError, match="piece failed"):
             conv_step(*args)
+        assert blas.threads() == threads
         monkeypatch.setattr(ad, "_columns", columns)
         got = conv_step(*args)
         for name, a, b in zip(("output", "kernel grad", "input grad"), want, got):
