@@ -8,9 +8,12 @@ Hann-windowed frames with 50% overlap, so a 10 second clip maps to a
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
+import os
 import struct
+import threading
 import wave
 from dataclasses import dataclass
 
@@ -57,10 +60,6 @@ class AudioClip:
 
     samples: np.ndarray
     sample_rate: int
-
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
 
 
 def load_wav(path) -> AudioClip:
@@ -230,10 +229,19 @@ def write_features(path, features: np.ndarray, stamp: bytes) -> None:
         raise ValueError(f"feature matrix must be 2-D, got shape {features.shape}")
     if len(stamp) != _STAMP_BYTES or not stamp.startswith(FEATURE_MAGIC):
         raise ValueError("a feature cache stamp is what feature_stamp returns for a WAV")
-    with open(path, "wb") as fh:
-        fh.write(stamp)
-        fh.write(struct.pack("<II", features.shape[0], features.shape[1]))
-        fh.write(features.astype("<f8").tobytes())
+    # written whole beside ``path`` and then moved over it, so a write cut
+    # short leaves no file that reads as a damaged cache
+    tmp = f"{os.fspath(path)}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(stamp)
+            fh.write(struct.pack("<II", features.shape[0], features.shape[1]))
+            fh.write(features.astype("<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def read_features(path, stamp: bytes = b"") -> np.ndarray | None:

@@ -12,15 +12,12 @@ seconds and output bytes, on every thread.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import functools
 import math
-import os
 import queue
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Sequence
 
 import numpy as np
@@ -746,26 +743,6 @@ CHUNK_DOUBLES = 1 << 18
 # may hold between them (2 MiB), unless two parts' scratch is more.
 SCRATCH_DOUBLES = 1 << 18
 
-# ((pid, threads), pool) of the last _run_parts call that needed threads. A
-# pool made before fork has no threads in the child, so a new pid gets its own.
-_chunk_pool: tuple[tuple[int, int], ThreadPoolExecutor] | None = None
-_chunk_pool_lock = threading.Lock()
-
-
-def _pool_of(threads: int) -> ThreadPoolExecutor:
-    """The chunk pool of ``threads`` threads of this process."""
-    global _chunk_pool
-    key = (os.getpid(), threads)
-    with _chunk_pool_lock:
-        if _chunk_pool is None or _chunk_pool[0] != key:
-            if _chunk_pool is not None and _chunk_pool[0][0] == key[0]:
-                _chunk_pool[1].shutdown(wait=False)
-            _chunk_pool = (key, ThreadPoolExecutor(
-                threads, thread_name_prefix="mbsed-chunk", initializer=blas.init_pool_thread
-            ))
-        return _chunk_pool[1]
-
-
 def _nbytes(buffers) -> int:
     """Bytes that the arrays in ``buffers``, an array or a tuple of them,
     own: a view of another array's memory adds none."""
@@ -785,43 +762,34 @@ def _run_parts(
     calling thread, as a serial loop would add them.
 
     Every product in ``fn`` runs at one BLAS thread, as every product in
-    the process does once mbsed is imported (``mbsed.blas``), and the parts
-    run on a pool of ``blas.threads()`` threads (OpenBLAS's count as read
-    at that import), at most one per four parts at once. Where that allows
-    only one at once they run inline: an ablation worker with one thread,
-    or a pool thread of mbsed's own (a ``map_clips`` clip), starts none,
-    and a small op skips the hand-off. ``fn`` must only write its own part
-    of a shared output, so the result does not depend on the thread count
-    or on which parts run together.
+    the process does once mbsed is imported, and the parts run through
+    ``blas.run_in_order``, at most ``blas.threads()`` and one per four parts
+    at once: inline where that is one (an ablation worker with one thread,
+    a ``map_clips`` clip on a pool thread, or a small op). ``fn`` must only
+    write its own part of a shared output, so the result does not depend
+    on the thread count or on which parts run together.
 
-    Every buffer is made on the calling thread: ``buffers`` is what
-    ``scratch()`` returned, one set per running part, and ``term`` one of
-    at most two per running part, reused once added: memory a pool thread
-    allocates stays in that thread's malloc arena once freed, so it would
-    add to the process's resident size. The parts that run at once hold
-    at most ``SCRATCH_DOUBLES`` of buffers and terms between them, or two
-    parts' worth where one part's is more, so scratch memory does not grow
-    with the core count. If a part raises, the parts not yet started are
-    dropped, the started ones finish, and the first exception in part
-    order propagates.
+    Every buffer is made on the calling thread, since memory a pool thread
+    allocates stays in its malloc arena once freed: ``buffers`` is what
+    ``scratch()`` returned, one set per running part, and part i's ``term``
+    is ``terms[i % len(terms)]``, of two per running part (one inline), free
+    again as the runner starts part i only once part i - 2 * running is
+    added. The parts that run at once hold at most ``SCRATCH_DOUBLES`` of
+    buffers and terms between them, or two parts' worth where one part's
+    is more, so scratch memory does not grow with the core count.
     """
     buffers = scratch()
     part_bytes = _nbytes(buffers) + (0 if total is None else 2 * total.nbytes)
-    threads = blas.threads()
     # parts that run at once
-    running = min(threads, len(parts) // 4, max(2, SCRATCH_DOUBLES * 8 // max(1, part_bytes)))
-    if running <= 1:
-        term = None if total is None else np.empty_like(total)
-        for part in parts:
-            fn(part, buffers, term)
-            if total is not None:
-                np.add(total, term, out=total)
-        return
-    pool = _pool_of(threads)
+    running = min(
+        blas.threads(), len(parts) // 4, max(2, SCRATCH_DOUBLES * 8 // max(1, part_bytes))
+    )
     free = queue.SimpleQueue()
     free.put(buffers)
     for _ in range(running - 1):
         free.put(scratch())
+    terms = [None if total is None else np.empty_like(total)
+             for _ in range(2 * running if running > 1 else 1)]
 
     def run(part, term: np.ndarray | None) -> np.ndarray | None:
         buffers = free.get()
@@ -831,27 +799,12 @@ def _run_parts(
             free.put(buffers)
         return term
 
-    spare = [None if total is None else np.empty_like(total) for _ in range(2 * running)]
-    pending = collections.deque()
-
-    def add_oldest() -> None:
-        term = pending.popleft().result()  # re-raises the part's exception
+    def add(term: np.ndarray | None) -> None:
         if total is not None:
             np.add(total, term, out=total)
-        spare.append(term)
 
-    try:
-        for part in parts:
-            if not spare:
-                add_oldest()
-            pending.append(pool.submit(run, part, spare.pop()))
-        while pending:
-            add_oldest()
-    except BaseException:
-        for future in pending:
-            future.cancel()
-        wait(pending)
-        raise
+    tasks = (functools.partial(run, part, terms[i % len(terms)]) for i, part in enumerate(parts))
+    blas.run_in_order(tasks, running, add)
 
 
 def _run_chunks(

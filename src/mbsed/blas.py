@@ -1,5 +1,5 @@
-"""mbsed's thread count, and the one rule that keeps bits from depending
-on it: numpy's OpenBLAS runs at one thread.
+"""mbsed's thread count, its one pool of threads, and the one rule that
+keeps bits from depending on either: numpy's OpenBLAS runs at one thread.
 
 Importing this module reads numpy's OpenBLAS thread count once
 (``OPENBLAS_NUM_THREADS``, else the CPU count), keeps it as mbsed's own
@@ -7,10 +7,11 @@ Importing this module reads numpy's OpenBLAS thread count once
 process, other numpy work in it included. So every BLAS product in mbsed
 (``matmul``'s, the conv's gemms and log-mel's filterbank product) has bits
 that follow from its operands alone, and no call site has to ask for it.
-Parallelism comes only from mbsed's own threads (the chunk pool of
-``autodiff._run_parts`` and ``pipeline.map_clips``) and the ablation's
-worker processes: ``run_ablation`` starts ``worker_count()`` of them (one
-per CPU, or ``MBSED_WORKERS``), and each gets ``cpu_count() // workers``
+Parallelism comes only from the process's one pool of ``threads()``
+threads, which ``run_in_order`` runs tasks on (``autodiff._run_parts``'
+parts and ``pipeline.map_clips``' clips), and the ablation's worker
+processes: ``run_ablation`` starts ``worker_count()`` of them (one per
+CPU, or ``MBSED_WORKERS``), and each gets ``cpu_count() // workers``
 threads (at least one) as its ``threads()``. A later change to
 OpenBLAS's thread count no longer reaches mbsed; ``set_threads`` changes
 mbsed's. A numpy without OpenBLAS runs mbsed on one thread.
@@ -18,7 +19,11 @@ mbsed's. A numpy without OpenBLAS runs mbsed on one thread.
 
 from __future__ import annotations
 
+import collections
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from typing import Callable, Iterable
 
 # OpenBLAS's thread-count setters, by the names scipy-openblas, 64-bit and
 # plain builds export
@@ -86,8 +91,53 @@ def set_threads(n: int) -> int:
     return previous
 
 
-def init_pool_thread() -> None:
-    """Initializer of mbsed's thread pools: ``threads()`` is 1 on the calling
-    thread, so the work a pool thread runs (a clip's ``conv_block``) runs its
-    parts inline rather than on threads of its own."""
+def _mark_pool_thread() -> None:
     _pool_thread.marked = True
+
+
+# ((pid, threads), pool) of the last run_in_order that needed threads. A pool
+# made before fork has no threads in the child, so a new pid gets its own.
+_pool: tuple[tuple[int, int], ThreadPoolExecutor] | None = None
+_pool_lock = threading.Lock()
+
+
+def _pool_of_this_process() -> ThreadPoolExecutor:
+    global _pool
+    key = (os.getpid(), _count)
+    with _pool_lock:
+        if _pool is None or _pool[0] != key:
+            if _pool is not None and _pool[0][0] == key[0]:
+                _pool[1].shutdown(wait=False)
+            _pool = (key, ThreadPoolExecutor(
+                _count, thread_name_prefix="mbsed-pool", initializer=_mark_pool_thread
+            ))
+        return _pool[1]
+
+
+def run_in_order(tasks: Iterable[Callable], running: int, consume: Callable) -> None:
+    """``consume(task())`` for each of ``tasks``, consumed in task order on
+    the calling thread. With ``running`` at most 1 the tasks run inline;
+    otherwise on the process's pool of ``threads()`` threads, on which
+    ``threads()`` is 1 (so their own work runs inline), with at most
+    ``2 * running`` started and not yet consumed. If a task raises, the
+    tasks not yet started are dropped, the started ones finish, and the
+    first exception in task order propagates.
+    """
+    if running <= 1:
+        for task in tasks:
+            consume(task())
+        return
+    pool = _pool_of_this_process()
+    pending = collections.deque()
+    try:
+        for task in tasks:
+            if len(pending) == 2 * running:
+                consume(pending.popleft().result())  # re-raises the task's exception
+            pending.append(pool.submit(task))
+        while pending:
+            consume(pending.popleft().result())
+    except BaseException:
+        for future in pending:
+            future.cancel()
+        wait(pending)
+        raise

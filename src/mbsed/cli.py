@@ -35,6 +35,7 @@ _ERRORS = (
     AudioIOError,
     AnnotationError,
     DivergenceError,
+    OSError,
 )
 
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,29 +78,26 @@ class PipelineError(RuntimeError):
 
 
 def map_clips(fn, items) -> list:
-    """``[fn(item) for item in items]``, with the items spread over
-    ``blas.threads()`` threads: numpy's OpenBLAS thread count as read once,
-    when mbsed was imported.
+    """``[fn(item) for item in items]``, with the items spread over mbsed's
+    pool of ``blas.threads()`` threads (``blas.run_in_order``).
 
-    That import left OpenBLAS at one thread for the whole process
+    Importing mbsed left OpenBLAS at one thread for the whole process
     (``mbsed.blas``), so the cores are used by threads like these, never
-    by OpenBLAS; without OpenBLAS the count is 1. On a clip thread
+    by OpenBLAS; without OpenBLAS the count is 1. On a pool thread
     ``blas.threads()`` is 1, so each clip keeps to one core and
     ``conv_block`` runs its conv and chunks inline. With one thread (an
     ablation worker, ``OPENBLAS_NUM_THREADS=1``) or one item the map runs
-    inline and starts no thread. Results come in item order, and the first
-    item to raise, in that order, is the one whose exception propagates, so
-    a caller sees what a serial loop would. ``fn`` must not share mutable
-    state between items.
+    inline. Results come in item order, and the first item to raise, in
+    that order, is the one whose exception propagates once the started
+    items have returned, so a caller sees what a serial loop would. ``fn``
+    must not share mutable state between items.
     """
     items = list(items)
-    threads = min(blas.threads(), len(items))
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(
-        threads, thread_name_prefix="mbsed-clip", initializer=blas.init_pool_thread
-    ) as pool:
-        return list(pool.map(fn, items))
+    out = []
+    blas.run_in_order(
+        (functools.partial(fn, item) for item in items), min(blas.threads(), len(items)), out.append
+    )
+    return out
 
 
 def cpu_count() -> int:

@@ -48,10 +48,6 @@ class AttentionParams:
         if self.weights.ndim != 2:
             raise ValueError(f"attention weights must be (C, E), got {self.weights.shape}")
 
-    @property
-    def num_classes(self) -> int:
-        return self.weights.shape[0]
-
 
 @dataclass
 class Classifier:

@@ -116,10 +116,6 @@ class SynthConfig:
         d["templates"] = list(d["templates"])
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthConfig":
-        return cls(**{**d, "templates": tuple(EventTemplate(**t) for t in d["templates"])})
-
 
 def _envelope(n: int, attack: float, release: float, rate: int) -> np.ndarray:
     env = np.ones(n)
@@ -264,13 +260,4 @@ def generate_dataset(config: SynthConfig, out_dir) -> Manifest:
     with open(out_dir / MANIFEST_NAME, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return Manifest(config, clip_ids, out_dir)
-
-
-def load_manifest(out_dir) -> Manifest:
-    out_dir = Path(out_dir)
-    with open(out_dir / MANIFEST_NAME, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    config = SynthConfig.from_dict(data["config"])
-    clip_ids = [c["clip_id"] for c in data["clips"]]
     return Manifest(config, clip_ids, out_dir)

@@ -465,7 +465,7 @@ class TestConv2d:
 
     @pytest.mark.parametrize("threads", [3, 4])
     def test_memory_stays_within_operands_at_more_blas_threads(self, blas_threads, threads):
-        # the slabs and pieces that run at once on the chunk pool share one
+        # the slabs and pieces that run at once on the pool share one
         # scratch budget, so more BLAS threads hold no more column buffers
         blas_threads(threads)
         self.test_memory_stays_within_operands()
@@ -1211,7 +1211,7 @@ class TestNoGrad:
 
 
 # ---------------------------------------------------------------------------
-# conv2d on the chunk pool
+# conv2d on the pool
 
 # (input shape, kernel shape, input tracked): with SLAB_DOUBLES at 2**12,
 # each has 8 or more forward slabs and backward pieces, so 2 and 4 BLAS
@@ -1292,7 +1292,7 @@ class TestConvOnThePool:
             if threads == 1:
                 assert {name for name, _ in column_spy} == {threading.current_thread().name}
             else:
-                assert all(name.startswith("mbsed-chunk") for name, _ in column_spy)
+                assert all(name.startswith("mbsed-pool") for name, _ in column_spy)
                 assert all(count == 1 for _, count in column_spy)
         for threads, other in zip((2, 4), results[1:]):
             for name, a, b in zip(("output", "kernel grad", "input grad"), results[0], other):
@@ -1320,7 +1320,7 @@ class TestConvOnThePool:
             results.append([out.data, rm, rv] + [t.grad for t in tensors])
             names = {name for name, _ in column_spy}
             if threads > 1:
-                assert all(name.startswith("mbsed-chunk") for name in names)
+                assert all(name.startswith("mbsed-pool") for name in names)
         names = ("out", "running_mean", "running_var", "x", "kernel", "gamma", "beta")
         for threads, other in zip((2, 4), results[1:]):
             for name, a, b in zip(names, results[0], other):
@@ -1361,28 +1361,45 @@ class TestConvOnThePool:
         for name, a, b in zip(("output", "kernel grad", "input grad"), want, got):
             assert same_bits(a, b), name
 
-    def test_inside_map_clips_runs_inline(self, blas_threads, small_slabs, column_spy):
+    def test_inside_map_clips_runs_inline(self, blas_threads, small_slabs, column_spy, monkeypatch):
         from mbsed.pipeline import map_clips
 
         rng = np.random.default_rng(67)
-        shape, kernel, _ = THREADED_CONVS["tracked"]
+        shape, kernel, tracked = THREADED_CONVS["tracked"]
+        slabs, pieces = conv_parts(shape, kernel, tracked)
         args = [rng.standard_normal(shape), rng.standard_normal(kernel) * 0.5]
         gamma, beta = np.ones(kernel[0]), np.zeros(kernel[0])
+        clip = threading.local()  # the seed of the clip the thread runs
+        ran_on = {}  # seed -> thread that ran the clip
+        copies = []  # (seed of the running clip, thread) of each im2col copy
+        columns = ad._columns
+
+        def spy(*args):
+            copies.append((getattr(clip, "seed", None), threading.current_thread()))
+            return columns(*args)
 
         def block(seed):
+            clip.seed = seed
+            ran_on[seed] = threading.current_thread()
             x, k = (Tensor(a, requires_grad=True) for a in args)
             out = conv_block(x, k, Tensor(gamma), Tensor(beta), np.zeros(kernel[0]),
                              np.ones(kernel[0]), 2, 2)
             reduce_sum(ad.mul(out, float(seed))).backward()
+            clip.seed = None
             return out.data, x.grad, k.grad
 
         blas_threads(1)
         want = [block(seed) for seed in (1, 2)]
         blas_threads(2)
         column_spy.clear()
+        monkeypatch.setattr(ad, "_columns", spy)
         got = []
         run_threads(lambda: got.extend(map_clips(block, [1, 2])))
-        assert {name.split("_")[0] for name, _ in column_spy} == {"mbsed-clip"}
+        # each clip's im2col copies ran on the pool thread that ran the clip
+        assert all(t.name.startswith("mbsed-pool") for t in ran_on.values())
+        per_clip = len(slabs) + len(pieces)
+        assert sorted(seed for seed, _ in copies) == [1] * per_clip + [2] * per_clip
+        assert all(thread is ran_on[seed] for seed, thread in copies)
         assert all(count == 1 for _, count in column_spy)
         assert blas.threads() == 2
         for a, b in zip(want, got):

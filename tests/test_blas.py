@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -47,8 +46,12 @@ def test_set_threads_leaves_openblas_alone(blas_threads):
 
 def test_pool_threads_count_one_and_others_keep_the_count(blas_threads):
     blas_threads(3)
-    with ThreadPoolExecutor(2, initializer=blas.init_pool_thread) as pool:
-        assert list(pool.map(lambda _: blas.threads(), range(4))) == [1] * 4
+    seen = []
+    blas.run_in_order(
+        [lambda: (threading.current_thread().name, blas.threads())] * 4, 2, seen.append
+    )
+    assert len(seen) == 4
+    assert all(name.startswith("mbsed-pool") and count == 1 for name, count in seen)
     seen = []
     thread = threading.Thread(target=lambda: seen.append(blas.threads()))
     thread.start()

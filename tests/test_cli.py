@@ -123,6 +123,13 @@ class TestSynth:
 
 
 class TestTrain:
+    def test_out_is_a_regular_file(self, run_config_path, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n", encoding="utf-8")
+        assert run_cli(["train", "--config", run_config_path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+
     def test_repeats_write_seed_suffixed_checkpoints(
         self, run_config_path, tmp_path, capsys, monkeypatch
     ):
@@ -430,6 +437,16 @@ class TestPredict:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: clip blip: 5 frames") and "Traceback" not in err
+
+    def test_missing_checkpoint(self, dataset, tmp_path, capsys):
+        missing = tmp_path / "missing.ckpt"
+        code = run_cli([
+            "predict", "--checkpoint", missing, "--audio", dataset,
+            "--out", tmp_path / "e.tsv",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err and "Traceback" not in err
 
     def test_missing_audio_dir(self, checkpoint, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -1,12 +1,14 @@
 """Checks on how the modules of ``mbsed`` depend on each other."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
 import mbsed
 
 PACKAGE = Path(mbsed.__file__).parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def sibling_private_uses(path: Path) -> list[str]:
@@ -90,3 +92,21 @@ def test_every_public_autodiff_function_has_a_caller_in_mbsed():
         and not name.startswith("_")
     }
     assert public - used - {"as_tensor", "grad_check"} == set()
+
+
+def test_every_public_function_and_class_is_read_in_mbsed_or_perfbench():
+    # a public name that nothing in the package or the benchmark reads goes;
+    # the gradient checker serves the tests
+    used = set().union(*(
+        names_read(path) for path in [*PACKAGE.glob("*.py"), *PERFBENCH.glob("*.py")]
+    ))
+    unread = set()
+    for path in PACKAGE.glob("[!_]*.py"):
+        module = importlib.import_module(f"mbsed.{path.stem}")
+        unread.update(
+            f"{path.stem}.{name}" for name, value in vars(module).items()
+            if (inspect.isfunction(value) or inspect.isclass(value))
+            and value.__module__ == module.__name__
+            and not name.startswith("_") and name not in used
+        )
+    assert unread - {"autodiff.grad_check"} == set()

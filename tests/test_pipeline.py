@@ -10,6 +10,8 @@ import shutil
 import struct
 import sys
 import threading
+import time
+import types
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from mbsed.pipeline import (
     PipelineError,
     format_ablation_table,
     load_dataset,
+    map_clips,
     model_post_config,
     post_config_from_run,
     predict_events,
@@ -195,6 +198,28 @@ class TestLoadDataset:
         assert path.read_bytes()[:64] == stamp
         assert np.array_equal(read_features(path, stamp), want)
 
+    def test_interrupted_cache_write_recomputed(self, tmp_path, monkeypatch):
+        # a write that fails after the stamp leaves no cache file, so the
+        # next load recomputes the features rather than raising
+        dataset = tmp_path / "tiny"
+        generate_dataset(SynthConfig(n_clips=2, seed=5), dataset)
+        want = load_dataset(dataset, cache=False).features
+
+        def pack(*args):
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr("mbsed.audio.struct", types.SimpleNamespace(pack=pack))
+        with pytest.raises(PipelineError, match="No space left"):
+            load_dataset(dataset, cache=True)
+        assert list((dataset / "features" / "22050").iterdir()) == []
+        monkeypatch.undo()
+        got = load_dataset(dataset, cache=True).features
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert sorted(p.name for p in (dataset / "features" / "22050").iterdir()) == [
+            "clip_0000.mel",
+            "clip_0001.mel",
+        ]
+
     def test_cache_keyed_by_rate(self, tmp_path):
         # features cached at one rate are not served at another
         dataset = tmp_path / "tiny"
@@ -302,7 +327,7 @@ class TestPrediction:
         if threads == 1:
             assert names == {threading.current_thread().name}
         else:
-            assert all(name.startswith("mbsed-clip") for name in names)
+            assert all(name.startswith("mbsed-pool") for name in names)
             assert len(names) <= min(threads, N_TEST)
 
         monkeypatch.setattr(pipeline, "map_clips", lambda fn, items: [fn(i) for i in items])
@@ -479,6 +504,59 @@ class TestModelPostConfig:
         assert post.median_windows == {} and post.default_window == 27
 
 
+class TestMapClips:
+    def test_calls_and_conv_threads_share_the_pool(self, blas_threads, monkeypatch):
+        # two maps and a conv_block backward whose slabs, pieces and chunks
+        # are many enough to run on threads
+        monkeypatch.setattr(ad, "SLAB_DOUBLES", 1 << 12)
+        monkeypatch.setattr(ad, "CHUNK_DOUBLES", 1 << 12)
+        blas_threads(2)
+        seen = set()  # threads that ran a clip or an im2col copy
+        columns = ad._columns
+
+        def spy(*args):
+            seen.add(threading.current_thread())
+            return columns(*args)
+
+        def clip(item):
+            seen.add(threading.current_thread())
+            time.sleep(0.01)
+            return item
+
+        assert map_clips(clip, range(4)) == list(range(4))
+        assert map_clips(clip, range(4)) == list(range(4))
+        monkeypatch.setattr(ad, "_columns", spy)
+        rng = np.random.default_rng(43)
+        x = ad.Tensor(rng.standard_normal((4, 60, 16, 8)), requires_grad=True)
+        kernel = ad.Tensor(rng.standard_normal((8, 8, 3, 3)), requires_grad=True)
+        out = ad.conv_block(x, kernel, ad.Tensor(np.ones(8)), ad.Tensor(np.zeros(8)),
+                            np.zeros(8), np.ones(8), 2, 2)
+        ad.reduce_sum(out).backward()
+        assert threading.current_thread() not in seen
+        assert all(t.name.startswith("mbsed-pool") for t in seen)
+        assert 1 <= len(seen) <= blas.threads()
+
+    def test_raise_waits_for_started_items_and_drops_the_rest(self, blas_threads):
+        # item 0 raises at once; item 1, started beside it, returns later,
+        # and the items after the 2 * threads in flight never start
+        blas_threads(2)
+        started, returned = [], []
+
+        def clip(item):
+            started.append(item)
+            if item == 0:
+                raise RuntimeError("clip 0 failed")
+            time.sleep(0.2 if item == 1 else 0.0)
+            returned.append(item)
+            return item
+
+        with pytest.raises(RuntimeError, match="clip 0 failed"):
+            map_clips(clip, range(12))
+        assert 1 in returned
+        assert sorted(returned) == sorted(set(started) - {0})
+        assert max(started) < 4
+
+
 class TestWorkerCount:
     def test_default(self, monkeypatch):
         # one worker per CPU when MBSED_WORKERS is unset
@@ -573,7 +651,7 @@ class TestAblation:
     def test_workers_forked_after_chunk_threads_score_alike(
         self, data_dirs, monkeypatch, blas_threads
     ):
-        # a conv_block backward on two BLAS threads starts its chunk threads
+        # a conv_block backward on two BLAS threads starts the pool's threads
         # in this process; fork copies none of them into the workers. Chunks
         # of 128 KiB, which the workers inherit, give each block at least the
         # four chunks per thread that conv_block needs to use its threads
@@ -585,7 +663,7 @@ class TestAblation:
         gamma, beta = ad.Tensor(np.ones(8)), ad.Tensor(np.zeros(8))
         out = ad.conv_block(x, kernel, gamma, beta, np.zeros(8), np.ones(8), 1, 4)
         ad.reduce_sum(out).backward()
-        assert any(t.name.startswith("mbsed-chunk") for t in threading.enumerate())
+        assert any(t.name.startswith("mbsed-pool") for t in threading.enumerate())
 
         train, test = data_dirs
         run = make_run(train, test, repeats=2)

@@ -14,7 +14,6 @@ from mbsed.synth import (
     SynthConfig,
     SynthesisError,
     generate_dataset,
-    load_manifest,
     render_event,
     synthesize_clip,
 )
@@ -53,10 +52,6 @@ class TestTemplates:
         t = EventTemplate("a", "tone", 9000.0, 12000.0, 0.5, 1.0)
         with pytest.raises(ValueError, match="Nyquist"):
             SynthConfig(n_clips=1, templates=(t,))
-
-    def test_round_trip_dict(self):
-        cfg = small_config()
-        assert SynthConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_dict_json_pinned(self):
         # the manifest's "config" entry, as generate_dataset writes it
@@ -195,18 +190,12 @@ class TestGenerateDataset:
         b = (tmp_path / "b" / "clip_0000.wav").read_bytes()
         assert a != b
 
-    def test_manifest_round_trip(self, tmp_path):
-        cfg = small_config(n_clips=3)
-        generate_dataset(cfg, tmp_path / "d")
-        manifest = load_manifest(tmp_path / "d")
-        assert manifest.config == cfg
-        assert manifest.clip_ids == ["clip_0000", "clip_0001", "clip_0002"]
-
     def test_manifest_echoes_config(self, tmp_path):
         cfg = small_config(n_clips=2)
         generate_dataset(cfg, tmp_path / "d")
         data = json.loads((tmp_path / "d" / "manifest.json").read_text())
         assert data["config"] == cfg.to_dict()
+        assert [c["clip_id"] for c in data["clips"]] == ["clip_0000", "clip_0001"]
 
     def test_zero_event_dataset(self, tmp_path):
         cfg = small_config(n_clips=3, events_min=0, events_max=0)
