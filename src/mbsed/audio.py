@@ -222,6 +222,22 @@ def feature_stamp(rate: int, wav_path=None) -> bytes:
     return frontend + digest.digest()
 
 
+@contextlib.contextmanager
+def written_whole(path):
+    """A file open for binary writing that replaces ``path`` when the block
+    ends: written beside it and moved over it, so a write cut short leaves
+    ``path`` as it was."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_features(path, features: np.ndarray, stamp: bytes) -> None:
     """Write a cache file of ``features`` under ``stamp`` (``feature_stamp``)."""
     features = np.ascontiguousarray(features, dtype=np.float64)
@@ -229,19 +245,10 @@ def write_features(path, features: np.ndarray, stamp: bytes) -> None:
         raise ValueError(f"feature matrix must be 2-D, got shape {features.shape}")
     if len(stamp) != _STAMP_BYTES or not stamp.startswith(FEATURE_MAGIC):
         raise ValueError("a feature cache stamp is what feature_stamp returns for a WAV")
-    # written whole beside ``path`` and then moved over it, so a write cut
-    # short leaves no file that reads as a damaged cache
-    tmp = f"{os.fspath(path)}.{os.getpid()}-{threading.get_ident()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(stamp)
-            fh.write(struct.pack("<II", features.shape[0], features.shape[1]))
-            fh.write(features.astype("<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+    with written_whole(path) as fh:
+        fh.write(stamp)
+        fh.write(struct.pack("<II", features.shape[0], features.shape[1]))
+        fh.write(features.astype("<f8").tobytes())
 
 
 def read_features(path, stamp: bytes = b"") -> np.ndarray | None:

@@ -354,7 +354,8 @@ def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     return _recorded(
         (a, b),
-        a.data * b.data,
+        # C order: numpy's own would follow a transposed operand and reorder later sums
+        np.multiply(a.data, b.data, order="C"),
         (lambda g: _unbroadcast(g * b.data, a.shape), lambda g: _unbroadcast(g * a.data, b.shape)),
     )
 
@@ -401,13 +402,6 @@ def swapaxes(x: Tensor, a: int, b: int) -> Tensor:
     axes = list(range(as_tensor(x).ndim))
     axes[a], axes[b] = axes[b], axes[a]
     return transpose(x, axes)
-
-
-@_op
-def broadcast_to(x: Tensor, shape) -> Tensor:
-    x = as_tensor(x)
-    data = np.broadcast_to(x.data, shape).copy()
-    return _recorded((x,), data, (lambda g: _unbroadcast(g, x.shape),))
 
 
 @_op
@@ -458,7 +452,7 @@ def reduce_sum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Te
     return _recorded(
         (x,),
         x.data.sum(axis=axis, keepdims=keepdims),
-        (lambda g: np.broadcast_to(_expand(g, axis, keepdims), x.shape).copy(),),
+        (lambda g: np.broadcast_to(_expand(g, axis, keepdims), x.shape),),
     )
 
 
@@ -471,7 +465,7 @@ def reduce_mean(x: Tensor, axis: int | None = None, keepdims: bool = False) -> T
     return _recorded(
         (x,),
         x.data.mean(axis=axis, keepdims=keepdims),
-        (lambda g: np.broadcast_to(_expand(g, axis, keepdims) / n, x.shape).copy(),),
+        (lambda g: np.broadcast_to(_expand(g, axis, keepdims) / n, x.shape),),
     )
 
 

@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .audio import written_whole
 from .autodiff import Tensor
 from .pooling import (
     AttentionParams,
@@ -558,7 +559,7 @@ def save_checkpoint(model: Model, path) -> None:
         },
         sort_keys=True,
     ).encode()
-    with open(path, "wb") as fh:
+    with written_whole(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)

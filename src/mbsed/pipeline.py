@@ -31,6 +31,7 @@ from .audio import (
     logmel,
     read_features,
     write_features,
+    written_whole,
 )
 from .config import RunConfig, parse_branches, resolved_text
 from .events import (
@@ -269,10 +270,9 @@ def run_training(
         ckpt = out_dir / f"model_seed{seed}.ckpt"
         save_checkpoint(model, ckpt)
         loss_path = out_dir / f"loss_seed{seed}.csv"
-        with open(loss_path, "w", encoding="utf-8") as fh:
-            fh.write("epoch,loss\n")
-            for epoch, value in enumerate(curve):
-                fh.write(f"{epoch},{value:.6f}\n")
+        rows = "".join(f"{epoch},{value:.6f}\n" for epoch, value in enumerate(curve))
+        with written_whole(loss_path) as fh:
+            fh.write(f"epoch,loss\n{rows}".encode())
         artifacts.append(TrainArtifacts(ckpt, loss_path, seed, curve[-1]))
     (out_dir / "config_resolved.ini").write_text(resolved_text(run), encoding="utf-8")
     return artifacts

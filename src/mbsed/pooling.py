@@ -2,8 +2,9 @@
 
 Two strategies are supported. The instance-level route classifies every
 frame first and pools the frame probabilities into a clip probability.
-The embedding-level route pools frame features into a per-class clip
-embedding first and classifies that. Each strategy works with global max
+The embedding-level route pools frame features into a clip embedding
+first and classifies that: GMP and GAP pool one embedding for every
+class, ATP one per class. Each strategy works with global max
 pooling (GMP), global average pooling (GAP) or attention pooling (ATP).
 
 All functions accept a single clip (T x ...) or any number of leading
@@ -56,10 +57,6 @@ class Classifier:
     weight: Tensor
     bias: Tensor
 
-    @property
-    def num_classes(self) -> int:
-        return self.weight.shape[1]
-
     def frame_probs(self, features: Tensor) -> Tensor:
         """Sigmoid of the affine map applied to every frame: (..., T, C)."""
         return ad.sigmoid(ad.linear(features, self.weight, self.bias))
@@ -107,41 +104,23 @@ def instance_pool(
     return ad.reduce_sum(ad.mul(a, frame_probs), axis=-2)
 
 
-def embedding_pool(
-    features: Tensor,
-    method: PoolMethod,
-    attn: AttentionParams | None = None,
-    num_classes: int | None = None,
-) -> Tensor:
-    """Pool frame features (..., T, E) into per-class embeddings (..., C, E).
-
-    GMP and GAP have no class dependence; their single pooled vector is
-    replicated across ``num_classes`` classes (required for them) so every
-    method exposes the same (C, E) interface. ATP produces a genuinely
-    class-specific embedding.
-    """
+def embedding_pool(features: Tensor, method: PoolMethod, attn: AttentionParams | None = None) -> Tensor:
+    """Pool frame features (..., T, E) into clip embeddings: for GMP and GAP
+    one, (..., 1, E), that every class shares; for ATP one per class, (..., C, E)."""
     _check_frames(features)
     if method is PoolMethod.ATP:
         if attn is None:
             raise ValueError("embedding-level ATP requires attention parameters")
         a = attention_weights(features, attn)  # (..., T, C)
         return ad.matmul(ad.swapaxes(a, -1, -2), features)
-    if num_classes is None:
-        raise ValueError("GMP/GAP embedding pooling needs num_classes for replication")
     if method is PoolMethod.GMP:
-        h = ad.reduce_max(features, axis=-2, keepdims=True)
-    else:
-        h = ad.reduce_mean(features, axis=-2, keepdims=True)
-    target = h.shape[:-2] + (num_classes, features.shape[-1])
-    return ad.broadcast_to(h, target)
+        return ad.reduce_max(features, axis=-2, keepdims=True)
+    return ad.reduce_mean(features, axis=-2, keepdims=True)
 
 
 def embedding_clip_probs(embeddings: Tensor, classifier: Classifier) -> Tensor:
-    """Classify per-class embeddings (..., C, E) into clip probs (..., C).
-
-    Class c uses only its own classifier column, so this is a per-class
-    dot product rather than a full affine map.
-    """
+    """Classify clip embeddings, (..., C, E) or one shared (..., 1, E), into
+    clip probs (..., C): class c dots its classifier column with its embedding."""
     logits = ad.add(
         ad.reduce_sum(ad.mul(embeddings, ad.transpose(classifier.weight)), axis=-1),
         classifier.bias,
@@ -183,5 +162,5 @@ def clip_probabilities(
     if strategy is MilStrategy.INSTANCE:
         probs = classifier.frame_probs(features)
         return instance_pool(probs, method, attn=attn, features=features)
-    h = embedding_pool(features, method, attn=attn, num_classes=classifier.num_classes)
+    h = embedding_pool(features, method, attn=attn)
     return embedding_clip_probs(h, classifier)

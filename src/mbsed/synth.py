@@ -10,6 +10,7 @@ byte for byte and clips could be generated in parallel.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -78,6 +79,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_clips < 1:
             raise ValueError("n_clips must be positive")
+        if not math.isfinite(self.clip_seconds):
+            raise ValueError(f"clip_seconds must be finite, got {self.clip_seconds}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.max_polyphony < 1:

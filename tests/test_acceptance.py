@@ -6,6 +6,7 @@ else completes in seconds. Run with -v to get one pass/fail line per
 guarantee.
 """
 
+import inspect
 import time
 
 import numpy as np
@@ -110,7 +111,9 @@ def op_checks(rng):
         ("reshape", lambda x: proj(ad.reshape(x, (12,)), v12), t(3, 4)),
         ("transpose", lambda x: proj(ad.transpose(x), w43), t(3, 4)),
         ("swapaxes", lambda x: proj(ad.swapaxes(x, 0, 2), w432), t(2, 3, 4)),
-        ("broadcast_to", lambda x: proj(ad.broadcast_to(x, (5, 3, 4)), w534), t(1, 3, 4)),
+        # proj's mul broadcasts x over w534's first axis, as E-GMP/E-GAP's
+        # one embedding is over the classes
+        ("mul_broadcast", lambda x: proj(x, w534), t(1, 3, 4)),
         ("clamp", lambda x: proj(ad.clamp(x, -0.75, 0.75), w34), x_clamp),
         ("relu", lambda x: proj(relu(x), w34), x_relu),
         ("sigmoid", lambda x: proj(ad.sigmoid(x), w34), t(3, 4)),
@@ -150,6 +153,23 @@ def op_checks(rng):
 
     names = ("conv_block_x", "conv_block_kernel", "conv_block_gamma", "conv_block_beta")
     return rows + [(name, block_row(i), block[i]) for i, name in enumerate(names)]
+
+
+def test_gradient_table_covers_every_op():
+    """Every public autodiff function but as_tensor and grad_check has a
+    row in op_checks named after it: the name, or the name plus "_..."."""
+    rows = [name for name, _, _ in op_checks(np.random.default_rng(0))]
+    ops = [
+        name
+        for name, fn in vars(ad).items()
+        if inspect.isfunction(fn)
+        and fn.__module__ == ad.__name__
+        and not name.startswith("_")
+        and name not in ("as_tensor", "grad_check")
+    ]
+    assert "conv_block" in ops and "swapaxes" in ops
+    missing = [op for op in ops if not any(row == op or row.startswith(op + "_") for row in rows)]
+    assert not missing, f"ops without a gradient check row: {missing}"
 
 
 def micro_config(seed):

@@ -673,6 +673,16 @@ class TestPointwise:
         with pytest.raises(DomainError):
             log(Tensor([1.0, 0.0]))
 
+    def test_mul_broadcast_against_transposed_view_is_c_contiguous(self):
+        # E-GMP/E-GAP's one embedding (N, 1, E) times the classifier's
+        # transposed (E, C) weight: later sums over E run in C order
+        rng = np.random.default_rng(0)
+        h = rng.standard_normal((3, 1, 7))
+        w = rng.standard_normal((7, 4))
+        out = ad.mul(h, ad.transpose(Tensor(w))).data
+        assert out.shape == (3, 4, 7) and out.flags.c_contiguous
+        np.testing.assert_array_equal(out, h * w.T)
+
 
 # ---------------------------------------------------------------------------
 # linear

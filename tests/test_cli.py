@@ -115,6 +115,13 @@ class TestSynth:
         assert err.startswith("error: ") and "seed must be non-negative" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("seconds", ["nan", "inf"])
+    def test_non_finite_clip_seconds_message(self, tmp_path, capsys, seconds):
+        assert run_cli(["synth", "--clips", 2, "--clip-seconds", seconds, "--out", tmp_path / "x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "clip_seconds must be finite" in err
+        assert "Traceback" not in err
+
     def test_deterministic(self, dataset, tmp_path):
         again = tmp_path / "again"
         assert run_cli(["synth", "--clips", 4, "--seed", 0, "--out", again]) == 0

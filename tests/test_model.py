@@ -575,6 +575,35 @@ class TestCheckpoint:
         save_checkpoint(model, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_interrupted_save_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(Model(tiny_config()), path)
+        good = path.read_bytes()
+        other = Model(tiny_config(seed=1))
+
+        class CutOnThirdTensor:
+            """numpy, but converting the third tensor for writing stops the
+            save as a Ctrl-C would"""
+
+            calls = 0
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def ascontiguousarray(self, *args, **kwargs):
+                self.calls += 1
+                if self.calls == 3:
+                    raise KeyboardInterrupt
+                return np.ascontiguousarray(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr("mbsed.model.np", CutOnThirdTensor())
+            with pytest.raises(KeyboardInterrupt):
+                save_checkpoint(other, path)
+        assert path.read_bytes() == good
+        load_checkpoint(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"XXXX" + b"\x00" * 64)

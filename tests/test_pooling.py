@@ -60,15 +60,14 @@ class TestEmbeddingPool:
     feats = np.array([[1.0, 5.0], [3.0, 2.0]])
 
     def test_gmp_coordinatewise_max(self):
-        out = embedding_pool(Tensor(self.feats), PoolMethod.GMP, num_classes=3)
-        assert out.shape == (3, 2)
-        for c in range(3):
-            np.testing.assert_allclose(out.data[c], [3.0, 5.0])
+        out = embedding_pool(Tensor(self.feats), PoolMethod.GMP)
+        assert out.shape == (1, 2)
+        np.testing.assert_allclose(out.data[0], [3.0, 5.0])
 
     def test_gap_mean(self):
-        out = embedding_pool(Tensor(self.feats), PoolMethod.GAP, num_classes=2)
-        for c in range(2):
-            np.testing.assert_allclose(out.data[c], [2.0, 3.5])
+        out = embedding_pool(Tensor(self.feats), PoolMethod.GAP)
+        assert out.shape == (1, 2)
+        np.testing.assert_allclose(out.data[0], [2.0, 3.5])
 
     def test_atp_one_hot_selects_frame(self):
         # huge score gap drives the softmax to an exact one-hot in float64
@@ -80,8 +79,9 @@ class TestEmbeddingPool:
     def test_gap_equals_row_mean(self):
         rng = np.random.default_rng(1)
         feats = rng.standard_normal((17, 6))
-        out = embedding_pool(Tensor(feats), PoolMethod.GAP, num_classes=4)
-        np.testing.assert_allclose(out.data[2], feats.mean(axis=0), atol=1e-12)
+        out = embedding_pool(Tensor(feats), PoolMethod.GAP)
+        assert out.shape == (1, 6)
+        np.testing.assert_allclose(out.data[0], feats.mean(axis=0), atol=1e-12)
 
     def test_atp_in_convex_hull(self):
         rng = np.random.default_rng(2)
@@ -90,6 +90,22 @@ class TestEmbeddingPool:
         out = embedding_pool(Tensor(feats), PoolMethod.ATP, attn=attn).data
         lo, hi = feats.min(axis=0), feats.max(axis=0)
         assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
+
+    @pytest.mark.parametrize("method", [PoolMethod.GMP, PoolMethod.GAP])
+    @pytest.mark.parametrize("shape", [(5, 37, 160), (37, 160)], ids=["batched", "single"])
+    def test_shared_embedding_classified_as_if_replicated(self, method, shape):
+        # the one pooled embedding gives every class the bits it got when
+        # it was copied once per class
+        rng = np.random.default_rng(11)
+        feats = rng.standard_normal(shape)
+        cls = make_classifier(rng.standard_normal((160, 4)), rng.standard_normal(4))
+        got = clip_probabilities(MilStrategy.EMBEDDING, method, Tensor(feats), cls).data
+        reduce = np.max if method is PoolMethod.GMP else np.mean
+        pooled = reduce(feats, axis=-2, keepdims=True)
+        replicated = np.broadcast_to(pooled, shape[:-2] + (4, 160)).copy()
+        want = embedding_clip_probs(Tensor(replicated), cls).data
+        assert got.shape == shape[:-2] + (4,)
+        np.testing.assert_array_equal(got, want)
 
 
 class TestAttentionWeights:
